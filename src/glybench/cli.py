@@ -22,8 +22,10 @@ from .evaluation import (
     METRICS,
     EvalReport,
     PenaltyTable,
+    cohort_mean,
     evaluate,
     improvement_csv,
+    percent_improvement,
     results_long_csv,
     wide_csv,
 )
@@ -204,11 +206,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = cfg["out"]
     _require_parent_dir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
 
     cleaned, cleaning_reports = clean_cohort(raw)
     datasets = [materialize(cleaned, spec, min_records=cfg["min_records"])
                 for spec in specs]
+    if not any(len(rows) >= cfg["k"] for d in datasets for rows in d.per_patient.values()):
+        raise CliError(
+            f"no patient met --min-records {cfg['min_records']} (with at least "
+            f"k={cfg['k']} rows) in any variant: all {len(cleaned)} patient(s) "
+            f"were excluded, so there is nothing to evaluate"
+        )
+    os.makedirs(out_dir, exist_ok=True)
 
     tasks = [
         (dataset, model_name, cfg["k"], cfg["seed"], penalty_weights,
@@ -290,10 +298,11 @@ SUMMARY_CSV_HEADER = (
 def summarize_results(long_csv: str) -> list[dict[str, object]]:
     """Best (model, variant) per metric with the naive reference value.
 
-    Cohort values are unweighted means of the per-patient entries; the
-    winner is the lowest cohort loss (ties break on model then variant
-    name), and improvement is always relative to naive on the winning
-    variant.
+    Cohort values are unweighted means of the per-patient entries, taken
+    as ``evaluate`` takes them, so they equal the ``wide_*`` tables bit
+    for bit; the winner is the lowest cohort loss (ties break on model
+    then variant name), and improvement is always relative to naive on
+    the winning variant, as in the ``improvement_*`` tables.
     """
     lines = [ln for ln in long_csv.splitlines() if ln.strip()]
     if not lines or lines[0] != "model,variant,metric,patient,value":
@@ -302,7 +311,7 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
     for ln in lines[1:]:
         model, variant, metric, _patient, value = ln.split(",")
         values.setdefault((metric, model, variant), []).append(float(value))
-    cohort = {key: sum(v) / len(v) for key, v in values.items()}
+    cohort = {key: cohort_mean(v) for key, v in values.items()}
     summary = []
     for metric in METRICS:
         cells = {
@@ -315,10 +324,7 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
         best_model, best_variant = min(cells, key=lambda k: (cells[k], k[0], k[1]))
         best = cells[(best_model, best_variant)]
         naive = cells.get(("naive", best_variant))
-        if naive is None or naive == 0.0:
-            pct = 0.0 if naive == best else float("nan")
-        else:
-            pct = (naive - best) / naive * 100.0
+        pct = float("nan") if naive is None else percent_improvement(naive, best)
         summary.append(
             {
                 "metric": metric,
@@ -337,6 +343,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.exists(path):
         raise CliError(f"no {LONG_CSV_NAME} in {args.results}")
     summary = summarize_results(_read(path))
+    if not summary:
+        raise CliError(
+            f"{path} holds no per-patient results: no patient met the run's "
+            f"--min-records, so every patient was excluded"
+        )
     lines = [SUMMARY_CSV_HEADER]
     print(f"{'metric':<8}{'naive':>10}{'best':>10}{'improv%':>10}  "
           f"{'best model':<24}{'variant'}")

@@ -142,9 +142,19 @@ class PenaltyTable:
     )
 
     def __post_init__(self):
+        unknown = sorted(set(self.weights) - set(ZONES))
+        if unknown:
+            raise PenaltyConfigError(
+                f"penalty table has unknown zone(s) {', '.join(unknown)}; "
+                f"zones are {', '.join(ZONES)}"
+            )
         for zone in ZONES:
             if zone not in self.weights:
                 raise PenaltyConfigError(f"penalty table missing zone {zone}")
+            if not math.isfinite(self.weights[zone]):
+                raise PenaltyConfigError(
+                    f"zone {zone} weight {self.weights[zone]} is not finite"
+                )
             if self.weights[zone] < 1.0:
                 raise PenaltyConfigError(
                     f"zone {zone} weight {self.weights[zone]} is below 1"
@@ -200,6 +210,15 @@ def compute_metrics(
         "gMARD": g_metric(pairs, penalty, "MARD"),
         "gRMSE": g_metric(pairs, penalty, "RMSE"),
     }
+
+
+def cohort_mean(values: Sequence[float]) -> float:
+    """Cohort score: the unweighted mean of per-patient values, NaN if none.
+
+    Every cohort figure (result tables, ``report`` summaries) goes through
+    this one function, so equal inputs give bit-identical outputs.
+    """
+    return float(np.mean(values)) if len(values) else float("nan")
 
 
 def percent_improvement(naive_value: float, model_value: float) -> float:
@@ -355,14 +374,9 @@ def evaluate(
             all_naive_pairs[pid] = tuple(naive_pairs)
             fold_splits[pid] = splits
 
-    cohort = {
-        m: float(np.mean([per_patient[p][m] for p in per_patient])) if per_patient else float("nan")
-        for m in METRICS
-    }
+    cohort = {m: cohort_mean([per_patient[p][m] for p in per_patient]) for m in METRICS}
     naive_cohort = {
-        m: float(np.mean([naive_per_patient[p][m] for p in naive_per_patient]))
-        if naive_per_patient
-        else float("nan")
+        m: cohort_mean([naive_per_patient[p][m] for p in naive_per_patient])
         for m in METRICS
     }
     improvement = {

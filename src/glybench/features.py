@@ -9,6 +9,7 @@ in the trailing five hours.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import math
 from dataclasses import dataclass, replace
@@ -16,7 +17,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .records import FeatureRow, PatientHistory
 
@@ -32,10 +32,64 @@ IOB_KNOTS: tuple[tuple[float, float], ...] = (
 
 IOB_WINDOW_MINUTES = 300.0
 
-_IOB_SPLINE = PchipInterpolator(
-    np.array([k[0] for k in IOB_KNOTS]),
-    np.array([k[1] for k in IOB_KNOTS]),
+
+def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end derivative, limited to preserve shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Per-interval cubic coefficients (highest power first) of the
+    shape-preserving piecewise cubic Hermite interpolant (Fritsch and
+    Carlson 1980, with Moler's end conditions).
+
+    The arithmetic follows ``scipy.interpolate.PchipInterpolator`` step
+    by step, so the curve is bit-identical to scipy's.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    # interior derivatives: weighted harmonic mean of the adjacent slopes,
+    # or zero at a local extremum or flat segment
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
+    # cubic Hermite segment in powers of (t - x[i])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c3 = t / h
+    c2 = (m - d[:-1]) / h - t
+    return c3.tolist(), c2.tolist(), d[:-1].tolist(), y[:-1].tolist()
+
+
+_IOB_X = [k[0] for k in IOB_KNOTS]
+_IOB_COEFFS = _pchip_coefficients(
+    np.array(_IOB_X), np.array([k[1] for k in IOB_KNOTS])
 )
+
+
+def _iob_curve(hours: float) -> float:
+    # interval i holds x[i] <= hours < x[i + 1]; the last one is closed
+    i = min(max(bisect.bisect_right(_IOB_X, hours) - 1, 0), len(_IOB_X) - 2)
+    s = hours - _IOB_X[i]
+    # summed by ascending power, in the order scipy's PPoly evaluates
+    res = 0.0
+    z = 1.0
+    for c in reversed(_IOB_COEFFS):
+        res = res + c[i] * z
+        z *= s
+    return res
 
 
 def iob_fraction(elapsed_minutes: float) -> float:
@@ -49,7 +103,7 @@ def iob_fraction(elapsed_minutes: float) -> float:
         raise ValueError(f"elapsed_minutes must be >= 0, got {elapsed_minutes}")
     if elapsed_minutes > IOB_WINDOW_MINUTES:
         return 0.0
-    return float(_IOB_SPLINE(elapsed_minutes / 60.0))
+    return _iob_curve(elapsed_minutes / 60.0)
 
 
 def compute_iob(h: PatientHistory, i: int) -> float:

@@ -1,15 +1,22 @@
 """Random forest of depth-limited variance-reduction regression trees.
 
 Split search is exhaustive over midpoints of sorted unique feature
-values, vectorized across all features at once. Trees are grown on
+values. Trees grow one depth level at a time: every open node of a block
+of trees is searched in the same numpy pass over all features (Louppe
+2014, *Understanding Random Forests*, section 3). Rows with equal
+feature values keep their bootstrap order (a stable sort), so the choice
+among tied splits does not depend on the host CPU. Trees are grown on
 bootstrap samples drawn from a seeded generator, so two fits with the
 same data and seed produce bit-identical predictions.
+
+Trees are stored as flat node arrays, as in scikit-learn's ``Tree``, and
+predictions walk every row through every tree at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,103 +26,388 @@ from .base import FeaturePipeline, log_targets
 
 MIN_LEAF = 2
 
+# Rows x features of one block of trees grown together. Working memory
+# is a small multiple of this many 8-byte cells.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
-class _Leaf:
-    value: float
+class TreeArrays:
+    """Flat node arrays of a set of trees.
 
-
-@dataclass(frozen=True)
-class _Split:
-    feature: int
-    threshold: float
-    left: "_Node"
-    right: "_Node"
-
-
-_Node = Union[_Leaf, _Split]
-
-
-def _best_split(x: np.ndarray, y: np.ndarray) -> Optional[tuple[int, float]]:
-    """Feature index and midpoint threshold minimizing children's SSE.
-
-    Considers every boundary between consecutive sorted values with at
-    least MIN_LEAF rows on each side; returns None when no boundary
-    separates distinct values. Ties resolve to the lowest flat index so
-    the tree shape is reproducible.
+    Tree ``t`` occupies nodes ``roots[t]`` up to the next root. A row goes
+    to ``left`` when ``z[feature] <= threshold``, else to ``right``. Leaves
+    have ``feature == left == right == -1`` and carry ``value``, the mean
+    target of their training rows; ``value`` is NaN at internal nodes.
     """
-    n, f = x.shape
-    if n < 2 * MIN_LEAF:
-        return None
-    order = np.argsort(x, axis=0)
-    xs = np.take_along_axis(x, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1]
-    left_n = np.arange(1, n, dtype=float)[:, None]
-    left_sum = csum[:-1]
-    right_sum = total - left_sum
-    # maximizing sum²/count on both sides == minimizing total child SSE
-    score = left_sum**2 / left_n + right_sum**2 / (n - left_n)
-    score[~(xs[:-1] < xs[1:])] = -np.inf
-    score[: MIN_LEAF - 1, :] = -np.inf
-    if MIN_LEAF > 1:
-        score[n - MIN_LEAF :, :] = -np.inf
-    flat = int(np.argmax(score))
-    pos, feat = divmod(flat, f)
-    if score[pos, feat] == -np.inf:
-        return None
-    threshold = float((xs[pos, feat] + xs[pos + 1, feat]) / 2.0)
-    return feat, threshold
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: np.ndarray
+    roots: np.ndarray
+
+    def predict(self, z: np.ndarray) -> np.ndarray:
+        """Leaf value of every row of ``z`` in every tree, shape (rows, trees)."""
+        node = np.repeat(self.roots[None, :], len(z), axis=0)
+        row = np.arange(len(z))[:, None]
+        while True:
+            feat = self.feature[node]
+            inner = feat >= 0
+            if not inner.any():
+                return self.value[node]
+            go_left = z[row, feat] <= self.threshold[node]
+            node = np.where(
+                inner, np.where(go_left, self.left[node], self.right[node]), node
+            )
+
+    def tree_depths(self) -> list[int]:
+        return np.maximum.reduceat(self.depth, self.roots).tolist()
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> _Node:
-    if depth >= max_depth or len(y) < 2 * MIN_LEAF or np.ptp(y) == 0.0:
-        return _Leaf(float(y.mean()))
-    split = _best_split(x, y)
-    if split is None:
-        return _Leaf(float(y.mean()))
-    feat, threshold = split
-    mask = x[:, feat] <= threshold
-    return _Split(
-        feature=feat,
-        threshold=threshold,
-        left=_grow(x[mask], y[mask], depth + 1, max_depth),
-        right=_grow(x[~mask], y[~mask], depth + 1, max_depth),
+def grow_trees(
+    x: np.ndarray, y: np.ndarray, samples: np.ndarray, max_depth: int
+) -> TreeArrays:
+    """One tree per row of ``samples``, grown on ``x[s], y[s]``.
+
+    A node becomes a leaf at ``max_depth``, below ``2 * MIN_LEAF`` rows,
+    when its targets are all equal, or when no boundary between distinct
+    sorted values leaves ``MIN_LEAF`` rows on each side. Otherwise it
+    splits at the midpoint threshold that maximizes the children's
+    sum²/count (equivalently, minimizes their squared error); ties go
+    to the lowest (sorted position, feature) index.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    samples = np.asarray(samples)
+    n_trees, n = samples.shape
+    if n_trees == 0:
+        raise ValueError("need at least one tree")
+    # a column constant over all rows never splits; column 0 always stays
+    # so that every search has a column to look at
+    searched = x.min(axis=0) < x.max(axis=0)
+    searched[0] = True
+    cols = np.flatnonzero(searched)
+    x = x[:, cols]
+    rank = _dense_ranks(x)
+    per_block = max(1, _BLOCK_CELLS // (n * len(cols)))
+
+    scratch = _Scratch()
+    parts = []
+    offset = 0
+    for first in range(0, n_trees, per_block):
+        block = samples[first : first + per_block]
+        tree, feature, threshold, left, right, depth, leaf_of = _grow_block(
+            x, y, rank, block, max_depth, scratch
+        )
+        parts.append((tree + first, feature, threshold,
+                      np.where(left >= 0, left + offset, -1),
+                      np.where(right >= 0, right + offset, -1),
+                      depth, leaf_of + offset))
+        offset += len(tree)
+    tree, feature, threshold, left, right, depth, leaf_of = (
+        np.concatenate(part) for part in zip(*parts)
+    )
+    value = _leaf_means(y[samples].reshape(-1), leaf_of, feature < 0)
+    feature = np.where(feature >= 0, cols[feature], -1)
+
+    # renumber nodes so that each tree's nodes are consecutive
+    order = np.argsort(tree, kind="stable")
+    new_id = np.empty(len(order), dtype=np.intp)
+    new_id[order] = np.arange(len(order))
+    left, right = left[order], right[order]
+    return TreeArrays(
+        feature=feature[order],
+        threshold=threshold[order],
+        left=np.where(left >= 0, new_id[left], -1),
+        right=np.where(right >= 0, new_id[right], -1),
+        value=value[order],
+        depth=depth[order],
+        roots=np.flatnonzero(np.diff(tree[order], prepend=-1)),
     )
 
 
-def _eval_tree(node: _Node, z: np.ndarray) -> float:
-    while isinstance(node, _Split):
-        node = node.left if z[node.feature] <= node.threshold else node.right
-    return node.value
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Per column, the rank of each value among the column's distinct values.
+
+    Sorting small unsigned ranks with a stable sort gives the same order
+    as sorting the values, and numpy sorts them by radix.
+    """
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    steps = np.vstack([np.zeros((1, x.shape[1]), dtype=np.intp),
+                       np.cumsum(xs[1:] > xs[:-1], axis=0)])
+    rank = np.empty_like(steps)
+    np.put_along_axis(rank, order, steps, axis=0)
+    return rank.astype(np.min_scalar_type(rank.max()))
 
 
-def tree_depth(node: _Node) -> int:
-    if isinstance(node, _Leaf):
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+class _Scratch:
+    """Named flat buffers, reused by every level of every block.
+
+    Temporaries of a few hundred kilobytes would otherwise be fresh
+    allocations that the OS zero-fills page by page on every level.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = int(np.prod(shape))
+        key = (name, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+class _Layout:
+    """Where each node of one level sits in a padded (features, slots) array.
+
+    Nodes are grouped by size class (powers of two); each node of a group
+    gets as many slots as the group's largest node, real rows first and
+    padding after, so one ``reshape`` gives a group's (features, nodes,
+    slots) view. Padding slots hold a sentinel row.
+    """
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        size_class = np.frexp(np.maximum(counts, 1))[1]
+        self.order = np.argsort(size_class, kind="stable")
+        bounds = np.flatnonzero(np.diff(size_class[self.order], prepend=-1))
+        widths = np.maximum(np.maximum.reduceat(counts[self.order], bounds), 1)
+        members = np.diff(np.append(bounds, len(counts)))
+        width = np.repeat(widths, members)  # per node, layout order
+        start = np.cumsum(width) - width
+        self.sorted_start = start
+        self.start = np.empty_like(start)
+        self.start[self.order] = start
+        self.size = int(start[-1] + width[-1])
+        self.node = np.repeat(self.order, width)  # node of each slot
+        self.pos = np.arange(self.size) - np.repeat(start, width)
+        self.real = self.pos < counts[self.node]
+        self.groups = [
+            (int(start[b]), int(m), int(w), self.order[b : b + m])
+            for b, m, w in zip(bounds, members, widths)
+        ]
+
+
+def _grow_block(
+    x: np.ndarray,
+    y: np.ndarray,
+    rank: np.ndarray,
+    samples: np.ndarray,
+    max_depth: int,
+    scratch: _Scratch,
+):
+    """Grow the trees of one block level by level.
+
+    Returns per-node arrays (tree, feature, threshold, left, right,
+    depth), nodes numbered in level order, and the leaf of every
+    bootstrap row.
+    """
+    n_trees, n = samples.shape
+    f = x.shape[1]
+    # Feature-major copies of the block's bootstrap rows plus one sentinel
+    # row, which padding slots point at; its target 0.0 leaves prefix sums
+    # unchanged. Entry (j, r) sits at flat index j * stride + r, and rows
+    # are referred to by that index, so every gather is a 1-D take.
+    stride = n_trees * n + 1
+    sentinel = stride - 1
+    xt = scratch("xt", (f, stride))
+    xt[:, :-1] = x[samples.reshape(-1)].T
+    xt[:, -1] = 0.0
+    yt = scratch("yt", (f, stride))
+    yt[:, :-1] = y[samples.reshape(-1)]
+    yt[:, -1] = 0.0
+    column = (np.arange(f) * stride)[:, None]
+    # rows[j, s]: the row in slot s of feature j's sorted order. A node's
+    # slots hold its rows sorted by each feature, ties in bootstrap order.
+    order = np.argsort(
+        np.ascontiguousarray(rank[samples].transpose(2, 0, 1)), axis=-1, kind="stable"
+    )
+    rows = scratch("rows0", (f, n_trees * n), np.intp)
+    np.add(order.reshape(f, -1), column, out=rows)
+    rows += np.repeat(np.arange(n_trees) * n, n)
+    leaf_of = np.repeat(np.arange(n_trees), n)
+
+    levels = []
+    layout = _Layout(np.full(n_trees, n))
+    tree = np.arange(n_trees)
+    base = 0
+    depth = 0
+    while True:
+        k = len(tree)
+        feature = np.full(k, -1)
+        threshold = np.full(k, np.nan)
+        left = np.full(k, -1)
+        right = np.full(k, -1)
+        levels.append((tree, feature, threshold, left, right, np.full(k, depth)))
+        if depth >= max_depth or not np.any(layout.counts >= 2 * MIN_LEAF):
+            break
+        found, best_feat, best_thr = _search(xt, yt, rows, layout, scratch)
+        split = np.flatnonzero(found)
+        if len(split) == 0:
+            break
+        feature[split] = best_feat[split]
+        threshold[split] = best_thr[split]
+        child_base = base + k
+        left[split] = child_base + 2 * np.arange(len(split))
+        right[split] = left[split] + 1
+
+        # route each row of a split node; feature 0's slots list every row once
+        moving = layout.real & found[layout.node]
+        row = rows[0][moving]
+        node = layout.node[moving]
+        goes_left = np.zeros(stride, dtype=bool)
+        goes_left[row] = xt[best_feat[node], row] <= best_thr[node]
+        rank_of = np.cumsum(found) - 1
+        child = 2 * rank_of[node] + ~goes_left[row]
+        leaf_of[row] = child_base + child
+        counts = np.bincount(child, minlength=2 * len(split))
+        tree = np.repeat(tree[split], 2)
+        base = child_base
+        depth += 1
+        if depth < max_depth:
+            nxt = _Layout(counts)
+            out = scratch(f"rows{depth % 2}", (f, nxt.size), np.intp)
+            out[:] = column + sentinel
+            # Split nodes in layout order send their rows to the children.
+            # Every feature's slots hold the same rows, so each child gets
+            # the same number of slots per feature, and it keeps them in
+            # the parent's sorted order: no re-sort is needed.
+            parent = layout.order[found[layout.order]]
+            to_left = 2 * rank_of[parent]
+            is_left = np.take(np.tile(goes_left, f), rows, out=scratch("left", rows.shape, bool),
+                              mode="clip")
+            is_right = np.logical_not(is_left, out=scratch("right", rows.shape, bool))
+            is_right &= moving
+            for mask, kids in ((is_left, to_left), (is_right, to_left + 1)):
+                dest = _runs(nxt.start[kids], counts[kids])
+                moved = scratch("moved", (f, len(dest)), np.intp)
+                np.compress(mask.ravel(), rows.ravel(), out=moved.ravel())
+                out[:, dest] = moved
+            rows = out
+            layout = nxt
+    tree, feature, threshold, left, right, depth = (
+        np.concatenate(part) for part in zip(*levels)
+    )
+    return tree, feature, threshold, left, right, depth, leaf_of
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
+    first = np.cumsum(lengths) - lengths
+    return np.repeat(starts - first, lengths) + np.arange(int(lengths.sum()))
+
+
+def _search(
+    xt: np.ndarray, yt: np.ndarray, rows: np.ndarray, layout: _Layout, scratch: _Scratch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best split of every node of one level: (found, feature, threshold).
+
+    Each node's prefix sums start from zero and run in its own sorted
+    order, so every score is exactly the one a search of that node on its
+    own computes.
+    """
+    f = rows.shape[0]
+    counts = layout.counts[layout.node]
+    score = np.take(yt, rows, out=scratch("score", rows.shape), mode="clip")
+    y0 = score[0].copy()
+    right = scratch("right_sum", rows.shape)
+    for start, m, w, nodes in layout.groups:
+        csum = score[:, start : start + m * w].reshape(f, m, w)
+        np.cumsum(csum, axis=2, out=csum)
+        total = csum[:, np.arange(m), layout.counts[nodes] - 1]
+        np.subtract(total[:, :, None], csum, out=right[:, start : start + m * w].reshape(f, m, w))
+    left_n = layout.pos + 1.0
+    right_n = counts - left_n
+    right_n[right_n < 1.0] = 1.0  # past a node's last row; keeps scores finite
+    # maximizing sum²/count on both sides == minimizing total child SSE
+    np.square(score, out=score)
+    score /= left_n
+    np.square(right, out=right)
+    right /= right_n
+    score += right
+    xs = np.take(xt, rows, out=scratch("xs", rows.shape), mode="clip")
+    # a boundary between slots s and s + 1; the last slot ends a node
+    valid = scratch("valid", rows.shape, bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=valid[:, :-1])
+    valid[:, -1] = False
+    valid &= (layout.pos >= MIN_LEAF - 1) & (layout.pos < counts - MIN_LEAF)
+    # valid scores are >= 0; invalid ones become -1 (arithmetic masking
+    # has no data-dependent branch per cell)
+    score *= valid
+    score -= np.logical_not(valid, out=scratch("invalid", rows.shape, bool))
+
+    # per node, the maximum at the lowest (slot, feature) flat index
+    k = len(layout.counts)
+    best = np.empty(k)
+    pos = np.empty(k, dtype=np.intp)
+    feat = np.empty(k, dtype=np.intp)
+    for start, m, w, nodes in layout.groups:
+        view = score[:, start : start + m * w].reshape(f, m, w)
+        first = view.argmax(axis=2)  # first slot of each feature's maximum
+        col_best = np.take_along_axis(view, first[:, :, None], axis=2)[:, :, 0]
+        node_best = col_best.max(axis=0)
+        first[col_best < node_best] = w
+        best[nodes] = node_best
+        pos[nodes] = first.min(axis=0)
+        feat[nodes] = (first == pos[nodes]).argmax(axis=0)
+    found = best >= 0.0
+    at = layout.start[found] + pos[found]
+    threshold = np.full(k, np.nan)
+    threshold[found] = (xs[feat[found], at] + xs[feat[found], at + 1]) / 2.0
+
+    # a node whose targets are all equal is a leaf
+    hi = np.maximum.reduceat(np.where(layout.real, y0, -np.inf), layout.sorted_start)
+    lo = np.minimum.reduceat(np.where(layout.real, y0, np.inf), layout.sorted_start)
+    found[layout.order] &= hi != lo
+    return found, feat, threshold
+
+
+def _leaf_means(y: np.ndarray, leaf_of: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Mean target of each leaf; NaN at internal nodes.
+
+    Each mean is ``np.add.reduce`` of the leaf's targets in bootstrap
+    order divided by their count, the arithmetic of ``y.mean()``.
+    Pairwise summation depends on the length, so leaves are summed in
+    groups of equal size.
+    """
+    size = np.bincount(leaf_of, minlength=len(leaf))
+    start = np.cumsum(size) - size
+    by_leaf = np.argsort(leaf_of, kind="stable")
+    value = np.full(len(leaf), np.nan)
+    with np.errstate(invalid="ignore"):
+        for c in np.unique(size[leaf]):
+            ids = np.flatnonzero(leaf & (size == c))
+            members = y[by_leaf[start[ids][:, None] + np.arange(c)]]
+            value[ids] = np.add.reduce(members, axis=1) / c
+    return value
 
 
 class RegressionTree:
-    """Single variance-reduction tree; exposed for direct use in tests."""
+    """Single variance-reduction tree on all rows: the one-tree,
+    no-bootstrap case of the forest grower."""
 
     def __init__(self, max_depth: int = 4):
         self.max_depth = max_depth
-        self.root: Optional[_Node] = None
+        self.nodes: Optional[TreeArrays] = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.root = _grow(np.asarray(x, float), np.asarray(y, float), 0, self.max_depth)
+        self.nodes = grow_trees(x, y, np.arange(len(y))[None, :], self.max_depth)
 
     def predict(self, z: np.ndarray) -> float:
-        if self.root is None:
+        if self.nodes is None:
             raise ValueError("tree not fitted")
-        return _eval_tree(self.root, np.asarray(z, float))
+        return float(self.nodes.predict(np.asarray(z, float)[None, :])[0, 0])
 
     def depth(self) -> int:
-        if self.root is None:
+        if self.nodes is None:
             raise ValueError("tree not fitted")
-        return tree_depth(self.root)
+        return self.nodes.tree_depths()[0]
 
 
 class RandomForestPredictor:
@@ -133,7 +425,7 @@ class RandomForestPredictor:
         self.n_trees = n_trees
         self.seed = seed
         self.pipeline = FeaturePipeline(cfg, with_stacked)
-        self.trees: list[_Node] = []
+        self.trees: Optional[TreeArrays] = None
 
     def fit(self, train: Sequence[FeatureRow]) -> None:
         if len(train) < 2:
@@ -142,25 +434,23 @@ class RandomForestPredictor:
         y = log_targets(train)
         rng = np.random.default_rng(self.seed)
         n = len(y)
-        self.trees = []
-        for _ in range(self.n_trees):
-            idx = rng.integers(0, n, size=n)
-            self.trees.append(_grow(z[idx], y[idx], 0, self.max_depth))
+        # one draw per tree, in order: the generator's stream per call
+        samples = np.stack([rng.integers(0, n, size=n) for _ in range(self.n_trees)])
+        self.trees = grow_trees(z, y, samples, self.max_depth)
 
     def predict(self, x: FeatureRow) -> float:
-        if not self.trees:
-            raise ValueError("predictor not fitted")
-        q = self.pipeline.transform(x)
-        return from_log(float(np.mean([_eval_tree(t, q) for t in self.trees])))
+        return self.predict_many([x])[0]
 
     def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
-        if not self.trees:
+        if self.trees is None:
             raise ValueError("predictor not fitted")
         z = self.pipeline.transform_rows(rows)
-        return [
-            from_log(float(np.mean([_eval_tree(t, q) for t in self.trees])))
-            for q in z
-        ]
+        # mean over a C-contiguous rows x trees array: per row, the same
+        # summation as averaging one row's tree values on their own
+        log_means = np.mean(self.trees.predict(z), axis=1)
+        return [from_log(v) for v in log_means.tolist()]
 
     def depths(self) -> list[int]:
-        return [tree_depth(t) for t in self.trees]
+        if self.trees is None:
+            raise ValueError("predictor not fitted")
+        return self.trees.tree_depths()

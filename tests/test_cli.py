@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from glybench.cli import main, summarize_results
@@ -179,6 +180,27 @@ def test_run_rejects_bad_penalty_table(cohort_csv, tmp_path, capsys):
     assert "below 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ('{"A": 1, "B": "nan", "C": 4, "D": 6, "E": 8}', "not finite"),
+        ('{"A": 1, "B": 2, "C": 4, "D": 6, "E": 8, "Z": 3}', "unknown zone(s) Z"),
+    ],
+)
+def test_run_rejects_non_finite_or_unknown_penalty_zones(
+    cohort_csv, tmp_path, capsys, weights, message
+):
+    table = tmp_path / "weights.json"
+    table.write_text(weights)
+    code = main(
+        ["run", "--input", str(cohort_csv), "--out", str(tmp_path / "r"),
+         "--models", "naive", "--variants", "D_a6",
+         "--penalty-table", str(table)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_grid_config_file_with_flag_overrides(cohort_csv, tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(
@@ -231,6 +253,62 @@ def test_report_summarizes_best_model(cohort_csv, tmp_path, capsys):
 
 def test_report_on_missing_dir_exits_2(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope")]) == 2
+
+
+def _table_cell(path, variant, model):
+    header, *rows = path.read_text().splitlines()
+    models = header.split(",")[1:]
+    for row in rows:
+        cells = row.split(",")
+        if cells[0] == variant:
+            return cells[1 + models.index(model)]
+    raise KeyError(variant)
+
+
+def test_report_summary_equals_result_tables_bit_for_bit(tmp_path):
+    # ten patients: numpy's pairwise mean and a running sum round apart here
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 10, "days": 12}')
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", "--config", str(synth), "--seed", "2", "--out", str(cohort)]) == 0
+    out = tmp_path / "results"
+    assert main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6", "--models", "naive,ridge", "--k", "5",
+                 "--min-records", "20", "--seed", "2"]) == 0
+    per_patient: dict[tuple[str, str], list[float]] = {}
+    for line in (out / "results_long.csv").read_text().splitlines()[1:]:
+        model, _variant, metric, _pid, value = line.split(",")
+        per_patient.setdefault((model, metric), []).append(float(value))
+    assert any(sum(v) / len(v) != float(np.mean(v)) for v in per_patient.values())
+
+    assert main(["report", str(out), "--out", str(tmp_path / "summary.csv")]) == 0
+    header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert len(rows) == len(METRICS)
+    for row in rows:
+        metric, naive, best, pct, model, variant = row.split(",")
+        assert naive == _table_cell(out / f"wide_{metric}.csv", variant, "naive")
+        assert best == _table_cell(out / f"wide_{metric}.csv", variant, model)
+        assert pct == _table_cell(out / f"improvement_{metric}.csv", variant, model)
+
+
+def test_run_and_report_on_an_all_excluded_cohort_exit_2(tmp_path, capsys):
+    cohort = tmp_path / "tiny.csv"
+    full = tmp_path / "full.csv"
+    assert main(["synth", "--seed", "1", "--out", str(full)]) == 0
+    cohort.write_text("\n".join(full.read_text().splitlines()[:3]) + "\n")
+    assert len(parse_diary_csv(cohort.read_text())) == 1
+    out = tmp_path / "results"
+    code = main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6", "--models", "naive"])
+    assert code == 2
+    assert "--min-records" in capsys.readouterr().err
+    assert not out.exists()
+
+    # a results directory without per-patient rows, as older runs wrote it
+    out.mkdir()
+    (out / "results_long.csv").write_text("model,variant,metric,patient,value\n")
+    assert main(["report", str(out)]) == 2
+    assert "--min-records" in capsys.readouterr().err
 
 
 def test_summarize_results_hand_fixture():

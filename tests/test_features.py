@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +54,37 @@ def test_iob_fraction_zero_beyond_window():
 def test_iob_fraction_rejects_negative_elapsed():
     with pytest.raises(ValueError):
         iob_fraction(-1.0)
+
+
+def test_iob_fraction_is_bit_identical_to_scipy_pchip():
+    from scipy.interpolate import PchipInterpolator
+
+    spline = PchipInterpolator([k[0] for k in IOB_KNOTS], [k[1] for k in IOB_KNOTS])
+    knots = np.array([k[0] * 60.0 for k in IOB_KNOTS])
+    minutes = np.concatenate([
+        np.linspace(0.0, 300.0, 30_001),
+        knots,
+        np.nextafter(knots, np.inf),
+        np.nextafter(knots, -np.inf),
+    ])
+    minutes = minutes[(minutes >= 0.0) & (minutes <= 300.0)]
+    expected = spline(minutes / 60.0)
+    mismatched = [
+        m for m, e in zip(minutes.tolist(), expected.tolist()) if iob_fraction(m) != e
+    ]
+    assert not mismatched
+
+
+def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
+    code = "import sys, glybench.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_compute_iob_single_bolus_103_minutes(single_day):

@@ -1,10 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import forest_oracle as oracle
+from glybench.evaluation import evaluate
 from glybench.features import FeatureConfig
-from glybench.models import RandomForestPredictor, RegressionTree
+from glybench.ingest import clean_cohort
+from glybench.models import RandomForestPredictor, RegressionTree, builtin_registry
+from glybench.models.forest import TreeArrays, grow_trees
+from glybench.synth import default_config, generate
+from glybench.variants import materialize, spec_by_id
 
 from test_models import frow
 
@@ -26,6 +40,20 @@ def _random_rows(seed: int, n: int):
     ]
 
 
+def _assert_same_tree(node: oracle.Node, trees: TreeArrays, i: int) -> None:
+    """The flat tree below node ``i`` equals the oracle's tree node for node."""
+    if isinstance(node, oracle.Leaf):
+        assert trees.feature[i] == trees.left[i] == trees.right[i] == -1
+        assert trees.value[i] == node.value or (
+            np.isnan(node.value) and np.isnan(trees.value[i])
+        )
+        return
+    assert trees.feature[i] == node.feature
+    assert trees.threshold[i] == node.threshold
+    _assert_same_tree(node.left, trees, trees.left[i])
+    _assert_same_tree(node.right, trees, trees.right[i])
+
+
 def test_constant_targets_give_constant_prediction():
     rows = [frow(bg=float(b), target_bg=7.5) for b in range(4, 14)]
     m = RandomForestPredictor(CFG, n_trees=10, seed=1)
@@ -38,6 +66,8 @@ def test_every_tree_respects_the_depth_bound():
     m.fit(_random_rows(3, 60))
     assert m.depths()
     assert all(d <= 4 for d in m.depths())
+    assert len(m.depths()) == len(m.trees.roots) == 25
+    assert max(m.depths()) == int(m.trees.depth.max())
 
 
 def test_single_tree_splits_two_clusters_exactly():
@@ -46,6 +76,11 @@ def test_single_tree_splits_two_clusters_exactly():
     tree = RegressionTree(max_depth=4)
     tree.fit(x, y)
     assert tree.depth() == 1
+    nodes = tree.nodes
+    assert nodes.roots.tolist() == [0]
+    assert nodes.feature.tolist() == [0, -1, -1]
+    assert nodes.value[nodes.left[0]] == 1.0
+    assert nodes.value[nodes.right[0]] == 3.0
     assert tree.predict(np.array([0.0])) == 1.0
     assert tree.predict(np.array([1.0])) == 3.0
 
@@ -56,6 +91,7 @@ def test_tree_without_valid_split_is_a_leaf():
     tree = RegressionTree(max_depth=4)
     tree.fit(x, y)
     assert tree.depth() == 0
+    assert tree.nodes.feature.tolist() == [-1]
     assert tree.predict(np.array([1.0])) == pytest.approx(2.5)
 
 
@@ -64,7 +100,7 @@ def test_tree_split_uses_midpoint_threshold():
     y = np.array([1.0, 1.0, 5.0, 5.0])
     tree = RegressionTree(max_depth=1)
     tree.fit(x, y)
-    assert tree.root.threshold == 2.0
+    assert tree.nodes.threshold[tree.nodes.roots[0]] == 2.0
 
 
 def test_min_leaf_size_is_respected():
@@ -74,6 +110,7 @@ def test_min_leaf_size_is_respected():
     tree = RegressionTree(max_depth=4)
     tree.fit(x, y)
     assert tree.depth() == 0
+    assert len(tree.nodes.feature) == 1
 
 
 def test_same_seed_is_bit_identical():
@@ -100,3 +137,134 @@ def test_different_seed_changes_the_forest():
 def test_forest_needs_two_rows():
     with pytest.raises(ValueError):
         RandomForestPredictor(CFG).fit([frow()])
+
+
+# ---------------------------------------------------------------------------
+# the level-wise grower against the recursive oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tied_fixtures(draw):
+    """Few-valued columns, duplicate rows and repeated targets."""
+    n_base = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.integers(1, 4), min_size=n_cols, max_size=n_cols))
+    base_x = np.array(
+        [[draw(st.integers(0, levels[j] - 1)) * 0.5 for j in range(n_cols)]
+         for _ in range(n_base)],
+        dtype=float,
+    )
+    base_y = np.array(
+        [draw(st.sampled_from([0.25, 1.0, 1.5, 2.0, 2.0 + 2.0**-40]))
+         for _ in range(n_base)]
+    )
+    copies = draw(st.lists(st.integers(0, n_base - 1), min_size=4, max_size=40))
+    x = base_x[copies]
+    y = base_y[copies]
+    n_trees = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    samples = np.stack([rng.integers(0, len(y), size=len(y)) for _ in range(n_trees)])
+    max_depth = draw(st.integers(0, 5))
+    return x, y, samples, max_depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_fixtures())
+def test_level_wise_grower_equals_the_recursive_oracle(fixture):
+    x, y, samples, max_depth = fixture
+    trees = grow_trees(x, y, samples, max_depth)
+    expected = [oracle.grow(x[s], y[s], 0, max_depth) for s in samples]
+    assert len(trees.roots) == len(expected)
+    for root, tree in zip(trees.roots, expected):
+        _assert_same_tree(tree, trees, root)
+    assert trees.tree_depths() == [oracle.tree_depth(t) for t in expected]
+    queries = np.vstack([x, x + 0.25, x - 0.25])
+    ours = np.mean(trees.predict(queries), axis=1)
+    theirs = np.array([oracle.forest_mean(expected, q) for q in queries])
+    assert np.array_equal(ours, theirs)
+
+
+def test_single_tree_equals_the_oracle_without_bootstrap():
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 3, size=(30, 3)).astype(float)
+    y = rng.integers(0, 4, size=30).astype(float)
+    tree = RegressionTree(max_depth=3)
+    tree.fit(x, y)
+    expected = oracle.grow(x, y, 0, 3)
+    _assert_same_tree(expected, tree.nodes, tree.nodes.roots[0])
+    for q in x:
+        assert tree.predict(q) == oracle.eval_tree(expected, q)
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_midpoint_rounding_onto_the_upper_value_matches_the_oracle():
+    # (a + b) / 2 rounds to b, so every row goes left and the right child
+    # is empty: a NaN leaf, as the mean of no rows
+    a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert (a + b) / 2.0 == b
+    x = np.array([[a], [a], [b], [b]])
+    y = np.array([1.0, 1.0, 3.0, 3.0])
+    trees = grow_trees(x, y, np.arange(4)[None, :], 3)
+    _assert_same_tree(oracle.grow(x, y, 0, 3), trees, trees.roots[0])
+
+
+def _small_grid_dataset():
+    cleaned, _ = clean_cohort(generate(default_config(patients=2, days=20, seed=7)))
+    return materialize(cleaned, spec_by_id("D_a6"), min_records=20)
+
+
+def test_rf4_cells_equal_the_oracle_forest():
+    dataset = _small_grid_dataset()
+    entry = builtin_registry()["rf4"]
+
+    def oracle_factory(cfg, with_stacked, seed):
+        return oracle.OracleForestPredictor(cfg, with_stacked=with_stacked,
+                                            max_depth=4, n_trees=100, seed=seed)
+
+    ours = evaluate(dataset, entry, k=5, seed=11, audit=True)
+    theirs = evaluate(dataset, dataclasses.replace(entry, factory=oracle_factory),
+                      k=5, seed=11, audit=True)
+    assert ours.pairs == theirs.pairs
+    assert ours.per_patient == theirs.per_patient
+
+
+_PREDICTION_HASH = """
+import hashlib
+from glybench.evaluation import evaluate
+from glybench.ingest import clean_cohort
+from glybench.models import builtin_registry
+from glybench.synth import default_config, generate
+from glybench.variants import materialize, spec_by_id
+
+cleaned, _ = clean_cohort(generate(default_config(patients=2, days=40, seed=2026)))
+dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
+report = evaluate(dataset, builtin_registry()["rf4"], k=10, seed=2026, audit=True)
+text = repr(sorted((pid, [p.predicted for p in pairs]) for pid, pairs in report.pairs.items()))
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled SIMD targets are x86-64 ones")
+def test_rf4_predictions_do_not_depend_on_simd_dispatch():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def prediction_hash(extra_env: dict[str, str]) -> subprocess.CompletedProcess:
+        env = dict(os.environ, **extra_env)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        )
+        return subprocess.run([sys.executable, "-c", _PREDICTION_HASH],
+                              capture_output=True, text=True, env=env)
+
+    native = prediction_hash({})
+    assert native.returncode == 0, native.stderr
+    scalar = prediction_hash(
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    )
+    if scalar.returncode != 0 and "CPU feature" in scalar.stderr:
+        pytest.skip(f"numpy refused to disable its SIMD targets: {scalar.stderr.strip()}")
+    assert scalar.returncode == 0, scalar.stderr
+    assert native.stdout == scalar.stdout
