@@ -10,13 +10,15 @@
 # %% [markdown]
 # # The model zoo and the confidence-weighted ensemble
 #
-# Every predictor fits on feature rows and returns mmol/L. Internally all
-# of them (except the naive baseline, which is the plain mean of the raw
-# training targets) regress the log of glucose and exponentiate on the
-# way out.
+# Every predictor fits on a `Design` (a patient's feature rows as one
+# numeric matrix, with their targets) and predicts mmol/L for every row
+# of a test design at once. Internally all of them (except the naive
+# baseline, which is the plain mean of the raw training targets) regress
+# the log of glucose and exponentiate on the way out.
 
 # %%
 from glybench import generate, high_signal_config, materialize, spec_by_id
+from glybench.features import Vectorizer
 from glybench.ingest import clean_cohort
 from glybench.models import builtin_registry, registry_csv
 
@@ -26,17 +28,17 @@ print(registry_csv(), end="")
 cleaned, _ = clean_cohort(generate(high_signal_config(patients=2, days=30, seed=5)))
 dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
 pid = sorted(dataset.per_patient)[0]
-rows = list(dataset.per_patient[pid])
-train, test = rows[:-12], rows[-12:]
 cfg = dataset.feature_config
+design = Vectorizer(cfg).design(dataset.per_patient[pid])
+train, test = design[:-12], design[-12:]
 
 registry = builtin_registry()
 for name in ("naive", "ridge", "KNN10U", "rf4", "gpr_IndPat_AllMeals", "gpr_be"):
     model = registry[name].build(cfg, seed=1)
     model.fit(train)
-    preds = [model.predict(r) for r in test[:4]]
+    preds = model.predict(test)[:4]
     print(f"{name:22s}", " ".join(f"{p:6.2f}" for p in preds),
-          f"  (targets {' '.join(f'{r.target_bg:5.1f}' for r in test[:4])})")
+          f"  (targets {' '.join(f'{t:5.1f}' for t in test.target_bg[:4])})")
 
 # %% [markdown]
 # ## How the weighted ensemble blends its members
@@ -54,15 +56,18 @@ from glybench.models import WeightedGprEnsemble, weighted_log_mean
 
 ens = WeightedGprEnsemble(cfg)
 ens.fit(train)
-query = test[0]
-q = ens.pipeline.transform(query)
-mu_p, sigma_p = ens.core_p.posterior(q)
-mu_m, sigma_m = ens.core_m[query.meal].posterior(q)
+from glybench.records import MealSlot
+
+query = test[:1]
+q = ens.pipeline.transform(query.x)
+(mu_p,), (sigma_p,) = ens.core_p.posterior(q)
+(mu_m,), (sigma_m,) = ens.core_m[MealSlot(int(query.meal[0]))].posterior(q)
 blended = weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m)
 print(f"patient-wide member:  mean {math.exp(mu_p):6.2f}  sigma {sigma_p:.3f}")
 print(f"per-meal member:      mean {math.exp(mu_m):6.2f}  sigma {sigma_m:.3f}")
 print(f"blend:                {math.exp(blended):6.2f}  "
-      f"(ensemble.predict -> {ens.predict(query):6.2f}, target {query.target_bg:.1f})")
+      f"(ensemble.predict -> {ens.predict(query)[0]:6.2f}, "
+      f"target {query.target_bg[0]:.1f})")
 
 # %% [markdown]
 # A worked example of the weighting itself: with log-space means 6 and 8

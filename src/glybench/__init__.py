@@ -30,11 +30,9 @@ from .records import (
 )
 from .ingest import (
     CleaningReport,
-    ImputationPolicy,
     MissingPolicy,
     clean,
     clean_cohort,
-    impute,
     parse_diary_csv,
 )
 from .features import (
@@ -81,7 +79,6 @@ __all__ = [
     "FeatureRow",
     "FoldPlan",
     "IOB_KNOTS",
-    "ImputationPolicy",
     "METRICS",
     "MealSlot",
     "MissingPolicy",
@@ -108,7 +105,6 @@ __all__ = [
     "g_metric",
     "generate",
     "high_signal_config",
-    "impute",
     "iob_fraction",
     "is_expert_predictable",
     "l1",

@@ -210,11 +210,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     cleaned, cleaning_reports = clean_cohort(raw)
     datasets = [materialize(cleaned, spec, min_records=cfg["min_records"])
                 for spec in specs]
-    if not any(len(rows) >= cfg["k"] for d in datasets for rows in d.per_patient.values()):
+    empty = [d.spec.id for d in datasets
+             if not any(len(rows) >= cfg["k"] for rows in d.per_patient.values())]
+    if empty:
         raise CliError(
             f"no patient met --min-records {cfg['min_records']} (with at least "
-            f"k={cfg['k']} rows) in any variant: all {len(cleaned)} patient(s) "
-            f"were excluded, so there is nothing to evaluate"
+            f"k={cfg['k']} rows) in variant(s) {', '.join(empty)}: all "
+            f"{len(cleaned)} patient(s) were excluded there, so those cells "
+            f"would be empty"
         )
     os.makedirs(out_dir, exist_ok=True)
 

@@ -27,9 +27,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .features import Design, Vectorizer
 from .models import NaivePredictor, attach_stacked, fit_stacker
 from .models.registry import ModelRegistryEntry
-from .records import MGDL_PER_MMOLL, FeatureRow, PredictionPair
+from .records import MGDL_PER_MMOLL, PredictionPair
 from .variants import VariantDataset, rebuild_rows
 
 METRICS = ("L1", "rL1", "RMSE", "gMAD", "gMARD", "gRMSE")
@@ -175,6 +176,12 @@ class PenaltyTable:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise PenaltyConfigError("penalty table file must hold a zone->weight object")
+        for zone, value in data.items():
+            # bool is an int subclass; a JSON true is not a weight
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise PenaltyConfigError(
+                    f"zone {zone} weight {value!r} is not a JSON number"
+                )
         return PenaltyTable({str(k): float(v) for k, v in data.items()})
 
 
@@ -272,11 +279,14 @@ def _visible_records(prep, train_idx: Sequence[int]) -> list[int]:
     return sorted(seen)
 
 
-def _predict_all(model, test: Sequence[FeatureRow]) -> list[float]:
-    batch = getattr(model, "predict_many", None)
-    if batch is not None:
-        return batch(test)
-    return [model.predict(row) for row in test]
+def _cached_design(dataset: VariantDataset, key, rows) -> Design:
+    """The design for ``key`` in the dataset's cache, vectorized from
+    ``rows()`` on first use."""
+    design = dataset.fold_cache.get(key)
+    if design is None:
+        design = Vectorizer(dataset.feature_config).design(rows())
+        dataset.fold_cache[key] = design
+    return design
 
 
 def evaluate(
@@ -313,40 +323,41 @@ def evaluate(
     pca_flags = 0
 
     for pid in patient_ids:
-        rows = dataset.per_patient[pid]
-        n = len(rows)
+        n = len(dataset.per_patient[pid])
         if n < k:
             excluded.append(pid)
             continue
         plan = contiguous_kfold(n, k)
         prep = dataset.prepared[pid]
+        fold_local = fold_local_stats and prep.needs_fold_means
 
         stacker = None
         if entry.stacking:
-            others = [dataset.per_patient[q] for q in patient_ids if q != pid]
+            others = [
+                _cached_design(dataset, q, lambda q=q: dataset.per_patient[q])
+                for q in patient_ids if q != pid
+            ]
             stacker = fit_stacker(
                 entry.build_stacker(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
                 others,
             )
+        if not fold_local:
+            design = _cached_design(dataset, pid, lambda: dataset.per_patient[pid])
+            if stacker is not None:
+                design = attach_stacked(stacker, design)
 
         pairs: list[PredictionPair] = []
         naive_pairs: list[PredictionPair] = []
         splits = plan.splits()
         for j, (train_idx, test_idx) in enumerate(splits):
-            if fold_local_stats and prep.needs_fold_means:
-                cache_key = (pid, k, j)
-                fold_rows: Sequence[FeatureRow] = dataset.fold_cache.get(cache_key)
-                if fold_rows is None:
-                    fold_rows = rebuild_rows(
-                        prep, cfg, _visible_records(prep, train_idx)
-                    )
-                    dataset.fold_cache[cache_key] = fold_rows
-            else:
-                fold_rows = rows
-            if stacker is not None:
-                fold_rows = attach_stacked(stacker, fold_rows)
-            train = [fold_rows[t] for t in train_idx]
-            test = [fold_rows[t] for t in test_idx]
+            if fold_local:
+                design = _cached_design(
+                    dataset, (pid, k, j),
+                    lambda: rebuild_rows(prep, cfg, _visible_records(prep, train_idx)),
+                )
+                if stacker is not None:
+                    design = attach_stacked(stacker, design)
+            train, test = design[train_idx], design[test_idx]
 
             model = entry.build(
                 cfg, seed=derive_seed(seed, dataset.spec.id, entry.name, pid, j)
@@ -354,11 +365,13 @@ def evaluate(
             model.fit(train)
             naive = NaivePredictor()
             naive.fit(train)
-            predictions = _predict_all(model, test)
-            naive_value = naive.predict(test[0]) if test else 0.0
-            for row, predicted in zip(test, predictions):
-                pairs.append(PredictionPair(predicted, row.target_bg))
-                naive_pairs.append(PredictionPair(naive_value, row.target_bg))
+            predicted = model.predict(test)
+            if predicted.shape != (len(test),):
+                raise ValueError(f"{entry.name} returned {predicted.shape} predictions "
+                                 f"for {len(test)} test rows")
+            actual = test.target_bg.tolist()
+            pairs.extend(map(PredictionPair, predicted.tolist(), actual))
+            naive_pairs.extend(map(PredictionPair, naive.predict(test).tolist(), actual))
             fallbacks += getattr(model, "fallback_count", 0)
             pipeline = getattr(model, "pipeline", None)
             if pipeline is not None and (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -319,18 +319,43 @@ def pca_apply(model: PcaModel, row: np.ndarray) -> np.ndarray:
 # Design-matrix vectorization
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Design:
+    """Feature rows as one numeric block, the unit every model fits and predicts.
+
+    ``x`` holds the raw (unstandardized) feature values in the
+    :class:`Vectorizer` column layout, plus any appended stacked column;
+    ``target_bg`` the mmol/L targets; ``index`` each row's position in
+    the patient's row sequence. Indexing with row positions selects rows.
+    """
+
+    x: np.ndarray
+    target_bg: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows) -> "Design":
+        return Design(self.x[rows], self.target_bg[rows], self.index[rows])
+
+    @property
+    def meal(self) -> np.ndarray:
+        """Meal-slot ordinals: the Vectorizer's first column."""
+        return self.x[:, 0]
+
+
 class Vectorizer:
     """Maps feature rows to the numeric design matrix a model consumes.
 
     Column layout: meal ordinal, day-of-week per mode, exercise, pump
     rate, basal (when included), glucose, insulin on board, previous
     carbs/bolus with their glucose-at and minutes-since values, the
-    prediction horizon, then optional static and stacked columns.
+    prediction horizon, then optional static columns.
     """
 
-    def __init__(self, cfg: FeatureConfig, with_stacked: bool = False):
+    def __init__(self, cfg: FeatureConfig):
         self.cfg = cfg
-        self.with_stacked = with_stacked
 
     def column_names(self) -> list[str]:
         names = ["meal"]
@@ -347,8 +372,6 @@ class Vectorizer:
         )
         if self.cfg.include_static:
             names.extend(["age", "sex", "height", "weight"])
-        if self.with_stacked:
-            names.append("stacked")
         return names
 
     def vector(self, row: FeatureRow) -> np.ndarray:
@@ -368,10 +391,6 @@ class Vectorizer:
         )
         if self.cfg.include_static:
             values.extend(row.static if row.static is not None else self.cfg.static_defaults)
-        if self.with_stacked:
-            if row.stacked is None:
-                raise ValueError("row lacks the stacked feature")
-            values.append(row.stacked)
         return np.array(values, dtype=float)
 
     def matrix(self, rows: Sequence[FeatureRow]) -> np.ndarray:
@@ -379,6 +398,10 @@ class Vectorizer:
             return np.empty((0, len(self.column_names())))
         return np.vstack([self.vector(r) for r in rows])
 
-
-def with_stacked(row: FeatureRow, value: float) -> FeatureRow:
-    return replace(row, stacked=value)
+    def design(self, rows: Sequence[FeatureRow]) -> Design:
+        """The rows' design matrix, targets and positions 0..n-1."""
+        return Design(
+            self.matrix(rows),
+            np.array([r.target_bg for r in rows], dtype=float),
+            np.arange(len(rows)),
+        )

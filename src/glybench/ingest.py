@@ -1,10 +1,11 @@
-"""Diary CSV parsing, cleaning and imputation.
+"""Diary CSV parsing, cleaning and the field means imputation uses.
 
 Cleaning drops records with no glucose reading or no date, and clamps
 readings below 1 mmol/L up to 1 (meters are unreliable down there).
-Imputation fills missing carbohydrate/bolus values per policy; means are
-always computed from the history actually passed in, so a caller that
-passes only training-time records gets leakage-free means.
+:func:`field_means` averages the present values of the records passed
+in, so a caller that passes only training-time records gets
+leakage-free means; the missing-value policies themselves are applied
+by ``glybench.variants``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Mapping, Optional
 
 from .records import (
     DiaryRecord,
-    ExerciseLevel,
     MealSlot,
     PatientHistory,
     SchemaError,
@@ -28,16 +28,6 @@ class MissingPolicy(Enum):
     Throwout = "Throwout"
     ImputeMean = "ImputeMean"
     ImputeZero = "ImputeZero"
-
-
-@dataclass(frozen=True)
-class ImputationPolicy:
-    """How to fill missing carbs and bolus; exercise and basal defaults are fixed."""
-
-    cho: MissingPolicy = MissingPolicy.ImputeMean
-    bolus: MissingPolicy = MissingPolicy.ImputeMean
-    ev_default: ExerciseLevel = ExerciseLevel.Normal
-    basal_default: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -133,56 +123,6 @@ def field_means(
 ) -> tuple[dict[MealSlot, float], Optional[float]]:
     """Per-meal-slot and overall means of the present values of a field."""
     return _slot_means(records, field), _overall_mean(records, field)
-
-
-def _fill(
-    value: Optional[float],
-    slot: MealSlot,
-    policy: MissingPolicy,
-    slot_means: dict[MealSlot, float],
-    overall: Optional[float],
-) -> Optional[float]:
-    if value is not None:
-        return value
-    if policy is MissingPolicy.ImputeZero:
-        return 0.0
-    if policy is MissingPolicy.ImputeMean:
-        if slot in slot_means:
-            return slot_means[slot]
-        if overall is not None:
-            return overall
-        return 0.0
-    return None  # Throwout: caller removes the record
-
-
-def impute(
-    h: PatientHistory,
-    policy: ImputationPolicy,
-    reference: Optional[PatientHistory] = None,
-) -> PatientHistory:
-    """Apply the missing-value policy to a cleaned history.
-
-    Means come from ``reference`` when given (e.g. training-fold records),
-    otherwise from ``h`` itself; in either case only raw present values
-    contribute, never previously imputed ones. A meal slot with no present
-    values falls back to the patient-wide mean, then to 0.
-    """
-    source = (reference or h).records
-    cho_slot, cho_all = field_means(source, "cho")
-    bolus_slot, bolus_all = field_means(source, "bolus")
-
-    kept: list[DiaryRecord] = []
-    for r in h.records:
-        if r.cho is None and policy.cho is MissingPolicy.Throwout:
-            continue
-        if r.bolus is None and policy.bolus is MissingPolicy.Throwout:
-            continue
-        cho = _fill(r.cho, r.meal, policy.cho, cho_slot, cho_all)
-        bolus = _fill(r.bolus, r.meal, policy.bolus, bolus_slot, bolus_all)
-        ev = r.ev if r.ev is not None else policy.ev_default
-        basal = r.basal if r.basal is not None else policy.basal_default
-        kept.append(replace(r, cho=cho, bolus=bolus, ev=ev, basal=basal))
-    return PatientHistory(h.patient_id, tuple(kept), h.static)
 
 
 def clean_cohort(

@@ -17,7 +17,7 @@ from .registry import (
     registry_csv,
     resolve_models,
 )
-from .stacking import attach_stacked, fit_stacker, stack
+from .stacking import attach_stacked, fit_stacker
 
 __all__ = [
     "DEFAULT_NUGGET",
@@ -41,6 +41,5 @@ __all__ = [
     "rbf_kernel",
     "registry_csv",
     "resolve_models",
-    "stack",
     "weighted_log_mean",
 ]

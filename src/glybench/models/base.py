@@ -1,49 +1,52 @@
 """Shared predictor contract and the feature-space pipeline.
 
-Every model fits on a sequence of feature rows and predicts a strictly
-positive mmol/L value for a single row. All learners except the naive
-baseline work on log glucose internally and exponentiate at the
-boundary. The pipeline standardizes columns from training rows only
-(zero-variance columns are centered and left at zero so they carry no
-weight) and, for PCA variants, projects onto components fit on the
-standardized training matrix.
+Every model fits on a training :class:`~glybench.features.Design` and
+predicts a strictly positive mmol/L value for each row of a test
+design, as one array. All learners except the naive baseline work on
+log glucose internally and exponentiate at the boundary. The pipeline
+standardizes columns from training rows only (zero-variance columns are
+centered and left at zero so they carry no weight) and, for PCA
+variants, projects onto components fit on the standardized training
+matrix.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
-from ..features import FeatureConfig, PcaModel, Vectorizer, pca_apply, pca_fit, to_log_target
-from ..records import FeatureRow
+from ..features import Design, FeatureConfig, PcaModel, from_log, pca_apply, pca_fit, to_log_target
 
 
 class Predictor(Protocol):
-    def fit(self, train: Sequence[FeatureRow]) -> None: ...
+    def fit(self, train: Design) -> None: ...
 
-    def predict(self, x: FeatureRow) -> float: ...
+    def predict(self, test: Design) -> np.ndarray: ...
 
 
-def log_targets(rows: Sequence[FeatureRow]) -> np.ndarray:
-    return np.array([to_log_target(r.target_bg) for r in rows])
+def log_targets(design: Design) -> np.ndarray:
+    return np.array([to_log_target(v) for v in design.target_bg.tolist()])
+
+
+def from_log_array(log_values: np.ndarray) -> np.ndarray:
+    """Exponentiate log-space predictions one scalar at a time."""
+    return np.array([from_log(v) for v in log_values.tolist()], dtype=float)
 
 
 class FeaturePipeline:
-    """Vectorize -> standardize -> optionally project, fit on training rows."""
+    """Standardize -> optionally project, fit on a training design matrix."""
 
-    def __init__(self, cfg: FeatureConfig, with_stacked: bool = False):
+    def __init__(self, cfg: FeatureConfig):
         self.cfg = cfg
-        self.vectorizer = Vectorizer(cfg, with_stacked=with_stacked)
         self.mean: Optional[np.ndarray] = None
         self.scale: Optional[np.ndarray] = None
         self.pca: Optional[PcaModel] = None
         self.pca_skipped = False
 
-    def fit(self, rows: Sequence[FeatureRow]) -> np.ndarray:
-        if not rows:
+    def fit(self, x: np.ndarray) -> np.ndarray:
+        if len(x) == 0:
             raise ValueError("cannot fit a pipeline on an empty training set")
-        x = self.vectorizer.matrix(rows)
         self.mean = x.mean(axis=0)
         scale = x.std(axis=0)
         scale[scale == 0.0] = 1.0
@@ -58,13 +61,14 @@ class FeaturePipeline:
                 self.pca_skipped = True  # too few rows to estimate components
         return z
 
-    def transform_rows(self, rows: Sequence[FeatureRow]) -> np.ndarray:
+    def transform(self, x: np.ndarray) -> np.ndarray:
         if self.mean is None or self.scale is None:
             raise ValueError("pipeline not fitted")
-        z = (self.vectorizer.matrix(rows) - self.mean) / self.scale
+        if x.shape[1] != len(self.mean):
+            raise ValueError(
+                f"design has {x.shape[1]} columns, the pipeline was fit on {len(self.mean)}"
+            )
+        z = (x - self.mean) / self.scale
         if self.pca is not None:
             z = pca_apply(self.pca, z)
         return z
-
-    def transform(self, row: FeatureRow) -> np.ndarray:
-        return self.transform_rows([row])[0]

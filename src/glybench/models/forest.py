@@ -16,13 +16,12 @@ predictions walk every row through every tree at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..features import FeatureConfig, from_log
-from ..records import FeatureRow
-from .base import FeaturePipeline, log_targets
+from ..features import Design, FeatureConfig
+from .base import FeaturePipeline, from_log_array, log_targets
 
 MIN_LEAF = 2
 
@@ -416,7 +415,6 @@ class RandomForestPredictor:
     def __init__(
         self,
         cfg: FeatureConfig,
-        with_stacked: bool = False,
         max_depth: int = 4,
         n_trees: int = 100,
         seed: int = 0,
@@ -424,13 +422,13 @@ class RandomForestPredictor:
         self.max_depth = max_depth
         self.n_trees = n_trees
         self.seed = seed
-        self.pipeline = FeaturePipeline(cfg, with_stacked)
+        self.pipeline = FeaturePipeline(cfg)
         self.trees: Optional[TreeArrays] = None
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
+    def fit(self, train: Design) -> None:
         if len(train) < 2:
             raise ValueError("random forest needs at least two training rows")
-        z = self.pipeline.fit(train)
+        z = self.pipeline.fit(train.x)
         y = log_targets(train)
         rng = np.random.default_rng(self.seed)
         n = len(y)
@@ -438,17 +436,13 @@ class RandomForestPredictor:
         samples = np.stack([rng.integers(0, n, size=n) for _ in range(self.n_trees)])
         self.trees = grow_trees(z, y, samples, self.max_depth)
 
-    def predict(self, x: FeatureRow) -> float:
-        return self.predict_many([x])[0]
-
-    def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
+    def predict(self, test: Design) -> np.ndarray:
         if self.trees is None:
             raise ValueError("predictor not fitted")
-        z = self.pipeline.transform_rows(rows)
+        z = self.pipeline.transform(test.x)
         # mean over a C-contiguous rows x trees array: per row, the same
         # summation as averaging one row's tree values on their own
-        log_means = np.mean(self.trees.predict(z), axis=1)
-        return [from_log(v) for v in log_means.tolist()]
+        return from_log_array(np.mean(self.trees.predict(z), axis=1))
 
     def depths(self) -> list[int]:
         if self.trees is None:

@@ -14,14 +14,14 @@ space and is exponentiated at the boundary.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ..features import FeatureConfig, from_log
-from ..records import FeatureRow, MealSlot
-from .base import FeaturePipeline, log_targets
+from ..features import Design, FeatureConfig
+from ..records import MealSlot
+from .base import FeaturePipeline, from_log_array, log_targets
 
 DEFAULT_NUGGET = 0.25
 
@@ -29,12 +29,15 @@ DEFAULT_NUGGET = 0.25
 def rbf_kernel(a: np.ndarray, b: np.ndarray, length_scale: float = 1.0) -> np.ndarray:
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    d2 = (
-        np.sum(a**2, axis=1)[:, None]
-        + np.sum(b**2, axis=1)[None, :]
-        - 2.0 * a @ b.T
-    )
-    return np.exp(-0.5 * np.maximum(d2, 0.0) / length_scale**2)
+    # exp(-0.5 * max(|a|² + |b|² - 2 a·b, 0) / l²) computed in place, so at
+    # most two (len(a), len(b)) arrays are alive at once instead of three:
+    # this kernel is the memory peak of a GP fit
+    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+    d2 -= 2.0 * a @ b.T
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -0.5
+    d2 /= length_scale**2
+    return np.exp(d2, out=d2)
 
 
 class GprCore:
@@ -65,12 +68,7 @@ class GprCore:
         self._factor = cho_factor(k)
         self._alpha = cho_solve(self._factor, y - self._mean)
 
-    def posterior(self, q: np.ndarray) -> tuple[float, float]:
-        """(posterior mean, posterior standard deviation) at one query point."""
-        means, sigmas = self.posterior_many(np.atleast_2d(q))
-        return float(means[0]), float(sigmas[0])
-
-    def posterior_many(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def posterior(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and standard deviations for a batch of queries."""
         if self._z is None or self._alpha is None:
             raise ValueError("gpr not fitted")
@@ -82,39 +80,25 @@ class GprCore:
 
 
 class GprPredictor:
-    """Patient-wide GP regression; predicts mmol/L, keeps sigma in log space."""
+    """Patient-wide GP regression; predicts mmol/L."""
 
-    def __init__(
-        self,
-        cfg: FeatureConfig,
-        with_stacked: bool = False,
-        nugget: float = DEFAULT_NUGGET,
-    ):
-        self.pipeline = FeaturePipeline(cfg, with_stacked)
+    def __init__(self, cfg: FeatureConfig, nugget: float = DEFAULT_NUGGET):
+        self.pipeline = FeaturePipeline(cfg)
         self.core = GprCore(nugget=nugget)
         self._fitted = False
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
-        if not train:
+    def fit(self, train: Design) -> None:
+        if not len(train):
             raise ValueError("gpr needs at least one training row")
-        z = self.pipeline.fit(train)
+        z = self.pipeline.fit(train.x)
         self.core.fit(z, log_targets(train))
         self._fitted = True
 
-    def predict_with_sigma(self, x: FeatureRow) -> tuple[float, float]:
+    def predict(self, test: Design) -> np.ndarray:
         if not self._fitted:
             raise ValueError("predictor not fitted")
-        mean, sigma = self.core.posterior(self.pipeline.transform(x))
-        return from_log(mean), sigma
-
-    def predict(self, x: FeatureRow) -> float:
-        return self.predict_with_sigma(x)[0]
-
-    def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
-        if not self._fitted:
-            raise ValueError("predictor not fitted")
-        means, _ = self.core.posterior_many(self.pipeline.transform_rows(rows))
-        return [from_log(float(m)) for m in means]
+        means, _ = self.core.posterior(self.pipeline.transform(test.x))
+        return from_log_array(means)
 
 
 def convex_combine(mu_p: float, mu_m: float, alpha: float, beta: float) -> float:
@@ -147,57 +131,43 @@ class WeightedGprEnsemble:
     patient-wide GP alone (counted in ``fallback_count``).
     """
 
-    def __init__(
-        self,
-        cfg: FeatureConfig,
-        with_stacked: bool = False,
-        nugget: float = DEFAULT_NUGGET,
-    ):
-        self.pipeline = FeaturePipeline(cfg, with_stacked)
+    def __init__(self, cfg: FeatureConfig, nugget: float = DEFAULT_NUGGET):
+        self.pipeline = FeaturePipeline(cfg)
         self.nugget = nugget
         self.core_p = GprCore(nugget=nugget)
         self.core_m: dict[MealSlot, GprCore] = {}
         self.fallback_count = 0
         self._fitted = False
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
-        if not train:
+    def fit(self, train: Design) -> None:
+        if not len(train):
             raise ValueError("ensemble needs at least one training row")
-        z = self.pipeline.fit(train)
+        z = self.pipeline.fit(train.x)
         y = log_targets(train)
         self.core_p.fit(z, y)
         self.core_m = {}
-        slots = sorted({r.meal for r in train}, key=lambda s: s.value)
-        for slot in slots:
-            idx = [i for i, r in enumerate(train) if r.meal is slot]
+        # grouped by the raw meal column, never the standardized or projected one
+        for value in np.unique(train.meal):
+            idx = np.flatnonzero(train.meal == value)
             core = GprCore(nugget=self.nugget)
             core.fit(z[idx], y[idx])
-            self.core_m[slot] = core
+            self.core_m[MealSlot(int(value))] = core
         self.fallback_count = 0
         self._fitted = True
 
-    def predict(self, x: FeatureRow) -> float:
-        return self.predict_many([x])[0]
-
-    def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
+    def predict(self, test: Design) -> np.ndarray:
         if not self._fitted:
             raise ValueError("predictor not fitted")
-        q = self.pipeline.transform_rows(rows)
-        mu_p, sigma_p = self.core_p.posterior_many(q)
-        out: list[Optional[float]] = [None] * len(rows)
-        by_slot: dict[MealSlot, list[int]] = {}
-        for i, row in enumerate(rows):
-            if row.meal in self.core_m:
-                by_slot.setdefault(row.meal, []).append(i)
-            else:
-                self.fallback_count += 1
-                out[i] = from_log(float(mu_p[i]))
-        for slot, idx in by_slot.items():
-            mu_m, sigma_m = self.core_m[slot].posterior_many(q[idx])
-            for pos, i in enumerate(idx):
-                blended = weighted_log_mean(
-                    float(mu_p[i]), float(sigma_p[i]),
-                    float(mu_m[pos]), float(sigma_m[pos]),
-                )
-                out[i] = from_log(blended)
-        return out  # type: ignore[return-value]
+        q = self.pipeline.transform(test.x)
+        mu_p, sigma_p = self.core_p.posterior(q)
+        out = mu_p.copy()  # slots without a member keep the patient-wide GP
+        for value in np.unique(test.meal):
+            idx = np.flatnonzero(test.meal == value)
+            core = self.core_m.get(MealSlot(int(value)))
+            if core is None:
+                self.fallback_count += len(idx)
+                continue
+            mu_m, sigma_m = core.posterior(q[idx])
+            for i, m, s in zip(idx.tolist(), mu_m.tolist(), sigma_m.tolist()):
+                out[i] = weighted_log_mean(float(mu_p[i]), float(sigma_p[i]), m, s)
+        return from_log_array(out)

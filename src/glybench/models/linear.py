@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ..features import FeatureConfig, from_log
-from ..records import FeatureRow
-from .base import FeaturePipeline, log_targets
+from ..features import Design, FeatureConfig
+from .base import FeaturePipeline, from_log_array, log_targets
 
 
 class NaivePredictor:
@@ -20,18 +18,18 @@ class NaivePredictor:
     arithmetic mean of the training targets.
     """
 
-    def __init__(self, cfg: Optional[FeatureConfig] = None, with_stacked: bool = False):
+    def __init__(self):
         self.mean_bg: Optional[float] = None
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
-        if not train:
+    def fit(self, train: Design) -> None:
+        if not len(train):
             raise ValueError("naive predictor needs at least one training row")
-        self.mean_bg = float(np.mean([r.target_bg for r in train]))
+        self.mean_bg = float(np.mean(train.target_bg))
 
-    def predict(self, x: FeatureRow) -> float:
+    def predict(self, test: Design) -> np.ndarray:
         if self.mean_bg is None:
             raise ValueError("predictor not fitted")
-        return self.mean_bg
+        return np.full(len(test), self.mean_bg)
 
 
 class RidgePredictor:
@@ -42,32 +40,26 @@ class RidgePredictor:
     intercept-only model, i.e. the geometric-mean prediction.
     """
 
-    def __init__(self, cfg: FeatureConfig, with_stacked: bool = False, alpha: float = 1.0):
+    def __init__(self, cfg: FeatureConfig, alpha: float = 1.0):
         self.alpha = alpha
-        self.pipeline = FeaturePipeline(cfg, with_stacked)
+        self.pipeline = FeaturePipeline(cfg)
         self.intercept: Optional[float] = None
         self.weights: Optional[np.ndarray] = None
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
+    def fit(self, train: Design) -> None:
         if len(train) < 2:
             raise ValueError("ridge needs at least two training rows")
-        z = self.pipeline.fit(train)
+        z = self.pipeline.fit(train.x)
         y = log_targets(train)
         self.intercept = float(y.mean())
         gram = z.T @ z + self.alpha * np.eye(z.shape[1])
         self.weights = cho_solve(cho_factor(gram), z.T @ (y - self.intercept))
 
-    def predict(self, x: FeatureRow) -> float:
+    def predict(self, test: Design) -> np.ndarray:
         if self.weights is None or self.intercept is None:
             raise ValueError("predictor not fitted")
-        z = self.pipeline.transform(x)
-        return from_log(self.intercept + float(z @ self.weights))
-
-    def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
-        if self.weights is None or self.intercept is None:
-            raise ValueError("predictor not fitted")
-        z = self.pipeline.transform_rows(rows)
-        return [from_log(self.intercept + float(v)) for v in z @ self.weights]
+        z = self.pipeline.transform(test.x)
+        return from_log_array(self.intercept + z @ self.weights)
 
 
 class KnnPredictor:
@@ -77,32 +69,24 @@ class KnnPredictor:
     training set is smaller than K all rows are used.
     """
 
-    def __init__(self, cfg: FeatureConfig, with_stacked: bool = False, k: int = 10):
+    def __init__(self, cfg: FeatureConfig, k: int = 10):
         self.k = k
-        self.pipeline = FeaturePipeline(cfg, with_stacked)
+        self.pipeline = FeaturePipeline(cfg)
         self.z: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
-        if not train:
+    def fit(self, train: Design) -> None:
+        if not len(train):
             raise ValueError("knn needs at least one training row")
-        self.z = self.pipeline.fit(train)
+        self.z = self.pipeline.fit(train.x)
         self.y = log_targets(train)
 
-    def predict(self, x: FeatureRow) -> float:
+    def predict(self, test: Design) -> np.ndarray:
         if self.z is None or self.y is None:
             raise ValueError("predictor not fitted")
-        q = self.pipeline.transform(x)
-        d2 = np.sum((self.z - q) ** 2, axis=1)
-        k = min(self.k, len(d2))
-        nearest = np.argsort(d2, kind="stable")[:k]
-        return math.exp(float(self.y[nearest].mean()))
-
-    def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
-        if self.z is None or self.y is None:
-            raise ValueError("predictor not fitted")
-        q = self.pipeline.transform_rows(rows)
+        q = self.pipeline.transform(test.x)
         d2 = ((q[:, None, :] - self.z[None, :, :]) ** 2).sum(axis=2)
         k = min(self.k, self.z.shape[0])
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        return [math.exp(float(self.y[idx].mean())) for idx in nearest]
+        # per row, the same summation as averaging one row's neighbours alone
+        return from_log_array(self.y[nearest].mean(axis=1))

@@ -4,7 +4,9 @@ Each entry couples a public name (stable across the CLI and result
 tables) with a display symbol, the base algorithm, whether predictions
 are confidence weighted, whether the cross-patient stacking feature is
 attached, and a factory. Factories take the variant's feature
-configuration, a flag for the stacked feature column, and a seed.
+configuration, a flag for the stacked feature column, and a seed. The
+built-in learners ignore the flag: a stacking model's design carries
+the stacked column, and every model fits to the width it is given.
 """
 
 from __future__ import annotations
@@ -44,24 +46,23 @@ def _naive_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predict
 
 
 def _ridge_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predictor:
-    return RidgePredictor(cfg, with_stacked=with_stacked)
+    return RidgePredictor(cfg)
 
 
 def _knn_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predictor:
-    return KnnPredictor(cfg, with_stacked=with_stacked, k=10)
+    return KnnPredictor(cfg, k=10)
 
 
 def _rf_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predictor:
-    return RandomForestPredictor(cfg, with_stacked=with_stacked, max_depth=4,
-                                 n_trees=100, seed=seed)
+    return RandomForestPredictor(cfg, max_depth=4, n_trees=100, seed=seed)
 
 
 def _gpr_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predictor:
-    return GprPredictor(cfg, with_stacked=with_stacked)
+    return GprPredictor(cfg)
 
 
 def _weighted_gpr_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predictor:
-    return WeightedGprEnsemble(cfg, with_stacked=with_stacked)
+    return WeightedGprEnsemble(cfg)
 
 
 def builtin_registry() -> dict[str, ModelRegistryEntry]:

@@ -2,43 +2,34 @@
 
 A stacking learner is fit on the pooled rows of every patient except the
 target; its prediction for each target row is appended as one extra
-feature. The stacking model never sees the target patient, so the added
-feature cannot leak the target's own test folds.
+column. The stacking model never sees the target patient, so the added
+column cannot leak the target's own test folds.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
-from ..records import FeatureRow
+import numpy as np
+
+from ..features import Design
 from .base import Predictor
 
 
-def fit_stacker(
-    stacker: Predictor, other_patients_rows: Sequence[Sequence[FeatureRow]]
-) -> Predictor:
-    pooled = [row for rows in other_patients_rows for row in rows]
-    if not pooled:
+def fit_stacker(stacker: Predictor, other_patients: Sequence[Design]) -> Predictor:
+    if not other_patients:
         raise ValueError("stacking requires rows from at least one other patient")
-    stacker.fit(pooled)
+    stacker.fit(
+        Design(
+            np.vstack([d.x for d in other_patients]),
+            np.concatenate([d.target_bg for d in other_patients]),
+            np.concatenate([d.index for d in other_patients]),
+        )
+    )
     return stacker
 
 
-def attach_stacked(stacker: Predictor, rows: Sequence[FeatureRow]) -> list[FeatureRow]:
-    from ..features import with_stacked
-
-    out = []
-    for r in rows:
-        if r.stacked is not None:
-            raise ValueError("row already carries a stacked feature")
-        out.append(with_stacked(r, stacker.predict(r)))
-    return out
-
-
-def stack(
-    other_patients_rows: Sequence[Sequence[FeatureRow]],
-    stacker: Predictor,
-    target_rows: Sequence[FeatureRow],
-) -> list[FeatureRow]:
-    """Fit the stacker on everyone else, append its predictions to the target."""
-    return attach_stacked(fit_stacker(stacker, other_patients_rows), target_rows)
+def attach_stacked(stacker: Predictor, design: Design) -> Design:
+    """The design with one batch stacker prediction appended as its last column."""
+    return replace(design, x=np.column_stack([design.x, stacker.predict(design)]))

@@ -17,7 +17,7 @@ import datetime as dt
 import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 MGDL_PER_MMOLL = 18.016
 
@@ -110,9 +110,8 @@ class FeatureRow:
     ``cho_prev``/``bolus_prev`` reference the most recent strictly-earlier
     record with a positive intake/injection; ``bg_at_cho``/``bg_at_bolus``
     and ``dt_cho``/``dt_bolus`` describe glucose level at and minutes since
-    that event. ``stacked`` is only present on rows augmented by the
-    cross-patient stacking step. ``static`` carries (age, sex01, height,
-    weight) when the variant includes patient-specific features.
+    that event. ``static`` carries (age, sex01, height, weight) when the
+    variant includes patient-specific features.
     """
 
     meal: MealSlot
@@ -130,7 +129,6 @@ class FeatureRow:
     dt_bolus: float                   # minutes
     horizon_dt: float                 # minutes until the target record
     target_bg: float                  # mmol/L
-    stacked: Optional[float] = None
     static: Optional[tuple[float, float, float, float]] = None
 
 
@@ -287,36 +285,3 @@ def parse_record(line_no: int, line: str) -> tuple[str, DiaryRecord]:
         pv=0.0 if pv is None else pv,
     )
     return pid, record
-
-
-def feature_row_csv(rows: Iterable[FeatureRow]) -> str:
-    """Debug emission of feature rows, one line each, `stacked` last."""
-    header = (
-        "meal,dow,ev,pv,basal,bg,iob,cho_prev,bolus_prev,bg_at_cho,"
-        "bg_at_bolus,dt_cho,dt_bolus,horizon_dt,target_bg,stacked"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.meal.name,
-                    str(r.dow),
-                    _fmt(r.ev),
-                    _fmt(r.pv),
-                    _fmt(r.basal),
-                    _fmt(r.bg),
-                    _fmt(r.iob),
-                    _fmt(r.cho_prev),
-                    _fmt(r.bolus_prev),
-                    _fmt(r.bg_at_cho),
-                    _fmt(r.bg_at_bolus),
-                    _fmt(r.dt_cho),
-                    _fmt(r.dt_bolus),
-                    _fmt(r.horizon_dt),
-                    _fmt(r.target_bg),
-                    _fmt(r.stacked),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

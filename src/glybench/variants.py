@@ -144,7 +144,8 @@ class VariantDataset:
     per_patient: dict[str, tuple[FeatureRow, ...]]
     excluded_patients: tuple[str, ...]
     prepared: dict[str, PreparedPatient] = field(default_factory=dict, repr=False)
-    # fold-rebuilt rows, keyed (patient_id, k, fold); shared across models
+    # design matrices shared across models: keyed patient_id for the rows
+    # above, (patient_id, k, fold) for rows rebuilt with fold-local means
     fold_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 

@@ -14,10 +14,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from glybench.features import FeatureConfig, from_log
+from glybench.features import Design, FeatureConfig, from_log
 from glybench.models import FeaturePipeline, log_targets
 from glybench.models.forest import MIN_LEAF
-from glybench.records import FeatureRow
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,6 @@ class OracleForestPredictor:
     def __init__(
         self,
         cfg: FeatureConfig,
-        with_stacked: bool = False,
         max_depth: int = 4,
         n_trees: int = 100,
         seed: int = 0,
@@ -129,16 +127,16 @@ class OracleForestPredictor:
         self.max_depth = max_depth
         self.n_trees = n_trees
         self.seed = seed
-        self.pipeline = FeaturePipeline(cfg, with_stacked)
+        self.pipeline = FeaturePipeline(cfg)
         self.trees: list[Node] = []
 
-    def fit(self, train: Sequence[FeatureRow]) -> None:
+    def fit(self, train: Design) -> None:
         if len(train) < 2:
             raise ValueError("random forest needs at least two training rows")
-        z = self.pipeline.fit(train)
+        z = self.pipeline.fit(train.x)
         y = log_targets(train)
         self.trees = grow_forest(z, y, self.n_trees, self.max_depth, self.seed)
 
-    def predict_many(self, rows: Sequence[FeatureRow]) -> list[float]:
-        z = self.pipeline.transform_rows(rows)
-        return [from_log(forest_mean(self.trees, q)) for q in z]
+    def predict(self, test: Design) -> np.ndarray:
+        z = self.pipeline.transform(test.x)
+        return np.array([from_log(forest_mean(self.trees, q)) for q in z])

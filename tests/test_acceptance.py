@@ -101,8 +101,9 @@ def test_criterion_2_gpr_dense_oracle():
         core = GprCore(nugget=nugget)
         core.fit(z, y)
         k_inv = np.linalg.inv(rbf_kernel(z, z) + nugget * np.eye(n))
-        for q in rng.normal(size=(10, 3)):
-            mean, sigma = core.posterior(q)
+        queries = rng.normal(size=(10, 3))
+        means, sigmas = core.posterior(queries)
+        for q, mean, sigma in zip(queries, means, sigmas):
             k_star = rbf_kernel(np.atleast_2d(q), z)[0]
             o_mean = float(y.mean()) + float(k_star @ k_inv @ (y - y.mean()))
             o_sigma = math.sqrt(max(1.0 - float(k_star @ k_inv @ k_star), 0.0))
@@ -111,7 +112,7 @@ def test_criterion_2_gpr_dense_oracle():
 
     core = GprCore(nugget=nugget, prior_mean=0.0)
     core.fit(np.array([[0.0]]), np.array([2.0]))
-    mean, _ = core.posterior(np.array([0.0]))
+    (mean,), _ = core.posterior(np.array([[0.0]]))
     assert mean == pytest.approx(0.8 * 2.0, abs=1e-12)
 
     elapsed = time.perf_counter() - start
@@ -203,20 +204,28 @@ def grid_cohort_csv(tmp_path_factory):
 
 
 class _Spy:
-    """Records object identities a model sees at fit and predict time."""
+    """Records the row positions a model sees at fit and predict time.
+
+    It wraps the model at the batch boundary, so evaluation goes through
+    the same ``fit``/``predict`` calls as in production.
+    """
 
     def __init__(self, inner):
         self.inner = inner
-        self.train_ids: set[int] = set()
-        self.predicted_ids: list[int] = []
+        self.train_index: np.ndarray | None = None
+        self.test_index: list[np.ndarray] = []
+        self.predictions = 0
 
     def fit(self, train):
-        self.train_ids = {id(r) for r in train}
+        self.train_index = train.index.copy()
         self.inner.fit(train)
 
-    def predict(self, x):
-        self.predicted_ids.append(id(x))
-        return self.inner.predict(x)
+    def predict(self, test):
+        self.test_index.append(test.index.copy())
+        out = self.inner.predict(test)
+        assert out.shape == (len(test),)
+        self.predictions += len(out)
+        return out
 
 
 @pytest.fixture(scope="module")
@@ -249,19 +258,34 @@ def library_grid(grid_cohort_csv):
 def test_criterion_6_cv_hygiene(library_grid):
     cells = folds = predictions = 0
     for (vid, name), (report, spies, dataset) in library_grid.items():
-        assert spies, f"no fits recorded for {vid}/{name}"
-        for spy in spies:
-            assert spy.predicted_ids, f"fold made no predictions in {vid}/{name}"
-            overlap = spy.train_ids & set(spy.predicted_ids)
-            assert not overlap, f"train/test overlap in {vid}/{name}"
-            folds += 1
-            predictions += len(spy.predicted_ids)
-        expected = sum(len(r) for r in dataset.per_patient.values())
-        assert sum(len(s.predicted_ids) for s in spies) == expected
+        # evaluate fits patients in sorted order, GRID_K folds each
+        patients = sorted(report.per_patient)
+        assert patients, f"no patient evaluated in {vid}/{name}"
+        assert len(spies) == GRID_K * len(patients), f"fit count in {vid}/{name}"
+        for p, pid in enumerate(patients):
+            n = len(dataset.per_patient[pid])
+            covered = []
+            for spy in spies[p * GRID_K:(p + 1) * GRID_K]:
+                assert spy.test_index, f"fold made no predictions in {vid}/{name}"
+                test = np.concatenate(spy.test_index)
+                assert test.size, f"empty test fold in {vid}/{name}"
+                overlap = set(spy.train_index.tolist()) & set(test.tolist())
+                assert not overlap, f"train/test overlap in {vid}/{name}/{pid}"
+                assert len(spy.train_index) + len(test) == n
+                covered.extend(test.tolist())
+                folds += 1
+            assert sorted(covered) == list(range(n)), (
+                f"test folds do not cover {vid}/{name}/{pid} exactly once"
+            )
+        cell_predictions = sum(s.predictions for s in spies)
+        assert cell_predictions == sum(len(dataset.per_patient[p]) for p in patients)
+        assert cell_predictions == sum(len(r) for r in dataset.per_patient.values())
+        predictions += cell_predictions
         cells += 1
     assert cells == len(GRID_VARIANTS) * len(GRID_MODELS)
-    _ok(6, f"zero train/test identity overlap across {cells} cells, "
-           f"{folds} folds, {predictions} predictions on a 5-patient cohort")
+    _ok(6, f"zero train/test row overlap across {cells} cells, {folds} folds, "
+           f"test folds cover every row once, {predictions} predictions on a "
+           f"5-patient cohort")
 
 
 def _tree_hashes(root):

@@ -183,8 +183,11 @@ def test_run_rejects_bad_penalty_table(cohort_csv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "weights, message",
     [
-        ('{"A": 1, "B": "nan", "C": 4, "D": 6, "E": 8}', "not finite"),
+        ('{"A": 1, "B": "nan", "C": 4, "D": 6, "E": 8}', "zone B weight 'nan' is not a JSON number"),
         ('{"A": 1, "B": 2, "C": 4, "D": 6, "E": 8, "Z": 3}', "unknown zone(s) Z"),
+        ('{"A": 1, "B": NaN, "C": 4, "D": 6, "E": 8}', "not finite"),
+        ('{"A": true, "B": 2, "C": "4", "D": 6, "E": 8}', "zone A weight True is not a JSON number"),
+        ('{"A": 1, "B": 2, "C": "4", "D": 6, "E": 8}', "zone C weight '4' is not a JSON number"),
     ],
 )
 def test_run_rejects_non_finite_or_unknown_penalty_zones(
@@ -309,6 +312,28 @@ def test_run_and_report_on_an_all_excluded_cohort_exit_2(tmp_path, capsys):
     (out / "results_long.csv").write_text("model,variant,metric,patient,value\n")
     assert main(["report", str(out)]) == 2
     assert "--min-records" in capsys.readouterr().err
+
+
+def test_run_exits_2_when_one_variant_keeps_no_patient(tmp_path, capsys):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 20}')
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", "--config", str(synth), "--seed", "3", "--out", str(cohort)]) == 0
+    out = tmp_path / "results"
+    # 90 rows keep both patients in D_a6 but neither in the EP-filtered D_e6
+    code = main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_e6,D_a6", "--models", "naive", "--k", "5",
+                 "--min-records", "90"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "variant(s) D_e6:" in err
+    assert "--min-records 90" in err
+    assert not out.exists()
+
+    assert main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6", "--models", "naive", "--k", "5",
+                 "--min-records", "90"]) == 0
+    assert "nan" not in (out / "wide_L1.csv").read_text()
 
 
 def test_summarize_results_hand_fixture():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -234,6 +235,20 @@ def test_evaluate_fold_splits_never_overlap(dataset):
             assert not set(train_idx) & set(test_idx)
             covered.extend(test_idx)
         assert sorted(covered) == list(range(n))
+
+
+def test_evaluate_rejects_a_prediction_count_unequal_to_the_test_rows(dataset):
+    class OneShort:
+        def fit(self, train):
+            pass
+
+        def predict(self, test):
+            return np.full(len(test) - 1, 6.0)
+
+    entry = dataclasses.replace(builtin_registry()["naive"],
+                                factory=lambda cfg, with_stacked, seed: OneShort())
+    with pytest.raises(ValueError, match="predictions for"):
+        evaluate(dataset, entry, k=5, seed=0)
 
 
 def test_evaluate_excludes_patients_below_k():

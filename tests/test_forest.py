@@ -20,7 +20,7 @@ from glybench.models.forest import TreeArrays, grow_trees
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, spec_by_id
 
-from test_models import frow
+from test_models import design, frow, predict_one
 
 CFG = FeatureConfig()
 
@@ -57,13 +57,13 @@ def _assert_same_tree(node: oracle.Node, trees: TreeArrays, i: int) -> None:
 def test_constant_targets_give_constant_prediction():
     rows = [frow(bg=float(b), target_bg=7.5) for b in range(4, 14)]
     m = RandomForestPredictor(CFG, n_trees=10, seed=1)
-    m.fit(rows)
-    assert m.predict(frow(bg=9.0)) == pytest.approx(7.5, abs=1e-9)
+    m.fit(design(rows))
+    assert predict_one(m, frow(bg=9.0)) == pytest.approx(7.5, abs=1e-9)
 
 
 def test_every_tree_respects_the_depth_bound():
     m = RandomForestPredictor(CFG, max_depth=4, n_trees=25, seed=3)
-    m.fit(_random_rows(3, 60))
+    m.fit(design(_random_rows(3, 60)))
     assert m.depths()
     assert all(d <= 4 for d in m.depths())
     assert len(m.depths()) == len(m.trees.roots) == 25
@@ -118,25 +118,24 @@ def test_same_seed_is_bit_identical():
     queries = _random_rows(12, 5)
     a = RandomForestPredictor(CFG, n_trees=20, seed=42)
     b = RandomForestPredictor(CFG, n_trees=20, seed=42)
-    a.fit(rows)
-    b.fit(rows)
-    for q in queries:
-        assert a.predict(q) == b.predict(q)
+    a.fit(design(rows))
+    b.fit(design(rows))
+    assert np.array_equal(a.predict(design(queries)), b.predict(design(queries)))
 
 
 def test_different_seed_changes_the_forest():
     rows = _random_rows(11, 40)
     a = RandomForestPredictor(CFG, n_trees=20, seed=1)
     b = RandomForestPredictor(CFG, n_trees=20, seed=2)
-    a.fit(rows)
-    b.fit(rows)
+    a.fit(design(rows))
+    b.fit(design(rows))
     q = _random_rows(13, 1)[0]
-    assert a.predict(q) != b.predict(q)
+    assert predict_one(a, q) != predict_one(b, q)
 
 
 def test_forest_needs_two_rows():
     with pytest.raises(ValueError):
-        RandomForestPredictor(CFG).fit([frow()])
+        RandomForestPredictor(CFG).fit(design([frow()]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +219,7 @@ def test_rf4_cells_equal_the_oracle_forest():
     entry = builtin_registry()["rf4"]
 
     def oracle_factory(cfg, with_stacked, seed):
-        return oracle.OracleForestPredictor(cfg, with_stacked=with_stacked,
-                                            max_depth=4, n_trees=100, seed=seed)
+        return oracle.OracleForestPredictor(cfg, max_depth=4, n_trees=100, seed=seed)
 
     ours = evaluate(dataset, entry, k=5, seed=11, audit=True)
     theirs = evaluate(dataset, dataclasses.replace(entry, factory=oracle_factory),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from glybench.features import FeatureConfig
+from glybench.features import FeatureConfig, PcaConfig
 from glybench.models import (
     GprCore,
     GprPredictor,
@@ -16,7 +16,7 @@ from glybench.models import (
 )
 from glybench.records import MealSlot
 
-from test_models import frow
+from test_models import design, frow, predict_one
 
 CFG = FeatureConfig()
 NUGGET = 0.25
@@ -37,7 +37,7 @@ def _dense_oracle(z, y, q, nugget=NUGGET, prior_mean=None):
 def test_single_point_shrinkage_is_point_eight():
     core = GprCore(nugget=NUGGET, prior_mean=0.0)
     core.fit(np.array([[0.0]]), np.array([2.0]))
-    mean, sigma = core.posterior(np.array([0.0]))
+    (mean,), (sigma,) = core.posterior(np.array([[0.0]]))
     assert mean == pytest.approx(0.8 * 2.0, abs=1e-12)  # 1 / (1 + 0.25)
     assert sigma == pytest.approx(math.sqrt(1.0 - 1.0 / 1.25), abs=1e-12)
 
@@ -46,7 +46,7 @@ def test_far_query_returns_prior():
     core = GprCore(nugget=NUGGET)
     y = np.array([1.0, 2.0, 3.0])
     core.fit(np.array([[0.0], [0.5], [1.0]]), y)
-    mean, sigma = core.posterior(np.array([1e3]))
+    (mean,), (sigma,) = core.posterior(np.array([[1e3]]))
     assert mean == pytest.approx(float(y.mean()), abs=1e-12)
     assert sigma == pytest.approx(1.0, abs=1e-12)
 
@@ -59,8 +59,9 @@ def test_posterior_matches_dense_inverse_oracle(n):
     core = GprCore(nugget=NUGGET)
     core.fit(z, y)
     queries = np.vstack([rng.normal(size=(8, 3)), z])  # includes training inputs
-    for q in queries:
-        mean, sigma = core.posterior(q)
+    means, sigmas = core.posterior(queries)
+    assert means.shape == sigmas.shape == (len(queries),)
+    for q, mean, sigma in zip(queries, means, sigmas):
         o_mean, o_sigma = _dense_oracle(z, y, q)
         assert mean == pytest.approx(o_mean, abs=1e-8)
         assert sigma == pytest.approx(o_sigma, abs=1e-8)
@@ -71,9 +72,8 @@ def test_posterior_variance_is_bounded():
     z = rng.normal(size=(6, 2))
     core = GprCore(nugget=NUGGET)
     core.fit(z, rng.normal(size=6))
-    for q in np.vstack([z, rng.normal(size=(10, 2))]):
-        _, sigma = core.posterior(q)
-        assert 0.0 <= sigma**2 <= 1.0 + NUGGET + 1e-12
+    _, sigmas = core.posterior(np.vstack([z, rng.normal(size=(10, 2))]))
+    assert np.all((0.0 <= sigmas**2) & (sigmas**2 <= 1.0 + NUGGET + 1e-12))
 
 
 def test_gpr_predictor_outputs_positive_mmoll():
@@ -83,9 +83,11 @@ def test_gpr_predictor_outputs_positive_mmoll():
         for _ in range(10)
     ]
     m = GprPredictor(CFG)
-    m.fit(rows)
-    pred, sigma = m.predict_with_sigma(frow(bg=7.0))
-    assert pred > 0.0 and sigma >= 0.0
+    m.fit(design(rows))
+    pred = m.predict(design([frow(bg=7.0), frow(bg=30.0, cho_prev=400.0)]))
+    assert pred.shape == (2,) and np.all(pred > 0.0)
+    _, sigma = m.core.posterior(m.pipeline.transform(design([frow(bg=7.0)]).x))
+    assert sigma[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +144,45 @@ def test_ensemble_prediction_lies_between_members():
         rng, MealSlot.BeforeLunch, 8, 10.0
     )
     ens = WeightedGprEnsemble(CFG)
-    ens.fit(rows)
-    query = frow(meal=MealSlot.BeforeLunch, bg=8.0)
-    q = ens.pipeline.transform(query)
+    ens.fit(design(rows))
+    queries = design([frow(meal=MealSlot.BeforeLunch, bg=b) for b in (5.0, 8.0, 11.0)])
+    q = ens.pipeline.transform(queries.x)
     mu_p, _ = ens.core_p.posterior(q)
     mu_m, _ = ens.core_m[MealSlot.BeforeLunch].posterior(q)
-    combined = math.log(ens.predict(query))
-    assert min(mu_p, mu_m) - 1e-9 <= combined <= max(mu_p, mu_m) + 1e-9
+    combined = np.log(ens.predict(queries))
+    assert np.all(np.minimum(mu_p, mu_m) - 1e-9 <= combined)
+    assert np.all(combined <= np.maximum(mu_p, mu_m) + 1e-9)
+    assert ens.fallback_count == 0
+
+
+def test_ensemble_groups_by_the_raw_meal_column_under_pca():
+    rng = np.random.default_rng(16)
+    rows = _slot_rows(rng, MealSlot.BeforeBreakfast, 8, 6.0) + _slot_rows(
+        rng, MealSlot.BeforeBed, 8, 10.0
+    )
+    ens = WeightedGprEnsemble(FeatureConfig(pca=PcaConfig(components=4)))
+    ens.fit(design(rows))
+    assert ens.pipeline.pca is not None
+    assert set(ens.core_m) == {MealSlot.BeforeBreakfast, MealSlot.BeforeBed}
+    assert ens.core_m[MealSlot.BeforeBed]._z.shape == (8, 4)
+    ens.predict(design(rows))
+    assert ens.fallback_count == 0
 
 
 def test_ensemble_falls_back_without_slot_model():
     rng = np.random.default_rng(15)
     rows = _slot_rows(rng, MealSlot.BeforeBreakfast, 10, 7.0)
     ens = WeightedGprEnsemble(CFG)
-    ens.fit(rows)
+    ens.fit(design(rows))
     plain = GprPredictor(CFG)
-    plain.fit(rows)
+    plain.fit(design(rows))
     query = frow(meal=MealSlot.DuringNight, bg=6.0)
-    assert ens.predict(query) == pytest.approx(plain.predict(query), abs=1e-12)
+    assert predict_one(ens, query) == pytest.approx(predict_one(plain, query), abs=1e-12)
     assert ens.fallback_count == 1
 
 
 def test_gpr_refuses_empty_training_set():
     with pytest.raises(ValueError):
-        GprPredictor(CFG).fit([])
+        GprPredictor(CFG).fit(design([]))
     with pytest.raises(ValueError):
-        WeightedGprEnsemble(CFG).fit([])
+        WeightedGprEnsemble(CFG).fit(design([]))

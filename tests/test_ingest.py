@@ -4,14 +4,13 @@ import pytest
 
 from glybench.ingest import (
     CleaningReport,
-    ImputationPolicy,
     MissingPolicy,
     clean,
     cleaning_csv,
-    impute,
     parse_diary_csv,
 )
 from glybench.records import ExerciseLevel, MealSlot, SchemaError
+from glybench.variants import VariantSpec, fill_mean_gaps, prepare_patient
 
 from conftest import history, rec
 
@@ -95,8 +94,18 @@ def _bolus_history():
     )
 
 
+# Imputation is the variant preparation: ``prepare_patient`` throws out
+# records and applies zero fills and the fixed defaults, and
+# ``fill_mean_gaps`` fills the remaining gaps with means.
+
+def _impute(h, bolus=MissingPolicy.ImputeMean, visible=None):
+    spec = VariantSpec("test", ep_rules=False, bolus=bolus)
+    prep = prepare_patient(h, spec, spec.feature_config())
+    return fill_mean_gaps(prep.base, visible)
+
+
 def test_impute_mean_uses_per_meal_average():
-    out = impute(_bolus_history(), ImputationPolicy())
+    out = _impute(_bolus_history())
     assert out.records[3].bolus == pytest.approx(3.0)
 
 
@@ -105,28 +114,26 @@ def test_impute_defaults_for_exercise_and_basal():
         "p",
         [rec("2016-01-01", "08:00:00", MealSlot.BeforeBreakfast, bg=6.0, cho=1.0, bolus=1.0)],
     )
-    out = impute(h, ImputationPolicy())
+    out = _impute(h)
     assert out.records[0].ev is ExerciseLevel.Normal
     assert out.records[0].basal == 0.0
 
 
 def test_impute_zero_policy():
-    out = impute(
-        _bolus_history(),
-        ImputationPolicy(bolus=MissingPolicy.ImputeZero),
-    )
+    out = _impute(_bolus_history(), bolus=MissingPolicy.ImputeZero)
     assert out.records[3].bolus == 0.0
 
 
 def test_impute_throwout_removes_record():
     h = _bolus_history()
-    out = impute(h, ImputationPolicy(bolus=MissingPolicy.Throwout))
+    out = _impute(h, bolus=MissingPolicy.Throwout)
     assert len(out.records) == len(h.records) - 1
+    assert [r.bolus for r in out.records] == [2.0, 3.0, 4.0]
 
 
 def test_impute_never_alters_present_values():
     h = _bolus_history()
-    out = impute(h, ImputationPolicy())
+    out = _impute(h)
     for before, after in zip(h.records[:3], out.records[:3]):
         assert after.bolus == before.bolus
         assert after.cho == before.cho
@@ -141,7 +148,7 @@ def test_impute_falls_back_to_patient_mean_then_zero():
             rec("2016-01-01", "12:00:00", MealSlot.BeforeLunch, bg=6.0, cho=10.0, bolus=None),
         ],
     )
-    out = impute(h, ImputationPolicy())
+    out = _impute(h)
     # no before-lunch bolus on file -> patient-wide mean
     assert out.records[1].bolus == pytest.approx(5.0)
 
@@ -149,14 +156,12 @@ def test_impute_falls_back_to_patient_mean_then_zero():
         "p",
         [rec("2016-01-01", "08:00:00", MealSlot.BeforeBreakfast, bg=6.0, cho=10.0, bolus=None)],
     )
-    out2 = impute(h2, ImputationPolicy())
+    out2 = _impute(h2)
     assert out2.records[0].bolus == 0.0
 
 
 def test_impute_means_from_reference_history_only():
-    h = _bolus_history()
-    reference = history("p", h.records[:2])  # boluses 2 and 3
-    out = impute(h, ImputationPolicy(), reference=reference)
+    out = _impute(_bolus_history(), visible=[0, 1])  # boluses 2 and 3
     assert out.records[3].bolus == pytest.approx(2.5)
 
 

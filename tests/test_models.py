@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from glybench.features import FeatureConfig, Vectorizer
+from glybench.features import Design, FeatureConfig, Vectorizer
 from glybench.models import (
     KnnPredictor,
     NaivePredictor,
@@ -15,7 +15,6 @@ from glybench.models import (
     fit_stacker,
     registry_csv,
     resolve_models,
-    stack,
 )
 from glybench.records import FeatureRow, MealSlot
 
@@ -34,6 +33,14 @@ def frow(**overrides) -> FeatureRow:
 CFG = FeatureConfig()
 
 
+def design(rows) -> Design:
+    return Vectorizer(CFG).design(rows)
+
+
+def predict_one(model, row) -> float:
+    return float(model.predict(design([row]))[0])
+
+
 # ---------------------------------------------------------------------------
 # naive baseline
 # ---------------------------------------------------------------------------
@@ -42,26 +49,25 @@ def test_naive_replicates_training_average():
     # first training fold whose raw glucose readings average 8.4
     train = [frow(target_bg=v) for v in (7.4, 8.4, 9.4)]
     m = NaivePredictor()
-    m.fit(train)
-    assert m.predict(frow(bg=25.0)) == pytest.approx(8.4, abs=1e-12)
+    m.fit(design(train))
+    assert predict_one(m, frow(bg=25.0)) == pytest.approx(8.4, abs=1e-12)
 
 
 def test_naive_is_the_plain_mean():
     m = NaivePredictor()
-    m.fit([frow(target_bg=v) for v in (4.0, 6.0, 8.0)])
-    assert m.predict(frow()) == 6.0
-    assert m.predict(frow(bg=30.0, cho_prev=500.0)) == 6.0
+    m.fit(design([frow(target_bg=v) for v in (4.0, 6.0, 8.0)]))
+    assert m.predict(design([frow(), frow(bg=30.0, cho_prev=500.0)])).tolist() == [6.0, 6.0]
 
 
 def test_naive_single_row():
     m = NaivePredictor()
-    m.fit([frow(target_bg=5.5)])
-    assert m.predict(frow()) == 5.5
+    m.fit(design([frow(target_bg=5.5)]))
+    assert predict_one(m, frow()) == 5.5
 
 
 def test_naive_refuses_empty_training_set():
     with pytest.raises(ValueError):
-        NaivePredictor().fit([])
+        NaivePredictor().fit(design([]))
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +78,13 @@ def test_ridge_two_point_closed_form():
     # one varying feature (bg), log targets 0 and 1
     train = [frow(bg=2.0, target_bg=1.0), frow(bg=4.0, target_bg=math.e)]
     m = RidgePredictor(CFG)
-    m.fit(train)
+    m.fit(design(train))
     # standardized bg = -1, +1; centered y = -0.5, +0.5
     # (Z'Z + I) w = Z'y  ->  3 w = 1  ->  w = 1/3
     varying = [w for w in m.weights if w != 0.0]
     assert len(varying) == 1
     assert varying[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert m.predict(frow(bg=4.0)) == pytest.approx(math.exp(0.5 + 1.0 / 3.0), abs=1e-10)
+    assert predict_one(m, frow(bg=4.0)) == pytest.approx(math.exp(0.5 + 1.0 / 3.0), abs=1e-10)
 
 
 def test_ridge_matches_dense_inverse_oracle():
@@ -94,8 +100,8 @@ def test_ridge_matches_dense_inverse_oracle():
         for _ in range(20)
     ]
     m = RidgePredictor(CFG)
-    m.fit(train)
-    z = m.pipeline.transform_rows(train)
+    m.fit(design(train))
+    z = m.pipeline.transform(design(train).x)
     y = np.log([r.target_bg for r in train])
     w_oracle = np.linalg.inv(z.T @ z + np.eye(z.shape[1])) @ z.T @ (y - y.mean())
     assert np.allclose(m.weights, w_oracle, atol=1e-10)
@@ -104,8 +110,8 @@ def test_ridge_matches_dense_inverse_oracle():
 def test_ridge_zero_variance_column_gets_zero_weight():
     train = [frow(bg=v, target_bg=v) for v in (4.0, 5.0, 6.0, 8.0)]
     m = RidgePredictor(CFG)
-    m.fit(train)
-    names = m.pipeline.vectorizer.column_names()
+    m.fit(design(train))
+    names = Vectorizer(CFG).column_names()
     weights = dict(zip(names, m.weights))
     assert weights["pv"] == 0.0        # constant column
     assert weights["basal"] == 0.0
@@ -116,16 +122,16 @@ def test_ridge_full_shrinkage_tends_to_geometric_mean():
     targets = (4.0, 6.0, 9.0)
     train = [frow(bg=3.0 + i, target_bg=t) for i, t in enumerate(targets)]
     m = RidgePredictor(CFG, alpha=1e12)
-    m.fit(train)
+    m.fit(design(train))
     geo = math.exp(np.mean(np.log(targets)))
-    assert m.predict(frow(bg=5.0)) == pytest.approx(geo, rel=1e-6)
+    assert predict_one(m, frow(bg=5.0)) == pytest.approx(geo, rel=1e-6)
 
 
 def test_ridge_degenerate_identical_rows_predicts_geometric_mean():
     train = [frow(target_bg=4.0), frow(target_bg=9.0)]
     m = RidgePredictor(CFG)
-    m.fit(train)
-    assert m.predict(frow()) == pytest.approx(6.0, abs=1e-9)  # sqrt(4*9)
+    m.fit(design(train))
+    assert predict_one(m, frow()) == pytest.approx(6.0, abs=1e-9)  # sqrt(4*9)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +142,16 @@ def test_knn_falls_back_to_all_rows_when_small():
     targets = (4.0, 6.0, 9.0)
     train = [frow(bg=4.0 + i, target_bg=t) for i, t in enumerate(targets)]
     m = KnnPredictor(CFG, k=10)
-    m.fit(train)
+    m.fit(design(train))
     geo = math.exp(np.mean(np.log(targets)))
-    assert m.predict(frow(bg=5.0)) == pytest.approx(geo, abs=1e-12)
+    assert predict_one(m, frow(bg=5.0)) == pytest.approx(geo, abs=1e-12)
 
 
 def test_knn_k1_returns_exact_neighbour():
     train = [frow(bg=4.0, target_bg=5.0), frow(bg=10.0, target_bg=12.0)]
     m = KnnPredictor(CFG, k=1)
-    m.fit(train)
-    assert m.predict(train[1]) == pytest.approx(12.0, abs=1e-12)
+    m.fit(design(train))
+    assert predict_one(m, train[1]) == pytest.approx(12.0, abs=1e-12)
 
 
 def test_knn_matches_exhaustive_neighbour_oracle():
@@ -160,14 +166,14 @@ def test_knn_matches_exhaustive_neighbour_oracle():
         for _ in range(12)
     ]
     m = KnnPredictor(CFG, k=10)
-    m.fit(train)
+    m.fit(design(train))
     query = frow(bg=7.7, cho_prev=33.0, dt_cho=140.0)
-    z = m.pipeline.transform_rows(train)
-    q = m.pipeline.transform(query)
+    z = m.pipeline.transform(design(train).x)
+    q = m.pipeline.transform(design([query]).x)[0]
     dist = np.sqrt(((z - q) ** 2).sum(axis=1))
     nearest = np.argsort(dist, kind="stable")[:10]
     oracle = math.exp(np.mean([math.log(train[i].target_bg) for i in nearest]))
-    assert m.predict(query) == pytest.approx(oracle, abs=1e-12)
+    assert predict_one(m, query) == pytest.approx(oracle, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,42 +196,53 @@ def _patient_rows(seed: int, n: int = 12, bg_target=None):
     return rows
 
 
+def _patient_designs(*seeds):
+    return [design(_patient_rows(seed)) for seed in seeds]
+
+
 def test_stack_appends_exactly_one_feature():
-    others = [_patient_rows(1), _patient_rows(2)]
-    target = _patient_rows(3)
-    stacked = stack(others, RidgePredictor(CFG), target)
-    assert all(r.stacked is not None for r in stacked)
-    plain = Vectorizer(CFG).matrix(target).shape[1]
-    augmented = Vectorizer(CFG, with_stacked=True).matrix(stacked).shape[1]
-    assert augmented == plain + 1
+    target = design(_patient_rows(3))
+    stacked = attach_stacked(fit_stacker(RidgePredictor(CFG), _patient_designs(1, 2)), target)
+    assert stacked.x.shape == (len(target), target.x.shape[1] + 1)
+    assert np.array_equal(stacked.x[:, :-1], target.x)
+    assert np.array_equal(stacked.target_bg, target.target_bg)
+    assert np.array_equal(stacked.index, target.index)
 
 
 def test_stacked_value_is_the_stacker_prediction():
-    others = [_patient_rows(1)]
-    target = _patient_rows(3)
-    stacker = fit_stacker(RidgePredictor(CFG), others)
+    target = design(_patient_rows(3))
+    stacker = fit_stacker(RidgePredictor(CFG), _patient_designs(1))
     stacked = attach_stacked(stacker, target)
-    for before, after in zip(target, stacked):
-        assert after.stacked == stacker.predict(before)
+    assert np.array_equal(stacked.x[:, -1], stacker.predict(target))
+    # the batch column agrees with one-row predictions up to rounding
+    for i in range(len(target)):
+        assert stacked.x[i, -1] == pytest.approx(stacker.predict(target[[i]])[0], rel=1e-12)
+
+
+def test_stacker_fits_the_pooled_rows_of_the_other_patients():
+    others = _patient_designs(1, 2)
+    stacker = fit_stacker(RidgePredictor(CFG), others)
+    pooled = RidgePredictor(CFG)
+    pooled.fit(design(_patient_rows(1) + _patient_rows(2)))
+    assert np.array_equal(stacker.weights, pooled.weights)
+    assert stacker.intercept == pooled.intercept
 
 
 def test_stacking_constant_patient_transfers_constant():
-    others = [_patient_rows(1, bg_target=7.0)]
-    target = _patient_rows(3)
-    stacked = stack(others, RidgePredictor(CFG), target)
-    for row in stacked:
-        assert row.stacked == pytest.approx(7.0, abs=1e-9)
+    others = [design(_patient_rows(1, bg_target=7.0))]
+    stacked = attach_stacked(fit_stacker(RidgePredictor(CFG), others),
+                             design(_patient_rows(3)))
+    assert stacked.x[:, -1] == pytest.approx(7.0, abs=1e-9)
 
 
 def test_stacking_requires_another_patient():
     with pytest.raises(ValueError):
-        stack([], RidgePredictor(CFG), _patient_rows(3))
+        fit_stacker(RidgePredictor(CFG), [])
 
 
 def test_stacking_rejects_already_stacked_rows():
-    others = [_patient_rows(1)]
-    stacker = fit_stacker(RidgePredictor(CFG), others)
-    once = attach_stacked(stacker, _patient_rows(3))
+    stacker = fit_stacker(RidgePredictor(CFG), _patient_designs(1))
+    once = attach_stacked(stacker, design(_patient_rows(3)))
     with pytest.raises(ValueError):
         attach_stacked(stacker, once)
 
@@ -270,14 +287,15 @@ def test_every_registry_model_refits_bit_identically():
                 cho_prev=float(rng.uniform(0, 90)),
                 dt_cho=float(rng.uniform(20, 500)),
                 target_bg=float(rng.uniform(2, 18)),
-                stacked=float(rng.uniform(2, 18)),
             )
         )
-    queries = rows[:5]
+    plain = design(rows)
+    stacked = Design(np.column_stack([plain.x, rng.uniform(2, 18, size=len(rows))]),
+                     plain.target_bg, plain.index)
     for entry in builtin_registry().values():
+        data = stacked if entry.stacking else plain
         a = entry.build(CFG, seed=7)
         b = entry.build(CFG, seed=7)
-        a.fit(rows)
-        b.fit(rows)
-        for q in queries:
-            assert a.predict(q) == b.predict(q), entry.name
+        a.fit(data)
+        b.fit(data)
+        assert np.array_equal(a.predict(data[:5]), b.predict(data[:5])), entry.name

@@ -9,11 +9,9 @@ from glybench.ingest import parse_diary_csv
 from glybench.records import (
     DiaryRecord,
     ExerciseLevel,
-    FeatureRow,
     MealSlot,
     PatientHistory,
     encode_diary_csv,
-    feature_row_csv,
     validate_history,
 )
 
@@ -120,17 +118,3 @@ def test_csv_round_trip_property(bg, cho, bolus, meal, ev):
     )
     text = encode_diary_csv({"x": h})
     assert encode_diary_csv(parse_diary_csv(text)) == text
-
-
-def test_feature_row_csv_puts_stacked_last():
-    row = FeatureRow(
-        meal=MealSlot.BeforeLunch, dow=2, ev=4.0, pv=0.5, basal=0.0, bg=6.0,
-        iob=1.0, cho_prev=30.0, bolus_prev=3.0, bg_at_cho=7.0, bg_at_bolus=7.0,
-        dt_cho=120.0, dt_bolus=120.0, horizon_dt=180.0, target_bg=8.0, stacked=6.5,
-    )
-    text = feature_row_csv([row])
-    header, line = text.strip().splitlines()
-    assert header.split(",")[0] == "meal"
-    assert header.split(",")[-1] == "stacked"
-    assert line.split(",")[-1] == "6.5"
-    assert line.split(",")[0] == "BeforeLunch"

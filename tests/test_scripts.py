@@ -1,0 +1,62 @@
+"""The demos and the traced benchmark harness run against the package.
+
+Both call the library from outside ``src/``: the demos as a reader
+would, ``bench/traced.py`` through the names it wraps (``fit(train)``,
+``predict(test)``, the three-argument registry factory,
+``evaluation.attach_stacked`` and friends). A change to any of those
+shows up here rather than in a later benchmark run.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(args, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_there_are_demos():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    done = _run([str(demo)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_traced_harness_runs_a_stacking_model_on_fold_local_rows(tmp_path):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 20, "seed": 4}')
+    cohort = tmp_path / "cohort.csv"
+    done = _run(["-m", "glybench.cli", "synth", "--config", str(synth),
+                 "--out", str(cohort)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+    done = _run([str(ROOT / "bench" / "traced.py"), "run", "--input", str(cohort),
+                 "--out", str(tmp_path / "results"), "--variants", "D_a6",
+                 "--models", "naive,gpr_AllPat_AllMeals", "--k", "5",
+                 "--min-records", "20", "--seed", "4", "--jobs", "1"], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.strip().splitlines()[-1])
+    assert metrics["models.fits"] > 0
+    assert metrics["models.predictions"] > 0
+    assert metrics["variants.rebuild_rows_calls"] > 0  # fold-local means
+    assert metrics["models.stacking.rows_attached"] > 0
+    assert metrics["features.rows_vectorized"] > 0
+    assert (tmp_path / "results" / "results_long.csv").exists()
