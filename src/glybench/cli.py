@@ -219,6 +219,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{len(cleaned)} patient(s) were excluded there, so those cells "
             f"would be empty"
         )
+    stacking = [name for name in model_names if registry[name].stacking]
+    lone = [d.spec.id for d in datasets if len(d.per_patient) < 2]
+    if stacking and lone:
+        raise CliError(
+            f"stacking models need at least two retained patients: "
+            f"{', '.join(stacking)} cannot run on variant(s) {', '.join(lone)}, "
+            f"which keep fewer than two patients at --min-records {cfg['min_records']}"
+        )
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = [

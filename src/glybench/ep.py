@@ -16,10 +16,12 @@ recent recorded dates instead.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
-from .records import MealSlot, PatientHistory
+from .records import DiaryRecord, PatientHistory
 
 HYPO_THRESHOLD_MMOLL = 4.0
 
@@ -34,13 +36,56 @@ class EpDecision:
     failed_rules: frozenset[str] = field(default_factory=frozenset)
 
 
-def _window_dates(
-    h: PatientHistory, before: dt.date, recorded_dates: bool
-) -> list[dt.date]:
-    if not recorded_dates:
-        return [before - dt.timedelta(days=d) for d in range(1, 9)]
-    seen = sorted({r.date for r in h.records if r.date is not None and r.date < before})
-    return seen[-8:]
+def _slot_coverage(h: PatientHistory) -> dict[dt.date, int]:
+    """Bit mask of the meal slots recorded on each date."""
+    coverage: dict[dt.date, int] = {}
+    for r in h.records:
+        if r.date is not None:
+            coverage[r.date] = coverage.get(r.date, 0) | (1 << r.meal.value)
+    return coverage
+
+
+def _decide(
+    records: Sequence[DiaryRecord],
+    i: int,
+    coverage: dict[dt.date, int],
+    recorded_dates: Optional[list[dt.date]],
+) -> EpDecision:
+    """The decision for record ``i``, given the history's slot coverage and,
+    to count back over recorded dates, its sorted recorded dates."""
+    failed: set[str] = set()
+    if i == 0:
+        return EpDecision(False, frozenset({PREV_MEAL_MISSING}))
+    prev = records[i - 1]
+    if prev.bg is None:
+        failed.add(PREV_MEAL_MISSING)
+    elif prev.bg < HYPO_THRESHOLD_MMOLL:
+        failed.add(PREV_HYPO)
+
+    current = records[i]
+    if current.date is None:
+        failed.add(SIX_OF_EIGHT)
+    else:
+        if recorded_dates is None:
+            days = [current.date - dt.timedelta(days=d) for d in range(1, 9)]
+        else:
+            end = bisect.bisect_left(recorded_dates, current.date)
+            days = recorded_dates[max(end - 8, 0):end]
+        both = (1 << current.meal.value) | (1 << prev.meal.value)
+        qualifying = sum(1 for d in days if coverage.get(d, 0) & both == both)
+        if qualifying < 6:
+            failed.add(SIX_OF_EIGHT)
+
+    return EpDecision(not failed, frozenset(failed))
+
+
+def ep_decisions(
+    h: PatientHistory, window_recorded_dates: bool = False
+) -> list[EpDecision]:
+    """:func:`is_expert_predictable` for every record, in one linear pass."""
+    coverage = _slot_coverage(h)
+    recorded = sorted(coverage) if window_recorded_dates else None
+    return [_decide(h.records, i, coverage, recorded) for i in range(len(h.records))]
 
 
 def is_expert_predictable(
@@ -52,44 +97,15 @@ def is_expert_predictable(
     before its date, so the decision is free of look-ahead. ``i == 0``
     fails the preceding-meal rule by construction.
     """
-    failed: set[str] = set()
-    if i == 0:
-        return EpDecision(False, frozenset({PREV_MEAL_MISSING}))
-    prev = h.records[i - 1]
-    if prev.bg is None:
-        failed.add(PREV_MEAL_MISSING)
-    elif prev.bg < HYPO_THRESHOLD_MMOLL:
-        failed.add(PREV_HYPO)
-
-    current = h.records[i]
-    slot_pair = (current.meal, prev.meal)
-    if current.date is None:
-        failed.add(SIX_OF_EIGHT)
-    else:
-        days = _window_dates(h, current.date, window_recorded_dates)
-        coverage: dict[dt.date, set[MealSlot]] = {d: set() for d in days}
-        for r in h.records:
-            if r.date in coverage and r.meal in slot_pair:
-                coverage[r.date].add(r.meal)
-        qualifying = sum(
-            1 for slots in coverage.values()
-            if slot_pair[0] in slots and slot_pair[1] in slots
-        )
-        if qualifying < 6:
-            failed.add(SIX_OF_EIGHT)
-
-    return EpDecision(not failed, frozenset(failed))
+    coverage = _slot_coverage(h)
+    recorded = sorted(coverage) if window_recorded_dates else None
+    return _decide(h.records, i, coverage, recorded)
 
 
 def ep_counts(h: PatientHistory, window_recorded_dates: bool = False) -> tuple[int, int]:
     """(total records, records whose glucose is expert predictable)."""
-    total = len(h.records)
-    count = sum(
-        1
-        for i in range(total)
-        if is_expert_predictable(h, i, window_recorded_dates).predictable
-    )
-    return total, count
+    decisions = ep_decisions(h, window_recorded_dates)
+    return len(decisions), sum(d.predictable for d in decisions)
 
 
 EP_COUNTS_CSV_HEADER = "patient_id,total,ep_count"

@@ -27,7 +27,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .features import Design, Vectorizer
 from .models import NaivePredictor, attach_stacked, fit_stacker
 from .models.registry import ModelRegistryEntry
 from .records import MGDL_PER_MMOLL, PredictionPair
@@ -279,16 +278,6 @@ def _visible_records(prep, train_idx: Sequence[int]) -> list[int]:
     return sorted(seen)
 
 
-def _cached_design(dataset: VariantDataset, key, rows) -> Design:
-    """The design for ``key`` in the dataset's cache, vectorized from
-    ``rows()`` on first use."""
-    design = dataset.fold_cache.get(key)
-    if design is None:
-        design = Vectorizer(dataset.feature_config).design(rows())
-        dataset.fold_cache[key] = design
-    return design
-
-
 def evaluate(
     dataset: VariantDataset,
     entry: ModelRegistryEntry,
@@ -333,16 +322,13 @@ def evaluate(
 
         stacker = None
         if entry.stacking:
-            others = [
-                _cached_design(dataset, q, lambda q=q: dataset.per_patient[q])
-                for q in patient_ids if q != pid
-            ]
+            others = [dataset.prepared[q].design for q in patient_ids if q != pid]
             stacker = fit_stacker(
                 entry.build_stacker(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
                 others,
             )
         if not fold_local:
-            design = _cached_design(dataset, pid, lambda: dataset.per_patient[pid])
+            design = prep.design
             if stacker is not None:
                 design = attach_stacked(stacker, design)
 
@@ -351,10 +337,10 @@ def evaluate(
         splits = plan.splits()
         for j, (train_idx, test_idx) in enumerate(splits):
             if fold_local:
-                design = _cached_design(
-                    dataset, (pid, k, j),
-                    lambda: rebuild_rows(prep, cfg, _visible_records(prep, train_idx)),
-                )
+                design = dataset.fold_cache.get((pid, k, j))
+                if design is None:
+                    design = rebuild_rows(prep, _visible_records(prep, train_idx))
+                    dataset.fold_cache[(pid, k, j)] = design
                 if stacker is not None:
                     design = attach_stacked(stacker, design)
             train, test = design[train_idx], design[test_idx]

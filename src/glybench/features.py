@@ -9,7 +9,6 @@ in the trailing five hours.
 
 from __future__ import annotations
 
-import bisect
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .records import FeatureRow, PatientHistory
+from .records import DiaryRecord, FeatureRow, PatientHistory
 
 # (elapsed hours, fraction of injected insulin still active)
 IOB_KNOTS: tuple[tuple[float, float], ...] = (
@@ -73,22 +72,23 @@ def _pchip_coefficients(
     return c3.tolist(), c2.tolist(), d[:-1].tolist(), y[:-1].tolist()
 
 
-_IOB_X = [k[0] for k in IOB_KNOTS]
-_IOB_COEFFS = _pchip_coefficients(
-    np.array(_IOB_X), np.array([k[1] for k in IOB_KNOTS])
-)
+_IOB_X = np.array([k[0] for k in IOB_KNOTS])
+_IOB_COEFFS = [
+    np.array(c)
+    for c in _pchip_coefficients(_IOB_X, np.array([k[1] for k in IOB_KNOTS]))
+]
 
 
-def _iob_curve(hours: float) -> float:
+def _iob_curve(hours: np.ndarray) -> np.ndarray:
     # interval i holds x[i] <= hours < x[i + 1]; the last one is closed
-    i = min(max(bisect.bisect_right(_IOB_X, hours) - 1, 0), len(_IOB_X) - 2)
+    i = np.clip(np.searchsorted(_IOB_X, hours, side="right") - 1, 0, len(_IOB_X) - 2)
     s = hours - _IOB_X[i]
     # summed by ascending power, in the order scipy's PPoly evaluates
-    res = 0.0
-    z = 1.0
+    res = np.zeros_like(s)
+    z = np.ones_like(s)
     for c in reversed(_IOB_COEFFS):
         res = res + c[i] * z
-        z *= s
+        z = z * s
     return res
 
 
@@ -103,7 +103,120 @@ def iob_fraction(elapsed_minutes: float) -> float:
         raise ValueError(f"elapsed_minutes must be >= 0, got {elapsed_minutes}")
     if elapsed_minutes > IOB_WINDOW_MINUTES:
         return 0.0
-    return _iob_curve(elapsed_minutes / 60.0)
+    return float(_iob_curve(np.array([elapsed_minutes / 60.0]))[0])
+
+
+def _minutes(delta_us: np.ndarray) -> np.ndarray:
+    # int microseconds / 1e6 / 60.0 rounds as timedelta.total_seconds() / 60.0
+    return delta_us / 1e6 / 60.0
+
+
+_EPOCH = dt.datetime(1970, 1, 1)
+_MICROSECOND = dt.timedelta(microseconds=1)
+
+
+def _iob_window(t_us: np.ndarray) -> np.ndarray:
+    """``w[l - 1, i]``: the fraction still active at record ``i`` of a bolus
+    given ``l`` records earlier; 0 once the backward scan from ``i`` has
+    met a record more than five hours back."""
+    n = len(t_us)
+    open_scan = np.ones(n, dtype=bool)
+    lags: list[np.ndarray] = []
+    for lag in range(1, n):
+        elapsed = np.zeros(n)
+        elapsed[lag:] = _minutes(t_us[lag:] - t_us[:-lag])
+        open_scan[:lag] = False
+        open_scan &= elapsed <= IOB_WINDOW_MINUTES
+        if not open_scan.any():
+            break
+        if (elapsed[open_scan] < 0).any():
+            raise ValueError("record timestamps decrease inside the insulin window")
+        frac = np.zeros(n)
+        frac[open_scan] = _iob_curve(elapsed[open_scan] / 60.0)
+        lags.append(frac)
+    return np.array(lags).reshape(len(lags), n)
+
+
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """A history's record times and glucose as arrays, with each record's
+    insulin-on-board window (see :func:`_iob_window`).
+
+    ``t_us`` holds integer microseconds, so differences are exact.
+    Everything here is fixed by the records' times and glucose; the carbs
+    and bolus amounts are passed to :func:`event_columns` separately.
+    """
+
+    t_us: np.ndarray
+    bg: np.ndarray
+    iob_window: np.ndarray
+
+    @staticmethod
+    def of(records: Sequence[DiaryRecord]) -> "Timeline":
+        t_us = np.array(
+            [(r.timestamp() - _EPOCH) // _MICROSECOND for r in records], dtype=np.int64
+        )
+        bg = np.array([r.bg for r in records], dtype=float)
+        return Timeline(t_us, bg, _iob_window(t_us))
+
+
+def amounts(records: Sequence[DiaryRecord], field: str) -> np.ndarray:
+    """A carbs or bolus field as an array, missing values as 0 (no event)."""
+    values = (getattr(r, field) for r in records)
+    return np.array([0.0 if v is None else v for v in values], dtype=float)
+
+
+# the feature columns that depend on the carbs and bolus amounts
+EVENT_COLUMNS = (
+    "iob", "cho_prev", "bolus_prev", "bg_at_cho", "bg_at_bolus", "dt_cho", "dt_bolus",
+)
+
+
+def _insulin_on_board(timeline: Timeline, bolus: np.ndarray) -> np.ndarray:
+    given = np.where(bolus > 0, bolus, 0.0)
+    iob = np.zeros(len(given))
+    # most recent bolus first, the order the per-record sum runs in
+    for lag, frac in enumerate(timeline.iob_window, start=1):
+        iob[lag:] += given[:-lag] * frac[lag:]
+    return iob
+
+
+def _last_event(
+    timeline: Timeline, amount: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amount, glucose-at and minutes-since of each record's most recent
+    strictly earlier positive amount; (0, own glucose, the IOB window)
+    when there is none."""
+    n = len(amount)
+    positions = np.arange(n)
+    last = np.full(n, -1)
+    last[1:] = np.maximum.accumulate(np.where(amount > 0, positions, -1)[:-1])
+    seen = last >= 0
+    j = np.where(seen, last, positions)
+    return (
+        np.where(seen, amount[j], 0.0),
+        timeline.bg[j],
+        np.where(seen, _minutes(timeline.t_us - timeline.t_us[j]), IOB_WINDOW_MINUTES),
+    )
+
+
+def event_columns(
+    timeline: Timeline, cho: np.ndarray, bolus: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The :data:`EVENT_COLUMNS` of every record, from per-record carbs and
+    bolus amounts (a non-positive amount is no event).
+
+    Insulin on board sums, over strictly earlier boluses inside the
+    trailing five-hour window, each bolus times its remaining fraction;
+    the previous-event columns look strictly backward, so a record's own
+    carbs or bolus never reference themselves.
+    """
+    cols = {"iob": _insulin_on_board(timeline, bolus)}
+    for name, amount in (("cho", cho), ("bolus", bolus)):
+        cols[f"{name}_prev"], cols[f"bg_at_{name}"], cols[f"dt_{name}"] = (
+            _last_event(timeline, amount)
+        )
+    return cols
 
 
 def compute_iob(h: PatientHistory, i: int) -> float:
@@ -113,16 +226,9 @@ def compute_iob(h: PatientHistory, i: int) -> float:
     positive bolus inside the trailing five-hour window; the record's own
     bolus does not count.
     """
-    t_i = h.records[i].timestamp()
-    total = 0.0
-    for j in range(i - 1, -1, -1):
-        r = h.records[j]
-        elapsed = (t_i - r.timestamp()).total_seconds() / 60.0
-        if elapsed > IOB_WINDOW_MINUTES:
-            break
-        if r.bolus is not None and r.bolus > 0:
-            total += r.bolus * iob_fraction(elapsed)
-    return total
+    records = h.records[: i + 1]
+    iob = _insulin_on_board(Timeline.of(records), amounts(records, "bolus"))
+    return float(iob[i])
 
 
 class DowMode(Enum):
@@ -220,56 +326,33 @@ def build_feature_rows(h: PatientHistory, cfg: FeatureConfig) -> list[FeatureRow
     if n < 2:
         return []
     static = static_tuple(h, cfg.static_defaults) if cfg.include_static else None
-
-    rows: list[FeatureRow] = []
-    last_cho: Optional[int] = None    # index of last record with positive cho
-    last_bolus: Optional[int] = None
-    for i in range(n - 1):
-        r, nxt = records[i], records[i + 1]
-        t_i = r.timestamp()
-        horizon = (nxt.timestamp() - t_i).total_seconds() / 60.0
-
-        if last_cho is not None:
-            ev_rec = records[last_cho]
-            cho_prev = float(ev_rec.cho)  # type: ignore[arg-type]
-            bg_at_cho = float(ev_rec.bg)  # type: ignore[arg-type]
-            dt_cho = (t_i - ev_rec.timestamp()).total_seconds() / 60.0
-        else:
-            # no event on file yet: zero amount, "long ago" elapsed time
-            cho_prev, bg_at_cho, dt_cho = 0.0, float(r.bg), IOB_WINDOW_MINUTES  # type: ignore[arg-type]
-        if last_bolus is not None:
-            ev_rec = records[last_bolus]
-            bolus_prev = float(ev_rec.bolus)  # type: ignore[arg-type]
-            bg_at_bolus = float(ev_rec.bg)  # type: ignore[arg-type]
-            dt_bolus = (t_i - ev_rec.timestamp()).total_seconds() / 60.0
-        else:
-            bolus_prev, bg_at_bolus, dt_bolus = 0.0, float(r.bg), IOB_WINDOW_MINUTES  # type: ignore[arg-type]
-
-        rows.append(
-            FeatureRow(
-                meal=r.meal,
-                dow=r.date.weekday(),  # type: ignore[union-attr]
-                ev=float(r.ev.numeric_value if r.ev is not None else 4),
-                pv=float(r.pv),
-                basal=float(r.basal if r.basal is not None else 0.0),
-                bg=float(r.bg),  # type: ignore[arg-type]
-                iob=compute_iob(h, i),
-                cho_prev=cho_prev,
-                bolus_prev=bolus_prev,
-                bg_at_cho=bg_at_cho,
-                bg_at_bolus=bg_at_bolus,
-                dt_cho=dt_cho,
-                dt_bolus=dt_bolus,
-                horizon_dt=horizon,
-                target_bg=float(nxt.bg),  # type: ignore[arg-type]
-                static=static,
-            )
+    timeline = Timeline.of(records)
+    cols = event_columns(timeline, amounts(records, "cho"), amounts(records, "bolus"))
+    iob, cho_prev, bolus_prev, bg_at_cho, bg_at_bolus, dt_cho, dt_bolus = (
+        cols[name][:-1].tolist() for name in EVENT_COLUMNS
+    )
+    horizon = _minutes(np.diff(timeline.t_us)).tolist()
+    return [
+        FeatureRow(
+            meal=r.meal,
+            dow=r.date.weekday(),  # type: ignore[union-attr]
+            ev=float(r.ev.numeric_value if r.ev is not None else 4),
+            pv=float(r.pv),
+            basal=float(r.basal if r.basal is not None else 0.0),
+            bg=float(r.bg),  # type: ignore[arg-type]
+            iob=iob[i],
+            cho_prev=cho_prev[i],
+            bolus_prev=bolus_prev[i],
+            bg_at_cho=bg_at_cho[i],
+            bg_at_bolus=bg_at_bolus[i],
+            dt_cho=dt_cho[i],
+            dt_bolus=dt_bolus[i],
+            horizon_dt=horizon[i],
+            target_bg=float(records[i + 1].bg),  # type: ignore[arg-type]
+            static=static,
         )
-        if r.cho is not None and r.cho > 0:
-            last_cho = i
-        if r.bolus is not None and r.bolus > 0:
-            last_bolus = i
-    return rows
+        for i, r in enumerate(records[:-1])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +457,7 @@ class Vectorizer:
             names.extend(["age", "sex", "height", "weight"])
         return names
 
-    def vector(self, row: FeatureRow) -> np.ndarray:
+    def _values(self, row: FeatureRow) -> list[float]:
         values: list[float] = [float(row.meal.value)]
         if self.cfg.dow_mode is not DowMode.Omit:
             wd = row.dow
@@ -391,12 +474,12 @@ class Vectorizer:
         )
         if self.cfg.include_static:
             values.extend(row.static if row.static is not None else self.cfg.static_defaults)
-        return np.array(values, dtype=float)
+        return values
 
     def matrix(self, rows: Sequence[FeatureRow]) -> np.ndarray:
         if not rows:
             return np.empty((0, len(self.column_names())))
-        return np.vstack([self.vector(r) for r in rows])
+        return np.array([self._values(r) for r in rows], dtype=float)
 
     def design(self, rows: Sequence[FeatureRow]) -> Design:
         """The rows' design matrix, targets and positions 0..n-1."""

@@ -68,11 +68,18 @@ class GprCore:
         self._factor = cho_factor(k)
         self._alpha = cho_solve(self._factor, y - self._mean)
 
-    def posterior(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and standard deviations for a batch of queries."""
+    def _cross_kernel(self, q: np.ndarray) -> np.ndarray:
         if self._z is None or self._alpha is None:
             raise ValueError("gpr not fitted")
-        k_star = rbf_kernel(np.atleast_2d(q), self._z, self.length_scale)
+        return rbf_kernel(np.atleast_2d(q), self._z, self.length_scale)
+
+    def mean(self, q: np.ndarray) -> np.ndarray:
+        """Posterior means for a batch of queries, without the variance solve."""
+        return self._mean + self._cross_kernel(q) @ self._alpha
+
+    def posterior(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and standard deviations for a batch of queries."""
+        k_star = self._cross_kernel(q)
         means = self._mean + k_star @ self._alpha
         solved = cho_solve(self._factor, k_star.T)
         var = 1.0 - np.sum(k_star.T * solved, axis=0)
@@ -97,8 +104,7 @@ class GprPredictor:
     def predict(self, test: Design) -> np.ndarray:
         if not self._fitted:
             raise ValueError("predictor not fitted")
-        means, _ = self.core.posterior(self.pipeline.transform(test.x))
-        return from_log_array(means)
+        return from_log_array(self.core.mean(self.pipeline.transform(test.x)))
 
 
 def convex_combine(mu_p: float, mu_m: float, alpha: float, beta: float) -> float:

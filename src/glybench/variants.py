@@ -6,9 +6,11 @@ day-of-week / basal / patient-specific feature switches, an optional
 Variant ids prefixed ``D_e`` apply the EP filter; the matching ``D_a``
 ids run on all records.
 
-Materialization keeps, per patient, both the finished feature rows and
-the post-throwout record sequence they came from, so evaluation can
-recompute imputation means from training-fold records only.
+Materialization keeps, per patient, the finished feature rows, their
+design matrix and the post-throwout record sequence they came from, so
+evaluation can recompute imputation means from training-fold records
+only; for a patient with gaps to fill, it also keeps the arrays that let
+a fold recompute just the columns those means change.
 """
 
 from __future__ import annotations
@@ -16,13 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .ep import is_expert_predictable
+import numpy as np
+
+# ``is_expert_predictable`` stays importable from here: bench/traced.py
+# wraps this module's name (its ``ep.decide_s`` span)
+from .ep import ep_decisions, is_expert_predictable  # noqa: F401
 from .features import (
+    EVENT_COLUMNS,
+    Design,
     DowMode,
     FeatureConfig,
     PcaConfig,
+    Timeline,
+    Vectorizer,
+    amounts,
     build_feature_rows,
     cohort_static_defaults,
+    event_columns,
 )
 from .ingest import MissingPolicy, field_means
 from .records import DiaryRecord, ExerciseLevel, FeatureRow, MealSlot, PatientHistory
@@ -122,19 +134,48 @@ def variant_table_csv(specs: Sequence[VariantSpec] | None = None) -> str:
 # Materialization
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class GapColumns:
+    """What a fold-local rebuild needs of a patient with mean-policy gaps.
+
+    ``cho``/``bolus`` hold the base records' amounts (0 at a gap) and
+    ``cho_gap``/``bolus_gap`` mark the gaps; ``meal`` holds slot ordinals.
+    ``starts`` are the prepared rows' record indices and ``positions`` the
+    design columns of :data:`~glybench.features.EVENT_COLUMNS`.
+    """
+
+    timeline: Timeline
+    meal: np.ndarray
+    cho: np.ndarray
+    cho_gap: np.ndarray
+    bolus: np.ndarray
+    bolus_gap: np.ndarray
+    starts: np.ndarray
+    positions: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class PreparedPatient:
-    """Feature rows plus the record sequence needed to re-derive them.
+    """Feature rows, their design, and the per-patient state that lets a
+    fold re-derive them with its own imputation means.
 
     ``base`` has throwout applied and exercise/basal/zero fills done, but
     mean-imputed fields left missing; ``row_starts[t]`` is the index into
-    ``base.records`` of the record whose state feeds row ``t``.
+    ``base.records`` of the record whose state feeds row ``t``. ``rows``
+    and ``design`` use means over all of ``base``. ``gaps`` is set when
+    ``base`` has mean-policy gaps: only then do a fold's means change
+    anything, and only the event columns.
     """
 
     base: PatientHistory
     rows: tuple[FeatureRow, ...]
     row_starts: tuple[int, ...]
-    needs_fold_means: bool
+    design: Design = field(compare=False, repr=False)
+    gaps: Optional[GapColumns] = field(default=None, compare=False, repr=False)
+
+    @property
+    def needs_fold_means(self) -> bool:
+        return self.gaps is not None
 
 
 @dataclass(frozen=True)
@@ -144,8 +185,8 @@ class VariantDataset:
     per_patient: dict[str, tuple[FeatureRow, ...]]
     excluded_patients: tuple[str, ...]
     prepared: dict[str, PreparedPatient] = field(default_factory=dict, repr=False)
-    # design matrices shared across models: keyed patient_id for the rows
-    # above, (patient_id, k, fold) for rows rebuilt with fold-local means
+    # designs of rows rebuilt with fold-local means, keyed (patient_id, k, fold)
+    # and shared across models
     fold_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -179,6 +220,14 @@ def _base_records(
     return kept, has_gap
 
 
+def _gap_fills(source: Sequence[DiaryRecord], name: str) -> dict[MealSlot, float]:
+    """The value a gap in each meal slot takes: the slot's mean of the
+    present values in ``source``, else their overall mean, else 0."""
+    slot_means, overall = field_means(tuple(source), name)
+    fallback = overall if overall is not None else 0.0
+    return {slot: slot_means.get(slot, fallback) for slot in MealSlot}
+
+
 def fill_mean_gaps(
     base: PatientHistory, visible: Optional[Sequence[int]] = None
 ) -> PatientHistory:
@@ -188,29 +237,34 @@ def fill_mean_gaps(
     records when omitted), falling back to the patient-wide mean, then 0.
     """
     records = base.records
-    if visible is None:
-        source = records
-    else:
-        source = tuple(records[i] for i in visible)
-    cho_slot, cho_all = field_means(source, "cho")
-    bolus_slot, bolus_all = field_means(source, "bolus")
-
-    def fill(value, slot: MealSlot, slot_means, overall):
-        if value is not None:
-            return value
-        if slot in slot_means:
-            return slot_means[slot]
-        return overall if overall is not None else 0.0
-
+    source = records if visible is None else [records[i] for i in visible]
+    cho = _gap_fills(source, "cho")
+    bolus = _gap_fills(source, "bolus")
     filled = tuple(
         replace(
             r,
-            cho=fill(r.cho, r.meal, cho_slot, cho_all),
-            bolus=fill(r.bolus, r.meal, bolus_slot, bolus_all),
+            cho=r.cho if r.cho is not None else cho[r.meal],
+            bolus=r.bolus if r.bolus is not None else bolus[r.meal],
         )
         for r in records
     )
     return PatientHistory(base.patient_id, filled, base.static)
+
+
+def _gap_columns(
+    records: Sequence[DiaryRecord], cfg: FeatureConfig, row_starts: Sequence[int]
+) -> GapColumns:
+    columns = Vectorizer(cfg).column_names()
+    return GapColumns(
+        timeline=Timeline.of(records),
+        meal=np.array([r.meal.value for r in records], dtype=np.intp),
+        cho=amounts(records, "cho"),
+        cho_gap=np.array([r.cho is None for r in records], dtype=bool),
+        bolus=amounts(records, "bolus"),
+        bolus_gap=np.array([r.bolus is None for r in records], dtype=bool),
+        starts=np.array(row_starts, dtype=np.intp),
+        positions=tuple(columns.index(name) for name in EVENT_COLUMNS),
+    )
 
 
 def prepare_patient(
@@ -218,31 +272,55 @@ def prepare_patient(
 ) -> PreparedPatient:
     kept, has_gap = _base_records(h, spec)
     base = PatientHistory(h.patient_id, tuple(kept), h.static)
-    filled = fill_mean_gaps(base)
-    all_rows = build_feature_rows(filled, cfg)
+    all_rows = build_feature_rows(fill_mean_gaps(base), cfg)
     if spec.ep_rules:
+        # row t feeds the glucose at record t + 1
+        decisions = ep_decisions(base)
         row_starts = tuple(
-            i
-            for i in range(len(all_rows))
-            if is_expert_predictable(filled, i + 1).predictable
+            i for i in range(len(all_rows)) if decisions[i + 1].predictable
         )
     else:
         row_starts = tuple(range(len(all_rows)))
     rows = tuple(all_rows[i] for i in row_starts)
     return PreparedPatient(
-        base=base, rows=rows, row_starts=row_starts, needs_fold_means=has_gap
+        base=base,
+        rows=rows,
+        row_starts=row_starts,
+        design=Vectorizer(cfg).design(rows),
+        gaps=_gap_columns(base.records, cfg, row_starts) if has_gap else None,
     )
 
 
+def _fill(
+    values: np.ndarray, gap: np.ndarray, meal: np.ndarray, fills: dict[MealSlot, float]
+) -> np.ndarray:
+    by_slot = np.array([fills[slot] for slot in MealSlot])
+    return np.where(gap, by_slot[meal], values)
+
+
 def rebuild_rows(
-    prepared: PreparedPatient,
-    cfg: FeatureConfig,
-    visible_records: Sequence[int],
-) -> tuple[FeatureRow, ...]:
-    """Re-derive the same rows with imputation means from a record subset."""
-    filled = fill_mean_gaps(prepared.base, visible_records)
-    all_rows = build_feature_rows(filled, cfg)
-    return tuple(all_rows[i] for i in prepared.row_starts)
+    prepared: PreparedPatient, visible_records: Sequence[int]
+) -> Design:
+    """The prepared design with imputation means from a record subset.
+
+    Means come from the present values of the records at
+    ``visible_records`` (as :func:`fill_mean_gaps` takes them); with the
+    gaps filled, only the event columns are recomputed, and they are
+    written into a copy of ``prepared.design``. A patient without gaps
+    gets its design back unchanged.
+    """
+    gaps = prepared.gaps
+    if gaps is None:
+        return prepared.design
+    source = [prepared.base.records[i] for i in visible_records]
+    cho = _fill(gaps.cho, gaps.cho_gap, gaps.meal, _gap_fills(source, "cho"))
+    bolus = _fill(gaps.bolus, gaps.bolus_gap, gaps.meal, _gap_fills(source, "bolus"))
+    cols = event_columns(gaps.timeline, cho, bolus)
+    design = prepared.design
+    x = design.x.copy()
+    for name, position in zip(EVENT_COLUMNS, gaps.positions):
+        x[:, position] = cols[name][gaps.starts]
+    return Design(x, design.target_bg, design.index)
 
 
 def materialize(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime as dt
 
 import pytest
+from hypothesis import strategies as st
 
 from glybench.records import (
     DiaryRecord,
@@ -39,6 +40,38 @@ def rec(
 
 def history(pid: str, records, static: StaticInfo | None = None) -> PatientHistory:
     return PatientHistory(pid, tuple(records), static)
+
+
+TIMED_START = dt.datetime(2016, 3, 7, 6, 0)
+
+
+def timed_history(steps) -> PatientHistory:
+    """Records from ``(minutes after the previous one, bg, cho, bolus)``
+    steps, the first at ``TIMED_START`` plus its minutes; the meal slot
+    follows the hour of day (three hours per slot)."""
+    t = TIMED_START
+    records = []
+    for minutes, bg, cho, bolus in steps:
+        t += dt.timedelta(minutes=minutes)
+        records.append(DiaryRecord(meal=MealSlot(t.hour // 3), date=t.date(),
+                                   time=t.time(), bg=bg, cho=cho, bolus=bolus))
+    return history("timed", records)
+
+
+# None is a gap, 0.0 no event; step lengths hit the five-hour IOB window
+# edge, equal timestamps, several boluses inside one window and times off
+# the whole minute (microseconds)
+_amount = st.one_of(st.none(), st.just(0.0), st.floats(0.5, 80.0))
+history_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0, 20, 45, 61.2345678, 180, 180, 299, 300, 301, 720]),
+        st.floats(1.0, 25.0),
+        _amount,
+        _amount,
+    ),
+    min_size=1,
+    max_size=60,
+)
 
 
 @pytest.fixture

@@ -336,6 +336,22 @@ def test_run_exits_2_when_one_variant_keeps_no_patient(tmp_path, capsys):
     assert "nan" not in (out / "wide_L1.csv").read_text()
 
 
+def test_run_exits_2_before_writing_when_stacking_has_one_patient(tmp_path, capsys):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 1, "days": 20}')
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", "--config", str(synth), "--seed", "3", "--out", str(cohort)]) == 0
+    out = tmp_path / "results"
+    code = main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6", "--models", "naive,gpr_AllPat_AllMeals",
+                 "--k", "5", "--min-records", "20"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at least two retained patients" in err
+    assert "gpr_AllPat_AllMeals" in err and "D_a6" in err
+    assert not out.exists()
+
+
 def test_summarize_results_hand_fixture():
     long_csv = "\n".join(
         [

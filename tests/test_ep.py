@@ -2,15 +2,23 @@ from __future__ import annotations
 
 import datetime as dt
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from glybench.ep import (
     PREV_HYPO,
     PREV_MEAL_MISSING,
     SIX_OF_EIGHT,
     ep_counts,
+    ep_decisions,
     is_expert_predictable,
 )
-from glybench.records import MealSlot
+from glybench.ingest import clean_cohort
+from glybench.records import DiaryRecord, MealSlot, PatientHistory
+from glybench.synth import default_config, generate
 
+import ep_oracle
 from conftest import ep_fixture, history, rec
 
 
@@ -101,3 +109,49 @@ def test_ep_counts_bounded_by_total():
     total, ep = ep_counts(h)
     assert total == len(h.records)
     assert 0 <= ep <= total
+
+
+def _assert_matches_oracle(h: PatientHistory, window_recorded_dates: bool) -> None:
+    expected = [
+        ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
+        for i in range(len(h.records))
+    ]
+    assert ep_decisions(h, window_recorded_dates) == expected
+    assert [
+        is_expert_predictable(h, i, window_recorded_dates) for i in range(len(h.records))
+    ] == expected
+    assert ep_counts(h, window_recorded_dates) == (
+        len(expected), sum(d.predictable for d in expected)
+    )
+
+
+# days 0..11 and four of the eight slots keep six-of-eight coverage common;
+# undated records, missing and hypoglycemic readings hit the other rules
+_ep_records = st.lists(
+    st.builds(
+        lambda day, slot, bg: DiaryRecord(
+            meal=MealSlot(slot),
+            date=None if day is None else dt.date(2016, 5, 1) + dt.timedelta(days=day),
+            time=None,
+            bg=bg,
+        ),
+        st.one_of(st.none(), st.integers(0, 11)),
+        st.sampled_from([0, 1, 2, 7]),
+        st.sampled_from([None, 3.9, 4.0, 6.5]),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ep_records, st.booleans())
+def test_ep_decisions_equal_the_quadratic_oracle(records, window_recorded_dates):
+    _assert_matches_oracle(history("ep", records), window_recorded_dates)
+
+
+@pytest.mark.parametrize("window_recorded_dates", [False, True])
+def test_ep_decisions_equal_the_oracle_on_a_synthetic_cohort(window_recorded_dates):
+    cleaned, _ = clean_cohort(generate(default_config(patients=2, days=30, seed=5)))
+    for h in cleaned.values():
+        _assert_matches_oracle(h, window_recorded_dates)
+    assert 0 < sum(ep_counts(h)[1] for h in cleaned.values())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glybench import evaluation
 from glybench.evaluation import (
     METRICS,
     PenaltyConfigError,
@@ -29,6 +30,8 @@ from glybench.models import builtin_registry
 from glybench.records import MGDL_PER_MMOLL, PredictionPair
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, spec_by_id
+
+import feature_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +252,27 @@ def test_evaluate_rejects_a_prediction_count_unequal_to_the_test_rows(dataset):
                                 factory=lambda cfg, with_stacked, seed: OneShort())
     with pytest.raises(ValueError, match="predictions for"):
         evaluate(dataset, entry, k=5, seed=0)
+
+
+@pytest.mark.parametrize("model", ["ridge", "gpr_be_AllPat_AllMeals"])
+@pytest.mark.parametrize("variant", ["D_a6", "D_e6"])
+def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkeypatch):
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    entry = builtin_registry()[model]
+
+    def cell():
+        ds = materialize(cleaned, spec_by_id(variant), min_records=20)
+        return ds, evaluate(ds, entry, k=5, seed=3, audit=True)
+
+    ds, report = cell()
+    assert all(p.needs_fold_means for p in ds.prepared.values())
+    cfg = ds.feature_config
+    monkeypatch.setattr(evaluation, "rebuild_rows",
+                        lambda prep, visible: feature_oracle.rebuild_rows(prep, cfg, visible))
+    _, expected = cell()
+    assert report.pairs == expected.pairs
+    assert report.naive_pairs == expected.naive_pairs
+    assert report.per_patient == expected.per_patient
 
 
 def test_evaluate_excludes_patients_below_k():

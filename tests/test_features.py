@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glybench.features import (
@@ -27,7 +27,8 @@ from glybench.features import (
 )
 from glybench.records import ExerciseLevel, MealSlot
 
-from conftest import history, rec
+import feature_oracle
+from conftest import history, history_steps, rec, timed_history
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,38 @@ def test_feature_rows_iob_matches_compute_iob():
     rows = build_feature_rows(h, FeatureConfig())
     for i, row in enumerate(rows):
         assert row.iob == pytest.approx(compute_iob(h, i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(history_steps)
+def test_feature_rows_and_iob_equal_the_per_record_oracle(steps):
+    h = timed_history(steps)
+    cfg = FeatureConfig(dow_mode=DowMode.OneHot, include_static=True)
+    rows = build_feature_rows(h, cfg)
+    expected = feature_oracle.build_feature_rows(h, cfg)
+    assert rows == expected
+    v = Vectorizer(cfg)
+    assert v.matrix(rows).tobytes() == v.matrix(expected).tobytes()
+    for i in range(len(h)):
+        assert np.float64(compute_iob(h, i)).tobytes() == \
+            np.float64(feature_oracle.compute_iob(h, i)).tobytes()
+
+
+def test_iob_counts_a_bolus_exactly_five_hours_back():
+    # 8.0 units 300 minutes back still count, also from a record sharing
+    # the timestamp; 5.0 units 360 minutes back do not
+    h = history(
+        "p",
+        [
+            rec("2016-01-01", "02:00:00", MealSlot.DuringNight, bg=6.0, bolus=5.0),
+            rec("2016-01-01", "02:59:00", MealSlot.DuringNight, bg=6.0, bolus=0.0),
+            rec("2016-01-01", "03:00:00", MealSlot.BeforeBreakfast, bg=6.0, bolus=8.0),
+            rec("2016-01-01", "08:00:00", MealSlot.AfterBreakfast, bg=6.0, bolus=0.0),
+            rec("2016-01-01", "08:00:00", MealSlot.BeforeLunch, bg=6.0, bolus=0.0),
+        ],
+    )
+    assert compute_iob(h, 3) == 8.0 * iob_fraction(300.0)
+    assert compute_iob(h, 4) == 8.0 * iob_fraction(300.0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ def test_posterior_matches_dense_inverse_oracle(n):
         o_mean, o_sigma = _dense_oracle(z, y, q)
         assert mean == pytest.approx(o_mean, abs=1e-8)
         assert sigma == pytest.approx(o_sigma, abs=1e-8)
+    # the means-only path skips the variance solve, not any of the mean's arithmetic
+    assert core.mean(queries).tobytes() == means.tobytes()
 
 
 def test_posterior_variance_is_bounded():
