@@ -8,7 +8,7 @@
 # ---
 
 # %% [markdown]
-# # Insulin on board and the processed feature rows
+# # Insulin on board and the feature design
 #
 # Injected bolus insulin keeps acting for about five hours. The decay
 # curve interpolates published (elapsed time, fraction remaining) points
@@ -19,6 +19,7 @@
 import datetime as dt
 
 from glybench import FeatureConfig, IOB_KNOTS, build_feature_rows, compute_iob, iob_fraction
+from glybench.features import Vectorizer
 from glybench.records import DiaryRecord, ExerciseLevel, MealSlot, PatientHistory
 
 for hours, frac in IOB_KNOTS:
@@ -51,17 +52,24 @@ for i in range(len(day.records)):
     print(f"record {i} ({day.records[i].meal.name:16s}): iob = {compute_iob(day, i):5.2f} u")
 
 # %% [markdown]
-# `build_feature_rows` pairs consecutive records: the features describe
-# the earlier record, the target is the later reading. Previous-event
-# features look strictly backward -- note how the before-lunch row still
-# references the *breakfast* carbs, not its own.
+# `build_feature_rows` pairs consecutive records into a design: one
+# matrix row per pair, the features describing the earlier record and
+# the target the later reading. Previous-event features look strictly
+# backward -- note how the before-lunch row still references the
+# *breakfast* carbs, not its own. Columns are named by
+# `Vectorizer.column_names()`.
 
 # %%
-rows = build_feature_rows(day, FeatureConfig())
-print(f"{len(day.records)} records -> {len(rows)} prediction rows")
-for row in rows:
+cfg = FeatureConfig()
+design = build_feature_rows(day, cfg)
+names = Vectorizer(cfg).column_names()
+print(f"{len(day.records)} records -> {len(design)} prediction rows")
+print("columns:", ", ".join(names))
+column = {name: design.x[:, j] for j, name in enumerate(names)}
+for t in range(len(design)):
     print(
-        f"{row.meal.name:16s} bg={row.bg:5.1f} iob={row.iob:5.2f} "
-        f"cho_prev={row.cho_prev:5.1f} dt_cho={row.dt_cho:5.0f} min "
-        f"horizon={row.horizon_dt:4.0f} min -> target {row.target_bg:5.1f}"
+        f"{day.records[t].meal.name:16s} bg={column['bg'][t]:5.1f} "
+        f"iob={column['iob'][t]:5.2f} cho_prev={column['cho_prev'][t]:5.1f} "
+        f"dt_cho={column['dt_cho'][t]:5.0f} min horizon={column['horizon_dt'][t]:4.0f} min "
+        f"-> target {design.target_bg[t]:5.1f}"
     )

@@ -18,28 +18,34 @@
 
 # %%
 from glybench import generate, high_signal_config, materialize, spec_by_id
+from glybench.features import Vectorizer
 from glybench.ingest import clean_cohort
 from glybench.variants import variant_table_csv
 
 print(variant_table_csv(), end="")
 
 # %% [markdown]
-# Materializing a variant turns a cleaned cohort into per-patient feature
-# rows, excluding patients left with too few rows. The same cohort under
-# the expert filter can only shrink.
+# Materializing a variant turns a cleaned cohort into one design matrix
+# per patient, excluding patients left with too few rows. The same cohort
+# under the expert filter can only shrink.
 
 # %%
 cleaned, _ = clean_cohort(generate(high_signal_config(patients=4, days=25, seed=9)))
 
 for vid in ("D_a6", "D_e6", "D_a2", "D_e2", "D_e12"):
     ds = materialize(cleaned, spec_by_id(vid), min_records=20)
-    counts = {pid: len(rows) for pid, rows in ds.per_patient.items()}
+    counts = {pid: len(prep) for pid, prep in ds.per_patient.items()}
     print(f"{vid:6s} rows per patient: {counts} excluded: {list(ds.excluded_patients)}")
 
 # %%
-# the filtered variant's rows are literally a subset of the unfiltered one's
+# the filtered variant's design is the unfiltered one at the kept record
+# indices, column for column
 ds_all = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
 ds_ep = materialize(cleaned, spec_by_id("D_e6"), min_records=20)
 pid = sorted(ds_ep.per_patient)[0]
-subset = all(row in ds_all.per_patient[pid] for row in ds_ep.per_patient[pid])
+ep, full = ds_ep.per_patient[pid], ds_all.per_patient[pid]
+subset = (ep.design.x == full.design.x[list(ep.row_starts)]).all()
 print(f"{pid}: every D_e6 row appears in D_a6 -> {subset}")
+names = Vectorizer(ds_ep.feature_config).column_names()
+for name in ("meal", "bg", "iob", "horizon_dt"):
+    print(f"  {name:10s}", " ".join(f"{v:6.1f}" for v in ep.design.x[:5, names.index(name)]))

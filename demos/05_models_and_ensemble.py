@@ -29,8 +29,12 @@ cleaned, _ = clean_cohort(generate(high_signal_config(patients=2, days=30, seed=
 dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
 pid = sorted(dataset.per_patient)[0]
 cfg = dataset.feature_config
-design = Vectorizer(cfg).design(dataset.per_patient[pid])
+design = dataset.per_patient[pid].design
 train, test = design[:-12], design[-12:]
+names = Vectorizer(cfg).column_names()
+print(f"{pid}: {len(design)} rows x {len(names)} columns ({', '.join(names)})")
+bg = names.index("bg")
+print("last test rows' glucose:", " ".join(f"{v:5.1f}" for v in test.x[-4:, bg]))
 
 registry = builtin_registry()
 for name in ("naive", "ridge", "KNN10U", "rf4", "gpr_IndPat_AllMeals", "gpr_be"):

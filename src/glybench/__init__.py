@@ -21,7 +21,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .records import (
     DiaryRecord,
     ExerciseLevel,
-    FeatureRow,
     MealSlot,
     PatientHistory,
     PredictionPair,
@@ -42,7 +41,6 @@ from .features import (
     PcaConfig,
     build_feature_rows,
     compute_iob,
-    encode_dow,
     from_log,
     iob_fraction,
     pca_apply,
@@ -76,7 +74,6 @@ __all__ = [
     "EvalReport",
     "ExerciseLevel",
     "FeatureConfig",
-    "FeatureRow",
     "FoldPlan",
     "IOB_KNOTS",
     "METRICS",
@@ -98,7 +95,6 @@ __all__ = [
     "compute_iob",
     "contiguous_kfold",
     "default_config",
-    "encode_dow",
     "ep_counts",
     "evaluate",
     "from_log",

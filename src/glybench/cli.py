@@ -156,10 +156,37 @@ def _grid_config(args: argparse.Namespace) -> dict:
     cfg.setdefault("seed", 0)
     cfg.setdefault("fold_local_stats", True)
     if "jobs" not in cfg:
-        cfg["jobs"] = int(os.environ.get("GLYBENCH_JOBS", "1"))
+        env = os.environ.get("GLYBENCH_JOBS", "1")
+        try:
+            cfg["jobs"] = int(env)
+        except ValueError:
+            raise CliError(f"GLYBENCH_JOBS must be an integer >= 1, got {env!r}") from None
     if "out" not in cfg:
         raise CliError("no output directory: pass --out or set 'out' in the config")
+    _check_grid_config(cfg)
     return cfg
+
+
+def _check_grid_config(cfg: dict) -> None:
+    """Reject a grid value of the wrong type or range, naming its key."""
+    def bad(key: str, need: str) -> CliError:
+        return CliError(f"config key '{key}' must be {need}, got {cfg[key]!r}")
+
+    for key, minimum in (("k", 2), ("min_records", 0), ("seed", None), ("jobs", 1)):
+        value = cfg[key]
+        # bool is an int subclass; a JSON true is not a count
+        if isinstance(value, bool) or not isinstance(value, int) or (
+            minimum is not None and value < minimum
+        ):
+            raise bad(key, "an integer" + ("" if minimum is None else f" >= {minimum}"))
+    if not isinstance(cfg["fold_local_stats"], bool):
+        raise bad("fold_local_stats", "true or false")
+    for key in ("variants", "models"):
+        if not isinstance(cfg[key], list) or not all(isinstance(v, str) for v in cfg[key]):
+            raise bad(key, "a list of strings")
+    for key in ("input", "out", "penalty_table"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise bad(key, "a path string")
 
 
 def _evaluate_cell(task) -> tuple[tuple[str, str], EvalReport]:
@@ -235,7 +262,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for dataset in datasets
         for model_name in model_names
     ]
-    jobs = max(1, int(cfg["jobs"]))
+    jobs = cfg["jobs"]
     results: dict[tuple[str, str], EvalReport] = {}
     if jobs == 1:
         for task in tasks:

@@ -312,17 +312,16 @@ def evaluate(
     pca_flags = 0
 
     for pid in patient_ids:
-        n = len(dataset.per_patient[pid])
-        if n < k:
+        prep = dataset.per_patient[pid]
+        if len(prep) < k:
             excluded.append(pid)
             continue
-        plan = contiguous_kfold(n, k)
-        prep = dataset.prepared[pid]
+        plan = contiguous_kfold(len(prep), k)
         fold_local = fold_local_stats and prep.needs_fold_means
 
         stacker = None
         if entry.stacking:
-            others = [dataset.prepared[q].design for q in patient_ids if q != pid]
+            others = [dataset.per_patient[q].design for q in patient_ids if q != pid]
             stacker = fit_stacker(
                 entry.build_stacker(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
                 others,
@@ -355,6 +354,13 @@ def evaluate(
             if predicted.shape != (len(test),):
                 raise ValueError(f"{entry.name} returned {predicted.shape} predictions "
                                  f"for {len(test)} test rows")
+            bad = ~(np.isfinite(predicted) & (predicted > 0))
+            if bad.any():
+                raise ValueError(
+                    f"{entry.name} predicted {float(predicted[bad][0])!r} mmol/L on variant "
+                    f"{dataset.spec.id}, patient {pid}, fold {j}: predictions must "
+                    f"be finite and > 0"
+                )
             actual = test.target_bg.tolist()
             pairs.extend(map(PredictionPair, predicted.tolist(), actual))
             naive_pairs.extend(map(PredictionPair, naive.predict(test).tolist(), actual))

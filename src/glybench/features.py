@@ -1,7 +1,7 @@
-"""Feature engineering: insulin-on-board, row assembly, encodings, PCA.
+"""Feature engineering: insulin-on-board, design assembly, PCA.
 
-Feature rows pair consecutive diary records: the features describe the
-state at record i, the target is the glucose reading at record i+1.
+A design's rows pair consecutive diary records: the features describe
+the state at record i, the target is the glucose reading at record i+1.
 Insulin on board decays along a monotone cubic through published
 (elapsed time, fraction remaining) points and is summed over every bolus
 in the trailing five hours.
@@ -13,11 +13,11 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .records import DiaryRecord, FeatureRow, PatientHistory
+from .records import DiaryRecord, PatientHistory, StaticInfo
 
 # (elapsed hours, fraction of injected insulin still active)
 IOB_KNOTS: tuple[tuple[float, float], ...] = (
@@ -166,12 +166,6 @@ def amounts(records: Sequence[DiaryRecord], field: str) -> np.ndarray:
     return np.array([0.0 if v is None else v for v in values], dtype=float)
 
 
-# the feature columns that depend on the carbs and bolus amounts
-EVENT_COLUMNS = (
-    "iob", "cho_prev", "bolus_prev", "bg_at_cho", "bg_at_bolus", "dt_cho", "dt_bolus",
-)
-
-
 def _insulin_on_board(timeline: Timeline, bolus: np.ndarray) -> np.ndarray:
     given = np.where(bolus > 0, bolus, 0.0)
     iob = np.zeros(len(given))
@@ -203,8 +197,10 @@ def _last_event(
 def event_columns(
     timeline: Timeline, cho: np.ndarray, bolus: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """The :data:`EVENT_COLUMNS` of every record, from per-record carbs and
-    bolus amounts (a non-positive amount is no event).
+    """The feature columns that depend on the carbs and bolus amounts
+    (``iob``, ``cho_prev``, ``bolus_prev``, ``bg_at_cho``, ``bg_at_bolus``,
+    ``dt_cho``, ``dt_bolus``) of every record, from per-record amounts (a
+    non-positive amount is no event).
 
     Insulin on board sums, over strictly earlier boluses inside the
     trailing five-hour window, each bolus times its remaining fraction;
@@ -237,18 +233,6 @@ class DowMode(Enum):
     OneHot = "OneHot"
 
 
-def encode_dow(date: dt.date, mode: DowMode) -> tuple[float, ...]:
-    """Day-of-week feature values: none, one integer (Monday=0), or a one-hot 7-vector."""
-    if mode is DowMode.Omit:
-        return ()
-    wd = date.weekday()
-    if mode is DowMode.Integer:
-        return (float(wd),)
-    onehot = [0.0] * 7
-    onehot[wd] = 1.0
-    return tuple(onehot)
-
-
 def to_log_target(bg: float) -> float:
     """Log-space target; cleaning guarantees bg >= 1 so this never fires."""
     if bg < 1.0:
@@ -276,11 +260,13 @@ class FeatureConfig:
     static_defaults: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
 
+STATIC_COLUMNS = ("age", "sex", "height", "weight")
+
+
 def static_tuple(
-    h: PatientHistory, defaults: tuple[float, float, float, float]
+    s: Optional[StaticInfo], defaults: tuple[float, float, float, float]
 ) -> tuple[float, float, float, float]:
     """(age, sex01, height, weight) with missing entries from cohort defaults."""
-    s = h.static
     if s is None:
         return defaults
     sex01 = defaults[1]
@@ -314,45 +300,91 @@ def cohort_static_defaults(
     return tuple(sum(c) / len(c) if c else 0.0 for c in cols)  # type: ignore[return-value]
 
 
-def build_feature_rows(h: PatientHistory, cfg: FeatureConfig) -> list[FeatureRow]:
-    """One row per consecutive record pair of a cleaned, imputed history.
+@dataclass(frozen=True, eq=False)
+class RecordArrays:
+    """A history's records as arrays, the input :func:`build_feature_rows`
+    assembles a design from.
 
-    Fewer than two records yields an empty list. The previous-event
-    features look strictly backward: a record's own carbs or bolus never
-    reference themselves, so the elapsed-time features stay positive.
+    ``meal`` holds slot ordinals and ``weekday`` Monday = 0; a missing
+    exercise level reads 4 (normal) and a missing basal 0. ``cho`` and
+    ``bolus`` hold 0 at a gap, and ``cho_gap``/``bolus_gap`` mark the gaps.
     """
-    records = h.records
-    n = len(records)
-    if n < 2:
-        return []
-    static = static_tuple(h, cfg.static_defaults) if cfg.include_static else None
-    timeline = Timeline.of(records)
-    cols = event_columns(timeline, amounts(records, "cho"), amounts(records, "bolus"))
-    iob, cho_prev, bolus_prev, bg_at_cho, bg_at_bolus, dt_cho, dt_bolus = (
-        cols[name][:-1].tolist() for name in EVENT_COLUMNS
-    )
-    horizon = _minutes(np.diff(timeline.t_us)).tolist()
-    return [
-        FeatureRow(
-            meal=r.meal,
-            dow=r.date.weekday(),  # type: ignore[union-attr]
-            ev=float(r.ev.numeric_value if r.ev is not None else 4),
-            pv=float(r.pv),
-            basal=float(r.basal if r.basal is not None else 0.0),
-            bg=float(r.bg),  # type: ignore[arg-type]
-            iob=iob[i],
-            cho_prev=cho_prev[i],
-            bolus_prev=bolus_prev[i],
-            bg_at_cho=bg_at_cho[i],
-            bg_at_bolus=bg_at_bolus[i],
-            dt_cho=dt_cho[i],
-            dt_bolus=dt_bolus[i],
-            horizon_dt=horizon[i],
-            target_bg=float(records[i + 1].bg),  # type: ignore[arg-type]
-            static=static,
+
+    timeline: Timeline
+    meal: np.ndarray
+    weekday: np.ndarray
+    ev: np.ndarray
+    pv: np.ndarray
+    basal: np.ndarray
+    cho: np.ndarray
+    cho_gap: np.ndarray
+    bolus: np.ndarray
+    bolus_gap: np.ndarray
+    static: Optional[StaticInfo]
+
+    @staticmethod
+    def of(h: PatientHistory) -> "RecordArrays":
+        records = h.records
+
+        def column(values) -> np.ndarray:
+            return np.array(list(values), dtype=float)
+
+        return RecordArrays(
+            timeline=Timeline.of(records),
+            meal=np.array([r.meal.value for r in records], dtype=np.intp),
+            weekday=column(r.date.weekday() for r in records),  # type: ignore[union-attr]
+            ev=column(4 if r.ev is None else r.ev.numeric_value for r in records),
+            pv=column(r.pv for r in records),
+            basal=column(0.0 if r.basal is None else r.basal for r in records),
+            cho=amounts(records, "cho"),
+            cho_gap=np.array([r.cho is None for r in records], dtype=bool),
+            bolus=amounts(records, "bolus"),
+            bolus_gap=np.array([r.bolus is None for r in records], dtype=bool),
+            static=h.static,
         )
-        for i, r in enumerate(records[:-1])
-    ]
+
+
+def build_feature_rows(
+    records: PatientHistory | RecordArrays,
+    cfg: FeatureConfig,
+    fills: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    row_starts: Optional[Sequence[int]] = None,
+) -> Design:
+    """The design of a history's consecutive record pairs.
+
+    Row ``t`` holds the features of record ``row_starts[t]`` (by default
+    every record but the last) and, as its target, the glucose of the
+    record after it. ``fills`` gives the carbs and the bolus that a gap
+    takes in each meal slot (indexed by slot ordinal); without it a gap
+    is no event. The previous-event features look strictly backward: a
+    record's own carbs or bolus never reference themselves, so the
+    elapsed-time features stay positive.
+    """
+    a = records if isinstance(records, RecordArrays) else RecordArrays.of(records)
+    n = len(a.meal)
+    if row_starts is None:
+        row_starts = range(max(n - 1, 0))
+    starts = np.array(row_starts, dtype=np.intp)
+    cho, bolus = a.cho, a.bolus
+    if fills is not None:
+        cho = np.where(a.cho_gap, fills[0][a.meal], cho)
+        bolus = np.where(a.bolus_gap, fills[1][a.meal], bolus)
+    timeline = a.timeline
+    columns = {
+        "meal": a.meal, "dow": a.weekday, "ev": a.ev, "pv": a.pv, "basal": a.basal,
+        "bg": timeline.bg, **event_columns(timeline, cho, bolus),
+        "horizon_dt": _minutes(np.diff(timeline.t_us)),
+    }
+    if cfg.dow_mode is DowMode.OneHot:
+        columns.update((f"dow_{d}", a.weekday == d) for d in range(7))
+    if cfg.include_static:
+        static = static_tuple(a.static, cfg.static_defaults)
+        columns.update((name, np.full(n, v)) for name, v in zip(STATIC_COLUMNS, static))
+    return Design(
+        Vectorizer(cfg).matrix(starts, columns),
+        timeline.bg[starts + 1],
+        np.arange(len(starts)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +461,7 @@ class Design:
 
 
 class Vectorizer:
-    """Maps feature rows to the numeric design matrix a model consumes.
+    """Lays per-record feature columns out as the design matrix a model consumes.
 
     Column layout: meal ordinal, day-of-week per mode, exercise, pump
     rate, basal (when included), glucose, insulin on board, previous
@@ -454,37 +486,17 @@ class Vectorizer:
              "bg_at_bolus", "dt_cho", "dt_bolus", "horizon_dt"]
         )
         if self.cfg.include_static:
-            names.extend(["age", "sex", "height", "weight"])
+            names.extend(STATIC_COLUMNS)
         return names
 
-    def _values(self, row: FeatureRow) -> list[float]:
-        values: list[float] = [float(row.meal.value)]
-        if self.cfg.dow_mode is not DowMode.Omit:
-            wd = row.dow
-            if self.cfg.dow_mode is DowMode.Integer:
-                values.append(float(wd))
-            else:
-                values.extend(1.0 if d == wd else 0.0 for d in range(7))
-        values.extend([row.ev, row.pv])
-        if self.cfg.include_basal:
-            values.append(row.basal)
-        values.extend(
-            [row.bg, row.iob, row.cho_prev, row.bolus_prev, row.bg_at_cho,
-             row.bg_at_bolus, row.dt_cho, row.dt_bolus, row.horizon_dt]
-        )
-        if self.cfg.include_static:
-            values.extend(row.static if row.static is not None else self.cfg.static_defaults)
-        return values
+    def matrix(self, rows: np.ndarray, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The design matrix of the records at positions ``rows``.
 
-    def matrix(self, rows: Sequence[FeatureRow]) -> np.ndarray:
-        if not rows:
-            return np.empty((0, len(self.column_names())))
-        return np.array([self._values(r) for r in rows], dtype=float)
-
-    def design(self, rows: Sequence[FeatureRow]) -> Design:
-        """The rows' design matrix, targets and positions 0..n-1."""
-        return Design(
-            self.matrix(rows),
-            np.array([r.target_bg for r in rows], dtype=float),
-            np.arange(len(rows)),
-        )
+        ``columns`` holds one value per record for each of
+        :meth:`column_names` (more are ignored).
+        """
+        names = self.column_names()
+        x = np.empty((len(rows), len(names)))
+        for j, name in enumerate(names):
+            x[:, j] = columns[name][rows]
+        return x

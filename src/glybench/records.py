@@ -1,9 +1,9 @@
 """Domain vocabulary for diabetes-diary modeling.
 
 Everything downstream (cleaning, feature engineering, models, evaluation)
-speaks in terms of these types: raw diary records, patient histories,
-processed feature rows and prediction pairs. All types are immutable
-values and safe to share between concurrent tasks.
+speaks in terms of these types: raw diary records, patient histories
+and prediction pairs. All types are immutable values and safe to share
+between concurrent tasks.
 
 Missing values are represented by ``None``, never by a sentinel number,
 so imputation policies remain auditable. Blood glucose is stored in
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
@@ -99,37 +100,6 @@ class PatientHistory:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """One processed prediction instance.
-
-    The features describe the state at one record; ``target_bg`` is the
-    blood glucose at the following record, ``horizon_dt`` minutes later.
-    ``cho_prev``/``bolus_prev`` reference the most recent strictly-earlier
-    record with a positive intake/injection; ``bg_at_cho``/``bg_at_bolus``
-    and ``dt_cho``/``dt_bolus`` describe glucose level at and minutes since
-    that event. ``static`` carries (age, sex01, height, weight) when the
-    variant includes patient-specific features.
-    """
-
-    meal: MealSlot
-    dow: int                          # 0 = Monday .. 6 = Sunday
-    ev: float
-    pv: float
-    basal: float
-    bg: float
-    iob: float
-    cho_prev: float
-    bolus_prev: float
-    bg_at_cho: float
-    bg_at_bolus: float
-    dt_cho: float                     # minutes
-    dt_bolus: float                   # minutes
-    horizon_dt: float                 # minutes until the target record
-    target_bg: float                  # mmol/L
-    static: Optional[tuple[float, float, float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -232,6 +202,9 @@ def _parse_float(text: str, line: int, column: str,
         v = float(text)
     except ValueError:
         raise SchemaError(line, column, f"not a number: {text!r}") from None
+    # float() takes "nan", "inf" and overflows such as "1e400" to inf
+    if not math.isfinite(v):
+        raise SchemaError(line, column, f"not a finite number: {text!r}")
     if minimum is not None and v < minimum:
         raise SchemaError(line, column, f"value {v} below {minimum}")
     return v
@@ -268,7 +241,7 @@ def parse_record(line_no: int, line: str) -> tuple[str, DiaryRecord]:
         except KeyError:
             try:
                 ev = ExerciseLevel(int(float(ev_s)))
-            except (KeyError, ValueError):
+            except (KeyError, ValueError, OverflowError):
                 raise SchemaError(
                     line_no, "ev", f"unknown exercise level {ev_s!r}"
                 ) from None

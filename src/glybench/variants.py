@@ -6,11 +6,10 @@ day-of-week / basal / patient-specific feature switches, an optional
 Variant ids prefixed ``D_e`` apply the EP filter; the matching ``D_a``
 ids run on all records.
 
-Materialization keeps, per patient, the finished feature rows, their
-design matrix and the post-throwout record sequence they came from, so
-evaluation can recompute imputation means from training-fold records
-only; for a patient with gaps to fill, it also keeps the arrays that let
-a fold recompute just the columns those means change.
+Materialization keeps, per patient, the design matrix, the post-throwout
+record sequence it came from and those records as arrays, so evaluation
+can rebuild the design with imputation means from training-fold records
+only.
 """
 
 from __future__ import annotations
@@ -24,20 +23,16 @@ import numpy as np
 # wraps this module's name (its ``ep.decide_s`` span)
 from .ep import ep_decisions, is_expert_predictable  # noqa: F401
 from .features import (
-    EVENT_COLUMNS,
     Design,
     DowMode,
     FeatureConfig,
     PcaConfig,
-    Timeline,
-    Vectorizer,
-    amounts,
+    RecordArrays,
     build_feature_rows,
     cohort_static_defaults,
-    event_columns,
 )
 from .ingest import MissingPolicy, field_means
-from .records import DiaryRecord, ExerciseLevel, FeatureRow, MealSlot, PatientHistory
+from .records import DiaryRecord, ExerciseLevel, MealSlot, PatientHistory
 
 DEFAULT_MIN_RECORDS = 100
 
@@ -134,68 +129,49 @@ def variant_table_csv(specs: Sequence[VariantSpec] | None = None) -> str:
 # Materialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GapColumns:
-    """What a fold-local rebuild needs of a patient with mean-policy gaps.
-
-    ``cho``/``bolus`` hold the base records' amounts (0 at a gap) and
-    ``cho_gap``/``bolus_gap`` mark the gaps; ``meal`` holds slot ordinals.
-    ``starts`` are the prepared rows' record indices and ``positions`` the
-    design columns of :data:`~glybench.features.EVENT_COLUMNS`.
-    """
-
-    timeline: Timeline
-    meal: np.ndarray
-    cho: np.ndarray
-    cho_gap: np.ndarray
-    bolus: np.ndarray
-    bolus_gap: np.ndarray
-    starts: np.ndarray
-    positions: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class PreparedPatient:
-    """Feature rows, their design, and the per-patient state that lets a
-    fold re-derive them with its own imputation means.
+    """A patient's design and what lets a fold rebuild it with its own
+    imputation means.
 
     ``base`` has throwout applied and exercise/basal/zero fills done, but
-    mean-imputed fields left missing; ``row_starts[t]`` is the index into
-    ``base.records`` of the record whose state feeds row ``t``. ``rows``
-    and ``design`` use means over all of ``base``. ``gaps`` is set when
-    ``base`` has mean-policy gaps: only then do a fold's means change
-    anything, and only the event columns.
+    mean-imputed fields left missing; ``arrays`` holds its records.
+    ``row_starts[t]`` is the index into ``base.records`` of the record
+    whose state feeds row ``t``. ``design`` uses means over all of
+    ``base``.
     """
 
     base: PatientHistory
-    rows: tuple[FeatureRow, ...]
     row_starts: tuple[int, ...]
+    cfg: FeatureConfig
+    arrays: RecordArrays = field(compare=False, repr=False)
     design: Design = field(compare=False, repr=False)
-    gaps: Optional[GapColumns] = field(default=None, compare=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.row_starts)
 
     @property
     def needs_fold_means(self) -> bool:
-        return self.gaps is not None
+        """Whether ``base`` has mean-policy gaps: only then do a fold's
+        means change the design."""
+        return bool(self.arrays.cho_gap.any() or self.arrays.bolus_gap.any())
 
 
 @dataclass(frozen=True)
 class VariantDataset:
     spec: VariantSpec
     feature_config: FeatureConfig
-    per_patient: dict[str, tuple[FeatureRow, ...]]
+    # retained patient id -> prepared patient
+    per_patient: dict[str, PreparedPatient]
     excluded_patients: tuple[str, ...]
-    prepared: dict[str, PreparedPatient] = field(default_factory=dict, repr=False)
     # designs of rows rebuilt with fold-local means, keyed (patient_id, k, fold)
     # and shared across models
     fold_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _base_records(
-    h: PatientHistory, spec: VariantSpec
-) -> tuple[list[DiaryRecord], bool]:
+def _base_records(h: PatientHistory, spec: VariantSpec) -> list[DiaryRecord]:
     """Throwout + fixed defaults + zero fills; mean-policy gaps stay None."""
     kept: list[DiaryRecord] = []
-    has_gap = False
     for r in h.records:
         if r.cho is None and spec.cho is MissingPolicy.Throwout:
             continue
@@ -207,7 +183,6 @@ def _base_records(
         bolus = r.bolus
         if bolus is None and spec.bolus is MissingPolicy.ImputeZero:
             bolus = 0.0
-        has_gap = has_gap or cho is None or bolus is None
         kept.append(
             replace(
                 r,
@@ -217,110 +192,54 @@ def _base_records(
                 basal=r.basal if r.basal is not None else 0.0,
             )
         )
-    return kept, has_gap
+    return kept
 
 
-def _gap_fills(source: Sequence[DiaryRecord], name: str) -> dict[MealSlot, float]:
-    """The value a gap in each meal slot takes: the slot's mean of the
-    present values in ``source``, else their overall mean, else 0."""
-    slot_means, overall = field_means(tuple(source), name)
-    fallback = overall if overall is not None else 0.0
-    return {slot: slot_means.get(slot, fallback) for slot in MealSlot}
-
-
-def fill_mean_gaps(
-    base: PatientHistory, visible: Optional[Sequence[int]] = None
-) -> PatientHistory:
-    """Fill remaining missing carbs/bolus with per-slot means.
-
-    Means use present values of the records at ``visible`` indices (all
-    records when omitted), falling back to the patient-wide mean, then 0.
-    """
-    records = base.records
-    source = records if visible is None else [records[i] for i in visible]
-    cho = _gap_fills(source, "cho")
-    bolus = _gap_fills(source, "bolus")
-    filled = tuple(
-        replace(
-            r,
-            cho=r.cho if r.cho is not None else cho[r.meal],
-            bolus=r.bolus if r.bolus is not None else bolus[r.meal],
-        )
-        for r in records
-    )
-    return PatientHistory(base.patient_id, filled, base.static)
-
-
-def _gap_columns(
-    records: Sequence[DiaryRecord], cfg: FeatureConfig, row_starts: Sequence[int]
-) -> GapColumns:
-    columns = Vectorizer(cfg).column_names()
-    return GapColumns(
-        timeline=Timeline.of(records),
-        meal=np.array([r.meal.value for r in records], dtype=np.intp),
-        cho=amounts(records, "cho"),
-        cho_gap=np.array([r.cho is None for r in records], dtype=bool),
-        bolus=amounts(records, "bolus"),
-        bolus_gap=np.array([r.bolus is None for r in records], dtype=bool),
-        starts=np.array(row_starts, dtype=np.intp),
-        positions=tuple(columns.index(name) for name in EVENT_COLUMNS),
-    )
+def _gap_fills(source: Sequence[DiaryRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The carbs and the bolus a gap takes in each meal slot (indexed by
+    slot ordinal): the slot's mean of the present values in ``source``,
+    else their overall mean, else 0."""
+    fills = []
+    for name in ("cho", "bolus"):
+        slot_means, overall = field_means(tuple(source), name)
+        fallback = overall if overall is not None else 0.0
+        fills.append(np.array([slot_means.get(slot, fallback) for slot in MealSlot]))
+    return fills[0], fills[1]
 
 
 def prepare_patient(
     h: PatientHistory, spec: VariantSpec, cfg: FeatureConfig
 ) -> PreparedPatient:
-    kept, has_gap = _base_records(h, spec)
-    base = PatientHistory(h.patient_id, tuple(kept), h.static)
-    all_rows = build_feature_rows(fill_mean_gaps(base), cfg)
+    base = PatientHistory(h.patient_id, tuple(_base_records(h, spec)), h.static)
+    n_rows = max(len(base) - 1, 0)
     if spec.ep_rules:
         # row t feeds the glucose at record t + 1
         decisions = ep_decisions(base)
-        row_starts = tuple(
-            i for i in range(len(all_rows)) if decisions[i + 1].predictable
-        )
+        row_starts = tuple(t for t in range(n_rows) if decisions[t + 1].predictable)
     else:
-        row_starts = tuple(range(len(all_rows)))
-    rows = tuple(all_rows[i] for i in row_starts)
+        row_starts = tuple(range(n_rows))
+    arrays = RecordArrays.of(base)
     return PreparedPatient(
         base=base,
-        rows=rows,
         row_starts=row_starts,
-        design=Vectorizer(cfg).design(rows),
-        gaps=_gap_columns(base.records, cfg, row_starts) if has_gap else None,
+        cfg=cfg,
+        arrays=arrays,
+        design=build_feature_rows(arrays, cfg, _gap_fills(base.records), row_starts),
     )
-
-
-def _fill(
-    values: np.ndarray, gap: np.ndarray, meal: np.ndarray, fills: dict[MealSlot, float]
-) -> np.ndarray:
-    by_slot = np.array([fills[slot] for slot in MealSlot])
-    return np.where(gap, by_slot[meal], values)
 
 
 def rebuild_rows(
     prepared: PreparedPatient, visible_records: Sequence[int]
 ) -> Design:
-    """The prepared design with imputation means from a record subset.
+    """The patient's design with imputation means from a record subset.
 
     Means come from the present values of the records at
-    ``visible_records`` (as :func:`fill_mean_gaps` takes them); with the
-    gaps filled, only the event columns are recomputed, and they are
-    written into a copy of ``prepared.design``. A patient without gaps
-    gets its design back unchanged.
+    ``visible_records``; a patient without gaps gets an equal design.
     """
-    gaps = prepared.gaps
-    if gaps is None:
-        return prepared.design
     source = [prepared.base.records[i] for i in visible_records]
-    cho = _fill(gaps.cho, gaps.cho_gap, gaps.meal, _gap_fills(source, "cho"))
-    bolus = _fill(gaps.bolus, gaps.bolus_gap, gaps.meal, _gap_fills(source, "bolus"))
-    cols = event_columns(gaps.timeline, cho, bolus)
-    design = prepared.design
-    x = design.x.copy()
-    for name, position in zip(EVENT_COLUMNS, gaps.positions):
-        x[:, position] = cols[name][gaps.starts]
-    return Design(x, design.target_bg, design.index)
+    return build_feature_rows(
+        prepared.arrays, prepared.cfg, _gap_fills(source), prepared.row_starts
+    )
 
 
 def materialize(
@@ -336,20 +255,17 @@ def materialize(
     """
     statics = cohort_static_defaults([cohort[pid] for pid in sorted(cohort)])
     cfg = spec.feature_config(static_defaults=statics)
-    per_patient: dict[str, tuple[FeatureRow, ...]] = {}
-    prepared: dict[str, PreparedPatient] = {}
+    per_patient: dict[str, PreparedPatient] = {}
     excluded: list[str] = []
     for pid in sorted(cohort):
         prep = prepare_patient(cohort[pid], spec, cfg)
-        if len(prep.rows) < min_records:
+        if len(prep) < min_records:
             excluded.append(pid)
             continue
-        per_patient[pid] = prep.rows
-        prepared[pid] = prep
+        per_patient[pid] = prep
     return VariantDataset(
         spec=spec,
         feature_config=cfg,
         per_patient=per_patient,
         excluded_patients=tuple(excluded),
-        prepared=prepared,
     )

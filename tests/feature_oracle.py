@@ -1,26 +1,89 @@
-"""Reference feature rows: one scalar pass per record.
+"""Reference designs: one scalar pass per record, one feature row per pair.
 
-This is the straightforward per-record loop that the array routine in
-``glybench.features`` (``event_columns``, behind ``build_feature_rows``,
-``compute_iob`` and the fold-local ``rebuild_rows``) must reproduce bit
-for bit. Elapsed times come from ``timedelta.total_seconds()``, and
-insulin on board is summed bolus by bolus, most recent first.
+This is the straightforward per-record loop that the array assembly in
+``glybench.features.build_feature_rows`` (behind ``prepare_patient``,
+the fold-local ``rebuild_rows`` and ``compute_iob``'s event arithmetic)
+must reproduce bit for bit. Elapsed times come from
+``timedelta.total_seconds()``, insulin on board is summed bolus by
+bolus, most recent first, gaps are filled record by record, and each
+row becomes a matrix row value by value in the ``Vectorizer`` column
+layout. Tests that want a design from hand-written rows build it here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from glybench.features import (
     IOB_WINDOW_MINUTES,
     Design,
+    DowMode,
     FeatureConfig,
     Vectorizer,
     iob_fraction,
     static_tuple,
 )
-from glybench.records import FeatureRow, PatientHistory
-from glybench.variants import PreparedPatient, fill_mean_gaps
+from glybench.ingest import field_means
+from glybench.records import MealSlot, PatientHistory
+from glybench.variants import PreparedPatient
+
+
+@dataclass(frozen=True)
+class FeatureRow:
+    """One prediction instance: the state at one record and, as
+    ``target_bg``, the glucose at the next one, ``horizon_dt`` minutes
+    later. ``cho_prev``/``bolus_prev`` reference the most recent strictly
+    earlier record with a positive intake/injection, ``bg_at_*`` and
+    ``dt_*`` the glucose at and minutes since that event. ``static``
+    carries (age, sex01, height, weight) when the variant includes
+    patient-specific features."""
+
+    meal: MealSlot
+    dow: int                          # 0 = Monday .. 6 = Sunday
+    ev: float
+    pv: float
+    basal: float
+    bg: float
+    iob: float
+    cho_prev: float
+    bolus_prev: float
+    bg_at_cho: float
+    bg_at_bolus: float
+    dt_cho: float                     # minutes
+    dt_bolus: float                   # minutes
+    horizon_dt: float                 # minutes until the target record
+    target_bg: float                  # mmol/L
+    static: Optional[tuple[float, float, float, float]] = None
+
+
+def row_values(row: FeatureRow, cfg: FeatureConfig) -> list[float]:
+    """One matrix row in the ``Vectorizer`` column layout."""
+    values: list[float] = [float(row.meal.value)]
+    if cfg.dow_mode is DowMode.Integer:
+        values.append(float(row.dow))
+    elif cfg.dow_mode is DowMode.OneHot:
+        values.extend(1.0 if d == row.dow else 0.0 for d in range(7))
+    values.extend([row.ev, row.pv])
+    if cfg.include_basal:
+        values.append(row.basal)
+    values.extend(
+        [row.bg, row.iob, row.cho_prev, row.bolus_prev, row.bg_at_cho,
+         row.bg_at_bolus, row.dt_cho, row.dt_bolus, row.horizon_dt]
+    )
+    if cfg.include_static:
+        values.extend(row.static if row.static is not None else cfg.static_defaults)
+    return values
+
+
+def design(rows: Sequence[FeatureRow], cfg: FeatureConfig) -> Design:
+    """The rows' design matrix, targets and positions 0..n-1."""
+    width = len(Vectorizer(cfg).column_names())
+    x = np.array([row_values(r, cfg) for r in rows], dtype=float).reshape(-1, width)
+    return Design(x, np.array([r.target_bg for r in rows], dtype=float),
+                  np.arange(len(rows)))
 
 
 def compute_iob(h: PatientHistory, i: int) -> float:
@@ -41,7 +104,7 @@ def build_feature_rows(h: PatientHistory, cfg: FeatureConfig) -> list[FeatureRow
     n = len(records)
     if n < 2:
         return []
-    static = static_tuple(h, cfg.static_defaults) if cfg.include_static else None
+    static = static_tuple(h.static, cfg.static_defaults) if cfg.include_static else None
 
     rows: list[FeatureRow] = []
     last_cho: Optional[int] = None
@@ -93,10 +156,41 @@ def build_feature_rows(h: PatientHistory, cfg: FeatureConfig) -> list[FeatureRow
     return rows
 
 
+def _slot_fills(source, name: str) -> dict[MealSlot, float]:
+    slot_means, overall = field_means(tuple(source), name)
+    fallback = overall if overall is not None else 0.0
+    return {slot: slot_means.get(slot, fallback) for slot in MealSlot}
+
+
+def fill_mean_gaps(
+    base: PatientHistory, visible: Optional[Sequence[int]] = None
+) -> PatientHistory:
+    """Fill remaining missing carbs/bolus with per-slot means.
+
+    Means use present values of the records at ``visible`` indices (all
+    records when omitted), falling back to the patient-wide mean, then 0.
+    """
+    records = base.records
+    source = records if visible is None else [records[i] for i in visible]
+    cho = _slot_fills(source, "cho")
+    bolus = _slot_fills(source, "bolus")
+    filled = tuple(
+        replace(
+            r,
+            cho=r.cho if r.cho is not None else cho[r.meal],
+            bolus=r.bolus if r.bolus is not None else bolus[r.meal],
+        )
+        for r in records
+    )
+    return PatientHistory(base.patient_id, filled, base.static)
+
+
 def rebuild_rows(
-    prepared: PreparedPatient, cfg: FeatureConfig, visible_records: Sequence[int]
+    prepared: PreparedPatient, cfg: FeatureConfig,
+    visible_records: Optional[Sequence[int]] = None,
 ) -> Design:
-    """The fold's design re-derived record by record: fill the gaps with
-    means of the visible records, rebuild every row, keep ``row_starts``."""
+    """The patient's design re-derived record by record: fill the gaps with
+    means of the visible records (all when omitted, as at materialize
+    time), rebuild every row, keep ``row_starts``."""
     rows = build_feature_rows(fill_mean_gaps(prepared.base, visible_records), cfg)
-    return Vectorizer(cfg).design([rows[i] for i in prepared.row_starts])
+    return design([rows[i] for i in prepared.row_starts], cfg)

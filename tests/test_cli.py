@@ -222,6 +222,60 @@ def test_run_grid_config_file_with_flag_overrides(cohort_csv, tmp_path):
     assert (out / "results_long.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "config, flags, env, key",
+    [
+        ({"k": "5"}, [], None, "'k'"),
+        ({"k": True}, [], None, "'k'"),
+        ({}, ["--k", "1"], None, "'k'"),
+        ({"min_records": -1}, [], None, "'min_records'"),
+        ({"min_records": 2.5}, [], None, "'min_records'"),
+        ({"seed": "abc"}, [], None, "'seed'"),
+        ({"fold_local_stats": "no"}, [], None, "'fold_local_stats'"),
+        ({"fold_local_stats": 1}, [], None, "'fold_local_stats'"),
+        ({}, ["--jobs", "-4"], None, "'jobs'"),
+        ({"jobs": False}, [], None, "'jobs'"),
+        ({}, [], "0", "'jobs'"),
+        ({}, [], "two", "GLYBENCH_JOBS"),
+        ({"variants": "D_a6"}, [], None, "'variants'"),
+        ({"models": ["naive", 3]}, [], None, "'models'"),
+        ({"out": 5}, [], None, "'out'"),
+    ],
+)
+def test_run_rejects_bad_grid_values_before_writing(
+    cohort_csv, tmp_path, capsys, monkeypatch, config, flags, env, key
+):
+    if env is None:
+        monkeypatch.delenv("GLYBENCH_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("GLYBENCH_JOBS", env)
+    out = tmp_path / "results"
+    grid = {"input": str(cohort_csv), "out": str(out), "variants": ["D_a6"],
+            "models": ["naive"], "k": 5, "min_records": 20, **config}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert main(["run", "--config", str(path), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_glucose_fails_inspect_and_run(cohort_csv, tmp_path, capsys):
+    lines = cohort_csv.read_text().splitlines()
+    fields = lines[7].split(",")
+    fields[4] = "nan"
+    lines[7] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", "--input", str(bad)]) == 2
+    assert "line 8, column 'bg'" in capsys.readouterr().err
+    out = tmp_path / "results"
+    assert main(["run", "--input", str(bad), "--out", str(out), "--variants", "D_a6",
+                 "--models", "naive", "--k", "5", "--min-records", "20"]) == 2
+    assert "line 8, column 'bg'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_with_inline_synth_config(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(

@@ -254,6 +254,28 @@ def test_evaluate_rejects_a_prediction_count_unequal_to_the_test_rows(dataset):
         evaluate(dataset, entry, k=5, seed=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_evaluate_rejects_non_finite_or_non_positive_predictions(dataset, value):
+    class Broken:
+        def fit(self, train):
+            pass
+
+        def predict(self, test):
+            out = np.full(len(test), 6.0)
+            out[-1] = value
+            return out
+
+    entry = dataclasses.replace(builtin_registry()["naive"], name="broken",
+                                factory=lambda cfg, with_stacked, seed: Broken())
+    pid = sorted(dataset.per_patient)[0]
+    with pytest.raises(ValueError) as err:
+        evaluate(dataset, entry, k=5, seed=0)
+    message = str(err.value)
+    assert f"broken predicted {value!r} mmol/L on variant D_a6, patient {pid}, fold 0" \
+        in message
+    assert "finite and > 0" in message
+
+
 @pytest.mark.parametrize("model", ["ridge", "gpr_be_AllPat_AllMeals"])
 @pytest.mark.parametrize("variant", ["D_a6", "D_e6"])
 def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkeypatch):
@@ -265,7 +287,7 @@ def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkey
         return ds, evaluate(ds, entry, k=5, seed=3, audit=True)
 
     ds, report = cell()
-    assert all(p.needs_fold_means for p in ds.prepared.values())
+    assert all(p.needs_fold_means for p in ds.per_patient.values())
     cfg = ds.feature_config
     monkeypatch.setattr(evaluation, "rebuild_rows",
                         lambda prep, visible: feature_oracle.rebuild_rows(prep, cfg, visible))
@@ -281,7 +303,10 @@ def test_evaluate_excludes_patients_below_k():
     ds = materialize(cleaned, spec_by_id("D_a6"), min_records=5)
     # force one patient below the fold count by shrinking its rows
     pid = sorted(ds.per_patient)[0]
-    ds.per_patient[pid] = ds.per_patient[pid][:3]
+    prep = ds.per_patient[pid]
+    ds.per_patient[pid] = dataclasses.replace(
+        prep, row_starts=prep.row_starts[:3], design=prep.design[:3]
+    )
     report = evaluate(ds, builtin_registry()["naive"], k=5, seed=0)
     assert pid in report.excluded_patients
     assert pid not in report.per_patient

@@ -18,14 +18,13 @@ from glybench.features import (
     Vectorizer,
     build_feature_rows,
     compute_iob,
-    encode_dow,
     from_log,
     iob_fraction,
     pca_apply,
     pca_fit,
     to_log_target,
 )
-from glybench.records import ExerciseLevel, MealSlot
+from glybench.records import ExerciseLevel, MealSlot, StaticInfo
 
 import feature_oracle
 from conftest import history, history_steps, rec, timed_history
@@ -141,61 +140,91 @@ def _four_records():
     )
 
 
+def col(design, cfg, name):
+    """One named column of a design built under ``cfg``."""
+    return design.x[:, Vectorizer(cfg).column_names().index(name)]
+
+
 def test_build_feature_rows_emits_n_minus_1_rows():
     h = _four_records()
-    rows = build_feature_rows(h, FeatureConfig())
-    assert len(rows) == 3
-    assert build_feature_rows(history("p", h.records[:1]), FeatureConfig()) == []
-    two = build_feature_rows(history("p", h.records[:2]), FeatureConfig())
-    assert len(two) == 1
+    cfg = FeatureConfig()
+    design = build_feature_rows(h, cfg)
+    assert len(design) == 3
+    assert design.x.shape == (3, len(Vectorizer(cfg).column_names()))
+    one = build_feature_rows(history("p", h.records[:1]), cfg)
+    assert len(one) == 0 and one.x.shape == (0, design.x.shape[1])
+    assert len(build_feature_rows(history("p", h.records[:2]), cfg)) == 1
 
 
 def test_feature_rows_reference_strictly_earlier_events():
-    rows = build_feature_rows(_four_records(), FeatureConfig())
+    cfg = FeatureConfig()
+    design = build_feature_rows(_four_records(), cfg)
     # row 1: previous event is record 0
-    assert rows[1].cho_prev == 20.0
-    assert rows[1].bolus_prev == 2.0
-    assert rows[1].bg_at_cho == 10.0
-    assert rows[1].dt_cho == pytest.approx(120.0)
+    assert col(design, cfg, "cho_prev")[1] == 20.0
+    assert col(design, cfg, "bolus_prev")[1] == 2.0
+    assert col(design, cfg, "bg_at_cho")[1] == 10.0
+    assert col(design, cfg, "dt_cho")[1] == pytest.approx(120.0)
     # row 2 sits on a record with its own carbs; they must not self-reference
-    assert rows[2].cho_prev == 20.0
-    assert rows[2].dt_cho == pytest.approx(240.0)
-    assert rows[2].dt_cho > 0 and rows[2].dt_bolus > 0
+    assert col(design, cfg, "cho_prev")[2] == 20.0
+    assert col(design, cfg, "dt_cho")[2] == pytest.approx(240.0)
+    assert col(design, cfg, "dt_cho")[2] > 0 and col(design, cfg, "dt_bolus")[2] > 0
 
 
 def test_feature_rows_same_event_for_cho_and_bolus():
-    rows = build_feature_rows(_four_records(), FeatureConfig())
-    assert rows[1].dt_cho == rows[1].dt_bolus
-    assert rows[1].bg_at_cho == rows[1].bg_at_bolus
+    cfg = FeatureConfig()
+    design = build_feature_rows(_four_records(), cfg)
+    assert col(design, cfg, "dt_cho")[1] == col(design, cfg, "dt_bolus")[1]
+    assert col(design, cfg, "bg_at_cho")[1] == col(design, cfg, "bg_at_bolus")[1]
 
 
 def test_feature_rows_targets_and_horizon():
-    rows = build_feature_rows(_four_records(), FeatureConfig())
-    assert rows[0].target_bg == 12.0
-    assert rows[0].horizon_dt == pytest.approx(120.0)
-    assert rows[2].target_bg == 7.5
-    assert [r.meal for r in rows] == [
-        MealSlot.BeforeBreakfast, MealSlot.AfterBreakfast, MealSlot.BeforeLunch,
+    cfg = FeatureConfig()
+    design = build_feature_rows(_four_records(), cfg)
+    assert design.target_bg[0] == 12.0
+    assert col(design, cfg, "horizon_dt")[0] == pytest.approx(120.0)
+    assert design.target_bg[2] == 7.5
+    assert design.meal.tolist() == [
+        MealSlot.BeforeBreakfast.value, MealSlot.AfterBreakfast.value,
+        MealSlot.BeforeLunch.value,
     ]
 
 
 def test_feature_rows_iob_matches_compute_iob():
     h = _four_records()
-    rows = build_feature_rows(h, FeatureConfig())
-    for i, row in enumerate(rows):
-        assert row.iob == pytest.approx(compute_iob(h, i))
+    cfg = FeatureConfig()
+    iob = col(build_feature_rows(h, cfg), cfg, "iob")
+    for i, value in enumerate(iob):
+        assert value == pytest.approx(compute_iob(h, i))
+
+
+def test_missing_exercise_and_basal_read_as_normal_and_zero():
+    cfg = FeatureConfig()
+    design = build_feature_rows(history("p", [
+        rec("2016-01-04", "08:00:00", MealSlot.BeforeBreakfast, bg=6.0),
+        rec("2016-01-04", "10:00:00", MealSlot.AfterBreakfast, bg=7.0),
+    ]), cfg)
+    assert col(design, cfg, "ev").tolist() == [4.0]
+    assert col(design, cfg, "basal").tolist() == [0.0]
+
+
+CONFIGS = [
+    FeatureConfig(dow_mode=mode, include_basal=basal, include_static=static,
+                  static_defaults=(40.0, 0.5, 170.0, 70.0))
+    for mode in DowMode for basal in (True, False) for static in (True, False)
+]
 
 
 @settings(max_examples=150, deadline=None)
-@given(history_steps)
-def test_feature_rows_and_iob_equal_the_per_record_oracle(steps):
+@given(history_steps, st.sampled_from(CONFIGS),
+       st.sampled_from([None, StaticInfo(age=31.0, sex="M", height=None, weight=80.5)]))
+def test_feature_rows_and_iob_equal_the_per_record_oracle(steps, cfg, static):
     h = timed_history(steps)
-    cfg = FeatureConfig(dow_mode=DowMode.OneHot, include_static=True)
-    rows = build_feature_rows(h, cfg)
-    expected = feature_oracle.build_feature_rows(h, cfg)
-    assert rows == expected
-    v = Vectorizer(cfg)
-    assert v.matrix(rows).tobytes() == v.matrix(expected).tobytes()
+    h = history(h.patient_id, h.records, static)
+    got = build_feature_rows(h, cfg)
+    want = feature_oracle.design(feature_oracle.build_feature_rows(h, cfg), cfg)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.target_bg.tobytes() == want.target_bg.tobytes()
+    assert np.array_equal(got.index, want.index)
     for i in range(len(h)):
         assert np.float64(compute_iob(h, i)).tobytes() == \
             np.float64(feature_oracle.compute_iob(h, i)).tobytes()
@@ -222,22 +251,34 @@ def test_iob_counts_a_bolus_exactly_five_hours_back():
 # day-of-week encodings
 # ---------------------------------------------------------------------------
 
-def test_encode_dow_integer_known_wednesday():
+def _day_pair(date: dt.date):
+    """Two records on ``date``: one design row whose weekday is the date's."""
+    return history("p", [
+        rec(date.isoformat(), "08:00:00", MealSlot.BeforeBreakfast, bg=6.0),
+        rec(date.isoformat(), "10:00:00", MealSlot.AfterBreakfast, bg=7.0),
+    ])
+
+
+def test_dow_integer_column_known_wednesday():
     # 2015-11-25 is a Wednesday on the civil calendar
     assert dt.date(2015, 11, 25).strftime("%A") == "Wednesday"
-    assert encode_dow(dt.date(2015, 11, 25), DowMode.Integer) == (2.0,)
+    cfg = FeatureConfig(dow_mode=DowMode.Integer)
+    assert col(build_feature_rows(_day_pair(dt.date(2015, 11, 25)), cfg), cfg, "dow")[0] == 2.0
 
 
-def test_encode_dow_omit_is_empty():
-    assert encode_dow(dt.date(2015, 11, 25), DowMode.Omit) == ()
+def test_dow_omit_has_no_dow_column():
+    names = Vectorizer(FeatureConfig(dow_mode=DowMode.Omit)).column_names()
+    assert not [n for n in names if n.startswith("dow")]
 
 
 @given(st.dates(min_value=dt.date(2000, 1, 1), max_value=dt.date(2030, 1, 1)))
-def test_encode_dow_onehot_sums_to_one(date):
-    vec = encode_dow(date, DowMode.OneHot)
-    assert len(vec) == 7
+def test_dow_onehot_columns_sum_to_one(date):
+    cfg = FeatureConfig(dow_mode=DowMode.OneHot)
+    design = build_feature_rows(_day_pair(date), cfg)
+    vec = [col(design, cfg, f"dow_{d}")[0] for d in range(7)]
     assert sum(vec) == 1.0
     assert set(vec) <= {0.0, 1.0}
+    assert vec[date.weekday()] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +367,14 @@ def test_pca_rejects_too_small_input():
 # ---------------------------------------------------------------------------
 
 def test_vectorizer_dow_modes_change_width():
-    rows = build_feature_rows(_four_records(), FeatureConfig())
-    base = Vectorizer(FeatureConfig(dow_mode=DowMode.Omit)).matrix(rows).shape[1]
-    integer = Vectorizer(FeatureConfig(dow_mode=DowMode.Integer)).matrix(rows).shape[1]
-    onehot = Vectorizer(FeatureConfig(dow_mode=DowMode.OneHot)).matrix(rows).shape[1]
-    assert integer == base + 1
-    assert onehot == base + 7
+    def width(mode):
+        return build_feature_rows(_four_records(), FeatureConfig(dow_mode=mode)).x.shape[1]
+
+    assert width(DowMode.Integer) == width(DowMode.Omit) + 1
+    assert width(DowMode.OneHot) == width(DowMode.Omit) + 7
 
 
 def test_vectorizer_matches_column_names():
     cfg = FeatureConfig(dow_mode=DowMode.OneHot, include_basal=False, include_static=True)
     v = Vectorizer(cfg)
-    rows = build_feature_rows(_four_records(), cfg)
-    assert v.matrix(rows).shape[1] == len(v.column_names())
+    assert build_feature_rows(_four_records(), cfg).x.shape[1] == len(v.column_names())

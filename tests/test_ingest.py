@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glybench.ingest import (
     CleaningReport,
@@ -9,8 +13,10 @@ from glybench.ingest import (
     cleaning_csv,
     parse_diary_csv,
 )
-from glybench.records import ExerciseLevel, MealSlot, SchemaError
-from glybench.variants import VariantSpec, fill_mean_gaps, prepare_patient
+from glybench.records import ExerciseLevel, MealSlot, SchemaError, encode_diary_csv
+from glybench.variants import VariantSpec, prepare_patient
+
+from feature_oracle import fill_mean_gaps
 
 from conftest import history, rec
 
@@ -43,6 +49,54 @@ def test_parse_rejects_bad_number_with_location():
     with pytest.raises(SchemaError) as err:
         parse_diary_csv(text)
     assert err.value.line == 2 and err.value.column == "bg"
+
+
+NUMERIC_COLUMNS = {"bg": 4, "cho": 5, "bolus": 6, "basal": 7, "ev": 8, "pv": 9}
+
+
+def _row(column: str, text: str) -> str:
+    fields = "a,BeforeLunch,2016-01-01,08:00:00,6.0,40.0,4.0,0.0,Normal,0.5".split(",")
+    fields[NUMERIC_COLUMNS[column]] = text
+    return "\n".join([HEADER, ",".join(fields)])
+
+
+_non_finite = st.sampled_from(
+    ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+INF", "1e400", "-1e400",
+     "1" + "0" * 400, "9" * 309 + ".0"]
+)
+
+
+@given(st.sampled_from(sorted(NUMERIC_COLUMNS)), _non_finite)
+def test_parse_rejects_non_finite_numbers_with_location(column, text):
+    with pytest.raises(SchemaError) as err:
+        parse_diary_csv(_row(column, text))
+    assert err.value.line == 2 and err.value.column == column
+
+
+@given(st.sampled_from(["bg", "cho", "bolus", "basal", "pv"]),
+       st.sampled_from(["-0", "-0.0", "-0e5", "0", "+0.0"]))
+def test_parse_reads_signed_zero_as_zero_and_round_trips(column, text):
+    cohort = parse_diary_csv(_row(column, text))
+    value = getattr(cohort["a"].records[0], column)
+    assert value == 0.0
+    canonical = encode_diary_csv(cohort)
+    assert encode_diary_csv(parse_diary_csv(canonical)) == canonical
+
+
+@given(st.sampled_from(sorted(NUMERIC_COLUMNS)),
+       st.floats(allow_nan=False, allow_infinity=False).map(repr)
+       | st.text(alphabet="0123456789eE+-.naifINF", max_size=12))
+def test_parse_accepts_or_rejects_any_numeric_text_with_location(column, text):
+    # every numeric field either parses to a finite value or names its column
+    try:
+        cohort = parse_diary_csv(_row(column, text))
+    except SchemaError as err:
+        assert err.line == 2 and err.column == column
+        return
+    value = getattr(cohort["a"].records[0], column)
+    if isinstance(value, ExerciseLevel):
+        value = value.numeric_value
+    assert value is None or math.isfinite(value)
 
 
 def test_parse_header_only_gives_empty_mapping():
@@ -95,8 +149,9 @@ def _bolus_history():
 
 
 # Imputation is the variant preparation: ``prepare_patient`` throws out
-# records and applies zero fills and the fixed defaults, and
-# ``fill_mean_gaps`` fills the remaining gaps with means.
+# records and applies zero fills and the fixed defaults, and the mean
+# fills follow the oracle's ``fill_mean_gaps``, which the prepared design
+# equals bit for bit (tests/test_variants.py).
 
 def _impute(h, bolus=MissingPolicy.ImputeMean, visible=None):
     spec = VariantSpec("test", ep_rules=False, bolus=bolus)

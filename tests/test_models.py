@@ -16,7 +16,10 @@ from glybench.models import (
     registry_csv,
     resolve_models,
 )
-from glybench.records import FeatureRow, MealSlot
+from glybench.records import MealSlot
+
+import feature_oracle
+from feature_oracle import FeatureRow
 
 
 def frow(**overrides) -> FeatureRow:
@@ -34,7 +37,7 @@ CFG = FeatureConfig()
 
 
 def design(rows) -> Design:
-    return Vectorizer(CFG).design(rows)
+    return feature_oracle.design(rows, CFG)
 
 
 def predict_one(model, row) -> float:

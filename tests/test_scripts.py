@@ -1,7 +1,8 @@
-"""The demos and the traced benchmark harness run against the package.
+"""The demos and the benchmark's probe and traced harness run against the package.
 
-Both call the library from outside ``src/``: the demos as a reader
-would, ``bench/traced.py`` through the names it wraps (``fit(train)``,
+They call the library from outside ``src/``: the demos as a reader
+would, ``bench/setup_probe.py`` through ``materialize(...).per_patient``,
+``bench/traced.py`` through the names it wraps (``fit(train)``,
 ``predict(test)``, the three-argument registry factory,
 ``evaluation.attach_stacked`` and friends). A change to any of those
 shows up here rather than in a later benchmark run.
@@ -40,13 +41,28 @@ def test_demo_runs(demo, tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_traced_harness_runs_a_stacking_model_on_fold_local_rows(tmp_path):
+def _two_patient_cohort(tmp_path) -> Path:
     synth = tmp_path / "synth.json"
     synth.write_text('{"preset": "default", "patients": 2, "days": 20, "seed": 4}')
     cohort = tmp_path / "cohort.csv"
     done = _run(["-m", "glybench.cli", "synth", "--config", str(synth),
                  "--out", str(cohort)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    return cohort
+
+
+def test_setup_probe_counts_retained_patients_per_variant(tmp_path):
+    cohort = _two_patient_cohort(tmp_path)
+    done = _run([str(ROOT / "bench" / "setup_probe.py"), str(cohort), "20",
+                 "D_a6", "D_e6"], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.strip().splitlines()[-1])
+    assert probe["retained_patients"] == {"D_a6": 2, "D_e6": 2}
+    assert Path(probe["glybench_file"]).is_relative_to(ROOT / "src")
+
+
+def test_traced_harness_runs_a_stacking_model_on_fold_local_rows(tmp_path):
+    cohort = _two_patient_cohort(tmp_path)
 
     done = _run([str(ROOT / "bench" / "traced.py"), "run", "--input", str(cohort),
                  "--out", str(tmp_path / "results"), "--variants", "D_a6",

@@ -69,11 +69,14 @@ def test_unknown_variant_raises():
 def test_ep_variant_rows_subset_of_all_variant(cohort):
     ds_a = materialize(cohort, spec_by_id("D_a6"), min_records=5)
     ds_e = materialize(cohort, spec_by_id("D_e6"), min_records=5)
-    for pid, ep_rows in ds_e.per_patient.items():
-        all_rows = list(ds_a.per_patient[pid])
-        assert len(ep_rows) <= len(all_rows)
-        for row in ep_rows:
-            assert row in all_rows
+    assert ds_e.per_patient
+    for pid, prep_e in ds_e.per_patient.items():
+        prep_a = ds_a.per_patient[pid]
+        assert len(prep_e) <= len(prep_a)
+        # the filtered design is the unfiltered one at the kept record indices
+        kept = list(prep_e.row_starts)
+        assert prep_e.design.x.tobytes() == prep_a.design.x[kept].tobytes()
+        assert prep_e.design.target_bg.tobytes() == prep_a.design.target_bg[kept].tobytes()
 
 
 def test_throwout_never_creates_rows(cohort):
@@ -95,16 +98,20 @@ def test_materialize_is_deterministic(cohort):
     a = materialize(cohort, spec_by_id("D_e1"), min_records=5)
     b = materialize(cohort, spec_by_id("D_e1"), min_records=5)
     assert a.per_patient == b.per_patient
-    assert a.prepared == b.prepared
+    for pid, prep in a.per_patient.items():
+        assert prep.design.x.tobytes() == b.per_patient[pid].design.x.tobytes()
 
 
 def test_variant_rows_conform_to_spec(cohort):
     ds = materialize(cohort, spec_by_id("D_e5"), min_records=5)
-    for rows in ds.per_patient.values():
-        for row in rows:
-            assert row.static is not None
-            assert row.dt_cho > 0 and row.dt_bolus > 0 and row.horizon_dt > 0
-            assert row.target_bg >= 1.0
+    names = Vectorizer(ds.feature_config).column_names()
+    assert names[-4:] == ["age", "sex", "height", "weight"]
+    for prep in ds.per_patient.values():
+        x = prep.design.x
+        assert np.isfinite(x).all()
+        for name in ("dt_cho", "dt_bolus", "horizon_dt"):
+            assert (x[:, names.index(name)] > 0).all()
+        assert (prep.design.target_bg >= 1.0).all()
 
 
 def test_variant_table_csv_lists_all():
@@ -217,10 +224,12 @@ def _rebuild_and_oracle(steps, visible, spec_id):
     n = len(prep.base)
     shown = range(n) if visible is None else [i for i in visible if i < n]
     got = rebuild_rows(prep, list(shown))
-    want = feature_oracle.rebuild_rows(prep, cfg, list(shown))
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.target_bg.tobytes() == want.target_bg.tobytes()
-    assert np.array_equal(got.index, want.index)
+    # at materialize time the means come from every record
+    for design, visible_records in ((got, list(shown)), (prep.design, None)):
+        want = feature_oracle.rebuild_rows(prep, cfg, visible_records)
+        assert design.x.tobytes() == want.x.tobytes()
+        assert design.target_bg.tobytes() == want.target_bg.tobytes()
+        assert np.array_equal(design.index, want.index)
     return prep, got
 
 
