@@ -51,16 +51,18 @@ def _read(path: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-glybench-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=".tmp-glybench-")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _require_parent_dir(path: str) -> None:
@@ -233,6 +235,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = cfg["out"]
     _require_parent_dir(out_dir)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise CliError(f"output path is not a directory: {out_dir}")
 
     cleaned, cleaning_reports = clean_cohort(raw)
     datasets = [materialize(cleaned, spec, min_records=cfg["min_records"])
@@ -254,7 +258,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{', '.join(stacking)} cannot run on variant(s) {', '.join(lone)}, "
             f"which keep fewer than two patients at --min-records {cfg['min_records']}"
         )
-    os.makedirs(out_dir, exist_ok=True)
 
     tasks = [
         (dataset, model_name, cfg["k"], cfg["seed"], penalty_weights,
@@ -275,6 +278,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     reports = [results[key] for key in sorted(results)]
 
+    # made after every cell is evaluated, so a failing cell leaves none behind
+    os.makedirs(out_dir, exist_ok=True)
     _write_atomic(os.path.join(out_dir, LONG_CSV_NAME), results_long_csv(reports))
     for metric in METRICS:
         _write_atomic(

@@ -269,15 +269,6 @@ def derive_seed(root_seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _visible_records(prep, train_idx: Sequence[int]) -> list[int]:
-    seen: set[int] = set()
-    for t in train_idx:
-        start = prep.row_starts[t]
-        seen.add(start)
-        seen.add(start + 1)
-    return sorted(seen)
-
-
 def evaluate(
     dataset: VariantDataset,
     entry: ModelRegistryEntry,
@@ -318,6 +309,7 @@ def evaluate(
             continue
         plan = contiguous_kfold(len(prep), k)
         fold_local = fold_local_stats and prep.needs_fold_means
+        starts = np.array(prep.row_starts, dtype=np.intp)
 
         stacker = None
         if entry.stacking:
@@ -336,10 +328,9 @@ def evaluate(
         splits = plan.splits()
         for j, (train_idx, test_idx) in enumerate(splits):
             if fold_local:
-                design = dataset.fold_cache.get((pid, k, j))
-                if design is None:
-                    design = rebuild_rows(prep, _visible_records(prep, train_idx))
-                    dataset.fold_cache[(pid, k, j)] = design
+                # the records the training rows read: each row's own and its target's
+                train_starts = starts[train_idx]
+                design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))
                 if stacker is not None:
                     design = attach_stacked(stacker, design)
             train, test = design[train_idx], design[test_idx]

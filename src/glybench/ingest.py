@@ -1,11 +1,8 @@
-"""Diary CSV parsing, cleaning and the field means imputation uses.
+"""Diary CSV parsing and cleaning.
 
 Cleaning drops records with no glucose reading or no date, and clamps
-readings below 1 mmol/L up to 1 (meters are unreliable down there).
-:func:`field_means` averages the present values of the records passed
-in, so a caller that passes only training-time records gets
-leakage-free means; the missing-value policies themselves are applied
-by ``glybench.variants``.
+readings below 1 mmol/L up to 1 (meters are unreliable down there). The
+missing-value policies are applied by ``glybench.variants``.
 """
 
 from __future__ import annotations
@@ -13,11 +10,10 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .records import (
     DiaryRecord,
-    MealSlot,
     PatientHistory,
     SchemaError,
     parse_record,
@@ -98,31 +94,6 @@ def clean(h: PatientHistory) -> tuple[PatientHistory, CleaningReport]:
         kept.append(r)
     report = CleaningReport(dropped_bg, dropped_date, clamped)
     return PatientHistory(h.patient_id, tuple(kept), h.static), report
-
-
-def _slot_means(records: tuple[DiaryRecord, ...], field: str) -> dict[MealSlot, float]:
-    sums: dict[MealSlot, float] = {}
-    counts: dict[MealSlot, int] = {}
-    for r in records:
-        v = getattr(r, field)
-        if v is not None:
-            sums[r.meal] = sums.get(r.meal, 0.0) + v
-            counts[r.meal] = counts.get(r.meal, 0) + 1
-    return {slot: sums[slot] / counts[slot] for slot in sums}
-
-
-def _overall_mean(records: tuple[DiaryRecord, ...], field: str) -> Optional[float]:
-    values = [getattr(r, field) for r in records if getattr(r, field) is not None]
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
-def field_means(
-    records: tuple[DiaryRecord, ...], field: str
-) -> tuple[dict[MealSlot, float], Optional[float]]:
-    """Per-meal-slot and overall means of the present values of a field."""
-    return _slot_means(records, field), _overall_mean(records, field)
 
 
 def clean_cohort(

@@ -6,10 +6,13 @@ day-of-week / basal / patient-specific feature switches, an optional
 Variant ids prefixed ``D_e`` apply the EP filter; the matching ``D_a``
 ids run on all records.
 
-Materialization keeps, per patient, the design matrix, the post-throwout
-record sequence it came from and those records as arrays, so evaluation
-can rebuild the design with imputation means from training-fold records
-only.
+Variants differ in their missing-value policy only through masks over
+one set of record arrays per patient: throwout keeps the records whose
+field is present, a zero fill clears that field's gap mask (a gap reads
+0, no event), and a mean fill takes each meal slot's mean of the
+present values. Materialization keeps, per patient, those arrays and
+the design built from them with means over all records, so evaluation
+can rebuild the design with means from training-fold records only.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .features import (
     build_feature_rows,
     cohort_static_defaults,
 )
-from .ingest import MissingPolicy, field_means
-from .records import DiaryRecord, ExerciseLevel, MealSlot, PatientHistory
+from .ingest import MissingPolicy
+from .records import MealSlot, PatientHistory
 
 DEFAULT_MIN_RECORDS = 100
 
@@ -134,14 +137,13 @@ class PreparedPatient:
     """A patient's design and what lets a fold rebuild it with its own
     imputation means.
 
-    ``base`` has throwout applied and exercise/basal/zero fills done, but
-    mean-imputed fields left missing; ``arrays`` holds its records.
-    ``row_starts[t]`` is the index into ``base.records`` of the record
-    whose state feeds row ``t``. ``design`` uses means over all of
-    ``base``.
+    ``arrays`` holds the cleaned records that the throwout policies keep,
+    with the gap masks of the mean-imputed fields only (a zero-filled gap
+    reads 0, which is no event). ``row_starts[t]`` is the index into
+    ``arrays`` of the record whose state feeds row ``t``. ``design``
+    fills the gaps with means over all of ``arrays``.
     """
 
-    base: PatientHistory
     row_starts: tuple[int, ...]
     cfg: FeatureConfig
     arrays: RecordArrays = field(compare=False, repr=False)
@@ -152,7 +154,7 @@ class PreparedPatient:
 
     @property
     def needs_fold_means(self) -> bool:
-        """Whether ``base`` has mean-policy gaps: only then do a fold's
+        """Whether ``arrays`` has mean-policy gaps: only then do a fold's
         means change the design."""
         return bool(self.arrays.cho_gap.any() or self.arrays.bolus_gap.any())
 
@@ -164,81 +166,70 @@ class VariantDataset:
     # retained patient id -> prepared patient
     per_patient: dict[str, PreparedPatient]
     excluded_patients: tuple[str, ...]
-    # designs of rows rebuilt with fold-local means, keyed (patient_id, k, fold)
-    # and shared across models
-    fold_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _base_records(h: PatientHistory, spec: VariantSpec) -> list[DiaryRecord]:
-    """Throwout + fixed defaults + zero fills; mean-policy gaps stay None."""
-    kept: list[DiaryRecord] = []
-    for r in h.records:
-        if r.cho is None and spec.cho is MissingPolicy.Throwout:
-            continue
-        if r.bolus is None and spec.bolus is MissingPolicy.Throwout:
-            continue
-        cho = r.cho
-        if cho is None and spec.cho is MissingPolicy.ImputeZero:
-            cho = 0.0
-        bolus = r.bolus
-        if bolus is None and spec.bolus is MissingPolicy.ImputeZero:
-            bolus = 0.0
-        kept.append(
-            replace(
-                r,
-                cho=cho,
-                bolus=bolus,
-                ev=r.ev if r.ev is not None else ExerciseLevel.Normal,
-                basal=r.basal if r.basal is not None else 0.0,
-            )
-        )
-    return kept
-
-
-def _gap_fills(source: Sequence[DiaryRecord]) -> tuple[np.ndarray, np.ndarray]:
+def _gap_fills(a: RecordArrays, visible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The carbs and the bolus a gap takes in each meal slot (indexed by
-    slot ordinal): the slot's mean of the present values in ``source``,
-    else their overall mean, else 0."""
+    slot ordinal): the slot's mean of the present values of the
+    ``visible`` records, else their overall mean, else 0.
+
+    ``np.bincount`` adds its weights one by one in record order, as a
+    sequential ``sum`` does; ``np.sum`` would add pairwise.
+    """
     fills = []
-    for name in ("cho", "bolus"):
-        slot_means, overall = field_means(tuple(source), name)
-        fallback = overall if overall is not None else 0.0
-        fills.append(np.array([slot_means.get(slot, fallback) for slot in MealSlot]))
+    for values, gap in ((a.cho, a.cho_gap), (a.bolus, a.bolus_gap)):
+        present = visible & ~gap
+        meal, v = a.meal[present], values[present]
+        sums = np.bincount(meal, weights=v, minlength=len(MealSlot))
+        counts = np.bincount(meal, minlength=len(MealSlot))
+        total = np.bincount(np.zeros_like(meal), weights=v, minlength=1)[0]
+        fallback = total / len(v) if len(v) else 0.0
+        fills.append(np.where(counts > 0, sums / np.maximum(counts, 1), fallback))
     return fills[0], fills[1]
 
 
 def prepare_patient(
     h: PatientHistory, spec: VariantSpec, cfg: FeatureConfig
 ) -> PreparedPatient:
-    base = PatientHistory(h.patient_id, tuple(_base_records(h, spec)), h.static)
-    n_rows = max(len(base) - 1, 0)
+    thrown = [name for name in ("cho", "bolus")
+              if getattr(spec, name) is MissingPolicy.Throwout]
+    kept = PatientHistory(
+        h.patient_id,
+        tuple(r for r in h.records if all(getattr(r, name) is not None for name in thrown)),
+        h.static,
+    )
+    arrays = RecordArrays.of(kept)
+    if spec.cho is MissingPolicy.ImputeZero:
+        arrays = replace(arrays, cho_gap=np.zeros_like(arrays.cho_gap))
+    if spec.bolus is MissingPolicy.ImputeZero:
+        arrays = replace(arrays, bolus_gap=np.zeros_like(arrays.bolus_gap))
+    n_rows = max(len(kept) - 1, 0)
     if spec.ep_rules:
         # row t feeds the glucose at record t + 1
-        decisions = ep_decisions(base)
+        decisions = ep_decisions(kept)
         row_starts = tuple(t for t in range(n_rows) if decisions[t + 1].predictable)
     else:
         row_starts = tuple(range(n_rows))
-    arrays = RecordArrays.of(base)
+    everything = np.ones(len(kept), dtype=bool)
     return PreparedPatient(
-        base=base,
         row_starts=row_starts,
         cfg=cfg,
         arrays=arrays,
-        design=build_feature_rows(arrays, cfg, _gap_fills(base.records), row_starts),
+        design=build_feature_rows(arrays, cfg, _gap_fills(arrays, everything), row_starts),
     )
 
 
-def rebuild_rows(
-    prepared: PreparedPatient, visible_records: Sequence[int]
-) -> Design:
+def rebuild_rows(prepared: PreparedPatient, visible_records: np.ndarray) -> Design:
     """The patient's design with imputation means from a record subset.
 
     Means come from the present values of the records at
     ``visible_records``; a patient without gaps gets an equal design.
     """
-    source = [prepared.base.records[i] for i in visible_records]
+    visible = np.zeros(len(prepared.arrays.meal), dtype=bool)
+    visible[visible_records] = True
     return build_feature_rows(
-        prepared.arrays, prepared.cfg, _gap_fills(source), prepared.row_starts
+        prepared.arrays, prepared.cfg, _gap_fills(prepared.arrays, visible),
+        prepared.row_starts,
     )
 
 

@@ -7,7 +7,11 @@ must reproduce bit for bit. Elapsed times come from
 ``timedelta.total_seconds()``, insulin on board is summed bolus by
 bolus, most recent first, gaps are filled record by record, and each
 row becomes a matrix row value by value in the ``Vectorizer`` column
-layout. Tests that want a design from hand-written rows build it here.
+layout. The variant's records are copied one by one from the cleaned
+history with its missing-value policies applied, and the gap means are
+summed record by record (the reference for the ``np.bincount`` fills in
+``glybench.variants``). Tests that want a design from hand-written rows
+build it here.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from glybench.features import (
     iob_fraction,
     static_tuple,
 )
-from glybench.ingest import field_means
-from glybench.records import MealSlot, PatientHistory
-from glybench.variants import PreparedPatient
+from glybench.ingest import MissingPolicy
+from glybench.records import DiaryRecord, ExerciseLevel, MealSlot, PatientHistory
+from glybench.variants import VariantSpec
+
+import ep_oracle
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,74 @@ def build_feature_rows(h: PatientHistory, cfg: FeatureConfig) -> list[FeatureRow
     return rows
 
 
-def _slot_fills(source, name: str) -> dict[MealSlot, float]:
-    slot_means, overall = field_means(tuple(source), name)
+def _slot_means(records: Sequence[DiaryRecord], field: str) -> dict[MealSlot, float]:
+    sums: dict[MealSlot, float] = {}
+    counts: dict[MealSlot, int] = {}
+    for r in records:
+        v = getattr(r, field)
+        if v is not None:
+            sums[r.meal] = sums.get(r.meal, 0.0) + v
+            counts[r.meal] = counts.get(r.meal, 0) + 1
+    return {slot: sums[slot] / counts[slot] for slot in sums}
+
+
+def _overall_mean(records: Sequence[DiaryRecord], field: str) -> Optional[float]:
+    values = [getattr(r, field) for r in records if getattr(r, field) is not None]
+    if not values:
+        return None
+    return sum(values) / len(values)
+
+
+def field_means(
+    records: Sequence[DiaryRecord], field: str
+) -> tuple[dict[MealSlot, float], Optional[float]]:
+    """Per-meal-slot and overall means of the present values of a field,
+    summed record by record in order."""
+    return _slot_means(records, field), _overall_mean(records, field)
+
+
+def slot_fills(source: Sequence[DiaryRecord], name: str) -> dict[MealSlot, float]:
+    """The value a gap in field ``name`` takes in each meal slot: the
+    slot's mean over ``source``, else the overall mean, else 0."""
+    slot_means, overall = field_means(source, name)
     fallback = overall if overall is not None else 0.0
     return {slot: slot_means.get(slot, fallback) for slot in MealSlot}
+
+
+def base_records(h: PatientHistory, spec: VariantSpec) -> PatientHistory:
+    """The variant's records copied one by one: throwout, the exercise
+    and basal defaults and zero fills applied; mean-policy gaps stay None."""
+    kept: list[DiaryRecord] = []
+    for r in h.records:
+        if r.cho is None and spec.cho is MissingPolicy.Throwout:
+            continue
+        if r.bolus is None and spec.bolus is MissingPolicy.Throwout:
+            continue
+        cho = r.cho
+        if cho is None and spec.cho is MissingPolicy.ImputeZero:
+            cho = 0.0
+        bolus = r.bolus
+        if bolus is None and spec.bolus is MissingPolicy.ImputeZero:
+            bolus = 0.0
+        kept.append(
+            replace(
+                r,
+                cho=cho,
+                bolus=bolus,
+                ev=r.ev if r.ev is not None else ExerciseLevel.Normal,
+                basal=r.basal if r.basal is not None else 0.0,
+            )
+        )
+    return PatientHistory(h.patient_id, tuple(kept), h.static)
+
+
+def row_starts(base: PatientHistory, spec: VariantSpec) -> list[int]:
+    """The records that start the variant's rows: every record but the
+    last, or with the EP filter those whose next record is predictable."""
+    starts = range(len(base) - 1)
+    if not spec.ep_rules:
+        return list(starts)
+    return [t for t in starts if ep_oracle.is_expert_predictable(base, t + 1).predictable]
 
 
 def fill_mean_gaps(
@@ -172,8 +242,8 @@ def fill_mean_gaps(
     """
     records = base.records
     source = records if visible is None else [records[i] for i in visible]
-    cho = _slot_fills(source, "cho")
-    bolus = _slot_fills(source, "bolus")
+    cho = slot_fills(source, "cho")
+    bolus = slot_fills(source, "bolus")
     filled = tuple(
         replace(
             r,
@@ -186,11 +256,13 @@ def fill_mean_gaps(
 
 
 def rebuild_rows(
-    prepared: PreparedPatient, cfg: FeatureConfig,
+    h: PatientHistory, spec: VariantSpec, cfg: FeatureConfig,
     visible_records: Optional[Sequence[int]] = None,
 ) -> Design:
-    """The patient's design re-derived record by record: fill the gaps with
-    means of the visible records (all when omitted, as at materialize
-    time), rebuild every row, keep ``row_starts``."""
-    rows = build_feature_rows(fill_mean_gaps(prepared.base, visible_records), cfg)
-    return design([rows[i] for i in prepared.row_starts], cfg)
+    """A cleaned history's design under a variant, re-derived record by
+    record: copy the variant's records, fill their gaps with means of the
+    visible ones (all when omitted, as at materialize time), build every
+    row and keep those the variant starts rows at."""
+    base = base_records(h, spec)
+    rows = build_feature_rows(fill_mean_gaps(base, visible_records), cfg)
+    return design([rows[i] for i in row_starts(base, spec)], cfg)

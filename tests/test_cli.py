@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from glybench import cli
 from glybench.cli import main, summarize_results
 from glybench.evaluation import METRICS
 from glybench.ingest import parse_diary_csv
@@ -404,6 +406,82 @@ def test_run_exits_2_before_writing_when_stacking_has_one_patient(tmp_path, caps
     assert "at least two retained patients" in err
     assert "gpr_AllPat_AllMeals" in err and "D_a6" in err
     assert not out.exists()
+
+
+def _two_patient_cohort(tmp_path):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 20}')
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", "--config", str(synth), "--seed", "3", "--out", str(cohort)]) == 0
+    return cohort
+
+
+def test_run_with_out_at_a_file_exits_2_before_evaluating(tmp_path, capsys, monkeypatch):
+    cohort = _two_patient_cohort(tmp_path)
+    out = tmp_path / "results"
+    out.write_text("keep me\n")
+    evaluated = []
+    monkeypatch.setattr(cli, "evaluate", lambda *a, **kw: evaluated.append(a))
+    code = main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6", "--models", "naive", "--k", "5",
+                 "--min-records", "20", "--jobs", "1"])
+    assert code == 2
+    assert "output path is not a directory" in capsys.readouterr().err
+    assert not evaluated
+    assert out.read_text() == "keep me\n"
+
+
+def test_run_with_a_bad_prediction_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    cohort = _two_patient_cohort(tmp_path)
+
+    class NotANumber:
+        def fit(self, train):
+            pass
+
+        def predict(self, test):
+            return np.full(len(test), np.nan)
+
+    registry = cli.builtin_registry
+
+    def broken_registry():
+        entries = registry()
+        entries["ridge"] = dataclasses.replace(
+            entries["ridge"], factory=lambda cfg, with_stacked, seed: NotANumber())
+        return entries
+
+    monkeypatch.setattr(cli, "builtin_registry", broken_registry)
+    out = tmp_path / "results"
+    code = main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6", "--models", "naive,ridge", "--k", "5",
+                 "--min-records", "20", "--jobs", "1"])
+    assert code == 2
+    assert "ridge predicted nan mmol/L" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_with_out_at_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "cohort"
+    out.mkdir()
+    assert main(["synth", "--seed", "1", "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort"]
+
+
+def test_report_with_out_at_a_directory_exits_2(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results_long.csv").write_text(
+        "model,variant,metric,patient,value\n"
+        "naive,D_a6,L1,p1,4.0\n"
+        "ridge,D_a6,L1,p1,3.5\n"
+    )
+    out = tmp_path / "summary"
+    out.mkdir()
+    assert main(["report", str(results), "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results", "summary"]
 
 
 def test_summarize_results_hand_fixture():

@@ -29,7 +29,7 @@ from glybench.ingest import clean_cohort
 from glybench.models import builtin_registry
 from glybench.records import MGDL_PER_MMOLL, PredictionPair
 from glybench.synth import default_config, generate
-from glybench.variants import materialize, spec_by_id
+from glybench.variants import materialize, rebuild_rows, spec_by_id
 
 import feature_oracle
 
@@ -281,20 +281,51 @@ def test_evaluate_rejects_non_finite_or_non_positive_predictions(dataset, value)
 def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkeypatch):
     cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
     entry = builtin_registry()[model]
-
-    def cell():
-        ds = materialize(cleaned, spec_by_id(variant), min_records=20)
-        return ds, evaluate(ds, entry, k=5, seed=3, audit=True)
-
-    ds, report = cell()
+    spec = spec_by_id(variant)
+    ds = materialize(cleaned, spec, min_records=20)
+    report = evaluate(ds, entry, k=5, seed=3, audit=True)
     assert all(p.needs_fold_means for p in ds.per_patient.values())
+
+    history = {id(prep): cleaned[pid] for pid, prep in ds.per_patient.items()}
     cfg = ds.feature_config
-    monkeypatch.setattr(evaluation, "rebuild_rows",
-                        lambda prep, visible: feature_oracle.rebuild_rows(prep, cfg, visible))
-    _, expected = cell()
+    monkeypatch.setattr(evaluation, "rebuild_rows", lambda prep, visible: (
+        feature_oracle.rebuild_rows(history[id(prep)], spec, cfg, visible)))
+    expected = evaluate(ds, entry, k=5, seed=3, audit=True)
     assert report.pairs == expected.pairs
     assert report.naive_pairs == expected.naive_pairs
     assert report.per_patient == expected.per_patient
+
+
+@pytest.mark.parametrize("variant", ["D_a6", "D_e6"])
+def test_fold_rebuild_sees_only_the_records_of_training_rows(variant, monkeypatch):
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    ds = materialize(cleaned, spec_by_id(variant), min_records=20)
+    patient_of = {id(prep): pid for pid, prep in ds.per_patient.items()}
+    seen = []
+
+    def spy(prep, visible):
+        seen.append((patient_of[id(prep)], np.asarray(visible).tolist()))
+        return rebuild_rows(prep, visible)
+
+    monkeypatch.setattr(evaluation, "rebuild_rows", spy)
+    k = 5
+    evaluate(ds, builtin_registry()["ridge"], k=k, seed=3)
+
+    expected_calls = []
+    test_only_records = 0
+    for pid in sorted(ds.per_patient):
+        starts = ds.per_patient[pid].row_starts
+        for train, test in contiguous_kfold(len(starts), k).splits():
+            touched_by_train = {starts[t] for t in train} | {starts[t] + 1 for t in train}
+            touched_by_test = {starts[t] for t in test} | {starts[t] + 1 for t in test}
+            expected_calls.append((pid, touched_by_train, touched_by_test - touched_by_train))
+    assert len(seen) == len(expected_calls) == k * len(ds.per_patient)
+    for (pid, visible), (want_pid, train_records, test_only) in zip(seen, expected_calls):
+        assert pid == want_pid
+        assert len(visible) == len(set(visible)) and set(visible) == train_records
+        assert not set(visible) & test_only
+        test_only_records += len(test_only)
+    assert test_only_records > 0
 
 
 def test_evaluate_excludes_patients_below_k():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glybench.features import RecordArrays
 from glybench.ingest import (
     CleaningReport,
     MissingPolicy,
@@ -14,9 +15,9 @@ from glybench.ingest import (
     parse_diary_csv,
 )
 from glybench.records import ExerciseLevel, MealSlot, SchemaError, encode_diary_csv
-from glybench.variants import VariantSpec, prepare_patient
+from glybench.variants import VariantSpec, prepare_patient, rebuild_rows
 
-from feature_oracle import fill_mean_gaps
+import feature_oracle
 
 from conftest import history, rec
 
@@ -148,15 +149,25 @@ def _bolus_history():
     )
 
 
-# Imputation is the variant preparation: ``prepare_patient`` throws out
-# records and applies zero fills and the fixed defaults, and the mean
-# fills follow the oracle's ``fill_mean_gaps``, which the prepared design
-# equals bit for bit (tests/test_variants.py).
+# Imputation is the variant preparation. The oracle copies the records
+# with throwout, zero fills and the fixed defaults applied and fills the
+# mean gaps; ``prepare_patient`` and ``rebuild_rows`` must give the
+# oracle's design bit for bit, and the tests below read the oracle's
+# filled records.
 
 def _impute(h, bolus=MissingPolicy.ImputeMean, visible=None):
     spec = VariantSpec("test", ep_rules=False, bolus=bolus)
-    prep = prepare_patient(h, spec, spec.feature_config())
-    return fill_mean_gaps(prep.base, visible)
+    cfg = spec.feature_config()
+    prep = prepare_patient(h, spec, cfg)
+    base = feature_oracle.base_records(h, spec)
+    # the policies as masks over the kept records equal the copied records
+    copied = RecordArrays.of(base)
+    for name in ("meal", "ev", "basal", "cho", "cho_gap", "bolus", "bolus_gap"):
+        assert getattr(prep.arrays, name).tobytes() == getattr(copied, name).tobytes()
+    got = prep.design if visible is None else rebuild_rows(prep, visible)
+    want = feature_oracle.rebuild_rows(h, spec, cfg, visible)
+    assert got.x.tobytes() == want.x.tobytes()
+    return feature_oracle.fill_mean_gaps(base, visible)
 
 
 def test_impute_mean_uses_per_meal_average():

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+import datetime
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glybench.features import DowMode, Vectorizer
+from glybench.features import DowMode, RecordArrays, Vectorizer
 from glybench.ingest import MissingPolicy, clean_cohort
 from glybench.synth import default_config, generate
+from glybench.records import DiaryRecord, MealSlot, PatientHistory
 from glybench.variants import (
+    _gap_fills,
     builtin_specs,
     materialize,
     prepare_patient,
@@ -99,7 +104,24 @@ def test_materialize_is_deterministic(cohort):
     b = materialize(cohort, spec_by_id("D_e1"), min_records=5)
     assert a.per_patient == b.per_patient
     for pid, prep in a.per_patient.items():
-        assert prep.design.x.tobytes() == b.per_patient[pid].design.x.tobytes()
+        other = b.per_patient[pid]
+        assert prep.design.x.tobytes() == other.design.x.tobytes()
+        assert prep.design.target_bg.tobytes() == other.design.target_bg.tobytes()
+        assert prep.arrays.static == other.arrays.static
+        mine, theirs = _record_columns(prep.arrays), _record_columns(other.arrays)
+        assert len(mine) == 12 and mine.keys() == theirs.keys()
+        for name, column in mine.items():
+            assert column.dtype == theirs[name].dtype, name
+            assert column.tobytes() == theirs[name].tobytes(), name
+
+
+def _record_columns(a) -> dict:
+    """Every array a ``RecordArrays`` holds, by name."""
+    columns = {f.name: getattr(a, f.name) for f in dataclasses.fields(a)
+               if isinstance(getattr(a, f.name), np.ndarray)}
+    columns.update((f"timeline.{f.name}", getattr(a.timeline, f.name))
+                   for f in dataclasses.fields(a.timeline))
+    return columns
 
 
 def test_variant_rows_conform_to_spec(cohort):
@@ -221,12 +243,15 @@ def _rebuild_and_oracle(steps, visible, spec_id):
     spec = spec_by_id(spec_id)
     cfg = spec.feature_config()
     prep = prepare_patient(h, spec, cfg)
-    n = len(prep.base)
+    base = feature_oracle.base_records(h, spec)
+    assert prep.row_starts == tuple(feature_oracle.row_starts(base, spec))
+    n = len(base)
+    assert len(prep.arrays.meal) == n
     shown = range(n) if visible is None else [i for i in visible if i < n]
     got = rebuild_rows(prep, list(shown))
     # at materialize time the means come from every record
     for design, visible_records in ((got, list(shown)), (prep.design, None)):
-        want = feature_oracle.rebuild_rows(prep, cfg, visible_records)
+        want = feature_oracle.rebuild_rows(h, spec, cfg, visible_records)
         assert design.x.tobytes() == want.x.tobytes()
         assert design.target_bg.tobytes() == want.target_bg.tobytes()
         assert np.array_equal(design.index, want.index)
@@ -255,3 +280,44 @@ def test_rebuild_equals_the_oracle_on_fixed_cases(case):
        st.sampled_from([s.id for s in builtin_specs()]))
 def test_rebuild_equals_the_record_by_record_oracle(steps, visible, spec_id):
     _rebuild_and_oracle(steps, sorted(set(visible)), spec_id)
+
+
+# ---------------------------------------------------------------------------
+# gap fills against the record-by-record means
+# ---------------------------------------------------------------------------
+
+# few distinct values, so slots tie and sums repeat; -0.0 is a present
+# amount that reads as zero; None is a gap
+_fill_amount = st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0, 1.5, 2.5, 0.1, 0.7]), st.floats(0.0, 80.0)
+)
+
+
+# (meal slot, carbs, bolus, visible); half the records share slot 3, and
+# long lists make its sums long enough that a pairwise or blocked sum
+# would round differently
+_fill_entry = st.tuples(st.just(3) | st.integers(0, 7), _fill_amount, _fill_amount,
+                        st.just(True) | st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_fill_entry, max_size=10) | st.lists(_fill_entry, min_size=30, max_size=80))
+@example([])
+# a slot whose values are all gaps falls back to the overall mean
+@example([(0, None, None, True), (0, None, 0.5, True), (3, 4.0, None, True)])
+# nothing visible: every fill is 0
+@example([(1, 2.0, 3.0, False), (1, None, None, False)])
+# only -0.0 present in a slot and overall
+@example([(2, -0.0, -0.0, True), (2, None, None, True)])
+def test_gap_fills_equal_the_sequential_means_bit_for_bit(entries):
+    records = [
+        DiaryRecord(meal=MealSlot(meal), date=datetime.date(2016, 1, 1) + datetime.timedelta(i),
+                    time=datetime.time(8), bg=6.0, cho=cho, bolus=bolus)
+        for i, (meal, cho, bolus, _) in enumerate(entries)
+    ]
+    visible = np.array([shown for *_, shown in entries], dtype=bool)
+    fills = _gap_fills(RecordArrays.of(PatientHistory("p", tuple(records))), visible)
+    source = [r for r, shown in zip(records, visible) if shown]
+    for name, got in zip(("cho", "bolus"), fills):
+        want = feature_oracle.slot_fills(source, name)
+        assert got.tobytes() == np.array([want[slot] for slot in MealSlot]).tobytes()
