@@ -54,28 +54,36 @@ for name in ("naive", "ridge", "KNN10U", "rf4", "gpr_IndPat_AllMeals", "gpr_be")
 # log space.
 
 # %%
-import math
+import numpy as np
 
 from glybench.models import WeightedGprEnsemble, weighted_log_mean
+from glybench.records import MealSlot
 
 ens = WeightedGprEnsemble(cfg)
 ens.fit(train)
-from glybench.records import MealSlot
 
-query = test[:1]
+# the test rows of one meal slot, blended as one array
+slot = int(test.meal[0])
+query = test[np.flatnonzero(test.meal == slot)]
 q = ens.pipeline.transform(query.x)
-(mu_p,), (sigma_p,) = ens.core_p.posterior(q)
-(mu_m,), (sigma_m,) = ens.core_m[MealSlot(int(query.meal[0]))].posterior(q)
-blended = weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m)
-print(f"patient-wide member:  mean {math.exp(mu_p):6.2f}  sigma {sigma_p:.3f}")
-print(f"per-meal member:      mean {math.exp(mu_m):6.2f}  sigma {sigma_m:.3f}")
-print(f"blend:                {math.exp(blended):6.2f}  "
-      f"(ensemble.predict -> {ens.predict(query)[0]:6.2f}, "
-      f"target {query.target_bg[0]:.1f})")
+mu_p, sigma_p = ens.core_p.posterior(q)
+mu_m, sigma_m = ens.core_m[MealSlot(slot)].posterior(q)
+blended = np.exp(weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m))
+print(f"{MealSlot(slot).name}: {len(query)} test rows")
+print("patient-wide member:", " ".join(f"{v:6.2f}" for v in np.exp(mu_p)),
+      " sigma", " ".join(f"{v:.3f}" for v in sigma_p))
+print("per-meal member:    ", " ".join(f"{v:6.2f}" for v in np.exp(mu_m)),
+      " sigma", " ".join(f"{v:.3f}" for v in sigma_m))
+print("blend:              ", " ".join(f"{v:6.2f}" for v in blended))
+print("ensemble.predict:   ", " ".join(f"{v:6.2f}" for v in ens.predict(query)))
+print("targets:            ", " ".join(f"{v:6.1f}" for v in query.target_bg))
 
 # %% [markdown]
-# A worked example of the weighting itself: with log-space means 6 and 8
-# and sigmas 1 and 2, the weights are 1 and 0.5, giving (6 + 4) / 1.5.
+# A worked example of the weighting itself, one element per case: with
+# log-space means 6 and 8, sigmas 1 and 1 give equal weights (7); sigmas
+# 1 and 2 give weights 1 and 0.5, so (6 + 4) / 1.5; a zero sigma makes
+# its member the answer outright.
 
 # %%
-print(weighted_log_mean(6.0, 1.0, 8.0, 2.0))
+print(weighted_log_mean(np.array([6.0, 6.0, 6.0]), np.array([1.0, 1.0, 0.0]),
+                        np.array([8.0, 8.0, 8.0]), np.array([1.0, 2.0, 2.0])))

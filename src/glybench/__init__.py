@@ -23,7 +23,6 @@ from .records import (
     ExerciseLevel,
     MealSlot,
     PatientHistory,
-    PredictionPair,
     StaticInfo,
     validate_history,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "PatientHistory",
     "PcaConfig",
     "PenaltyTable",
-    "PredictionPair",
     "StaticInfo",
     "SynthConfig",
     "VariantDataset",

@@ -100,20 +100,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # inspect
 # ---------------------------------------------------------------------------
 
+def _ep_counts_csv(cleaned) -> tuple[dict[str, tuple[int, int]], str]:
+    """Per patient (total, expert-predictable) counts, and their CSV."""
+    counts = {pid: ep_counts(cleaned[pid]) for pid in sorted(cleaned)}
+    lines = [EP_COUNTS_CSV_HEADER]
+    lines += [f"{pid},{total},{ep}" for pid, (total, ep) in counts.items()]
+    return counts, "\n".join(lines) + "\n"
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     raw = _load_cohort(args.input)
     cleaned, reports = clean_cohort(raw)
-    ep_lines = [EP_COUNTS_CSV_HEADER]
+    counts, ep_csv = _ep_counts_csv(cleaned)
     print(f"{'patient':<10}{'records':>8}{'cleaned':>8}{'ep':>6}")
-    for pid in sorted(cleaned):
-        total, ep = ep_counts(cleaned[pid])
-        ep_lines.append(f"{pid},{total},{ep}")
+    for pid, (total, ep) in counts.items():
         print(f"{pid:<10}{len(raw[pid]):>8}{total:>8}{ep:>6}")
     if args.out:
         if not os.path.isdir(args.out):
             raise CliError(f"output directory does not exist: {args.out}")
-        _write_atomic(os.path.join(args.out, "ep_counts.csv"),
-                      "\n".join(ep_lines) + "\n")
+        _write_atomic(os.path.join(args.out, "ep_counts.csv"), ep_csv)
         _write_atomic(os.path.join(args.out, "cleaning.csv"), cleaning_csv(reports))
         _write_atomic(os.path.join(args.out, "variants.csv"), variant_table_csv())
         _write_atomic(os.path.join(args.out, "models.csv"), registry_csv())
@@ -186,6 +191,8 @@ def _check_grid_config(cfg: dict) -> None:
     for key in ("variants", "models"):
         if not isinstance(cfg[key], list) or not all(isinstance(v, str) for v in cfg[key]):
             raise bad(key, "a list of strings")
+    if not cfg["variants"]:
+        raise bad("variants", "a non-empty list of variant ids")
     for key in ("input", "out", "penalty_table"):
         if cfg.get(key) is not None and not isinstance(cfg[key], str):
             raise bad(key, "a path string")
@@ -216,7 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if name not in registry:
             raise CliError(f"unknown model name {name!r}")
     specs = []
-    for vid in cfg["variants"]:
+    for vid in dict.fromkeys(cfg["variants"]):
         try:
             specs.append(spec_by_id(vid))
         except KeyError:
@@ -290,11 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                       wide_csv(reports, metric))
         _write_atomic(os.path.join(out_dir, f"improvement_{metric}.csv"),
                       improvement_csv(reports, metric))
-    ep_lines = [EP_COUNTS_CSV_HEADER]
-    for pid in sorted(cleaned):
-        total, ep = ep_counts(cleaned[pid])
-        ep_lines.append(f"{pid},{total},{ep}")
-    _write_atomic(os.path.join(out_dir, "ep_counts.csv"), "\n".join(ep_lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "ep_counts.csv"), _ep_counts_csv(cleaned)[1])
     _write_atomic(os.path.join(out_dir, "cleaning.csv"), cleaning_csv(cleaning_reports))
     meta = {
         "version": __version__,
@@ -308,9 +311,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "excluded_patients": {
             d.spec.id: list(d.excluded_patients) for d in datasets
         },
-        "slot_fallbacks": {
-            f"{k[0]}/{k[1]}": results[k].metadata.get("slot_fallbacks", 0)
-            for k in sorted(results)
+        **{
+            name: {f"{v}/{m}": results[v, m].metadata[name] for v, m in sorted(results)}
+            for name in ("pca_flags", "slot_fallbacks")
         },
     }
     _write_atomic(os.path.join(out_dir, "run_meta.json"),

@@ -17,7 +17,6 @@ recent recorded dates instead.
 from __future__ import annotations
 
 import bisect
-import datetime as dt
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,23 +35,24 @@ class EpDecision:
     failed_rules: frozenset[str] = field(default_factory=frozenset)
 
 
-def _slot_coverage(h: PatientHistory) -> dict[dt.date, int]:
-    """Bit mask of the meal slots recorded on each date."""
-    coverage: dict[dt.date, int] = {}
+def _slot_coverage(h: PatientHistory) -> dict[int, int]:
+    """Bit mask of the meal slots recorded on each date, keyed by ordinal."""
+    coverage: dict[int, int] = {}
     for r in h.records:
         if r.date is not None:
-            coverage[r.date] = coverage.get(r.date, 0) | (1 << r.meal.value)
+            day = r.date.toordinal()
+            coverage[day] = coverage.get(day, 0) | (1 << r.meal.value)
     return coverage
 
 
 def _decide(
     records: Sequence[DiaryRecord],
     i: int,
-    coverage: dict[dt.date, int],
-    recorded_dates: Optional[list[dt.date]],
+    coverage: dict[int, int],
+    recorded_days: Optional[list[int]],
 ) -> EpDecision:
     """The decision for record ``i``, given the history's slot coverage and,
-    to count back over recorded dates, its sorted recorded dates."""
+    to count back over recorded dates, its sorted recorded date ordinals."""
     failed: set[str] = set()
     if i == 0:
         return EpDecision(False, frozenset({PREV_MEAL_MISSING}))
@@ -66,11 +66,12 @@ def _decide(
     if current.date is None:
         failed.add(SIX_OF_EIGHT)
     else:
-        if recorded_dates is None:
-            days = [current.date - dt.timedelta(days=d) for d in range(1, 9)]
+        day = current.date.toordinal()
+        if recorded_days is None:
+            days = range(day - 8, day)
         else:
-            end = bisect.bisect_left(recorded_dates, current.date)
-            days = recorded_dates[max(end - 8, 0):end]
+            end = bisect.bisect_left(recorded_days, day)
+            days = recorded_days[max(end - 8, 0):end]
         both = (1 << current.meal.value) | (1 << prev.meal.value)
         qualifying = sum(1 for d in days if coverage.get(d, 0) & both == both)
         if qualifying < 6:

@@ -2,15 +2,15 @@
 
 Each patient's time-ordered rows are cut into k contiguous segments;
 every segment serves once as the test fold while the rest train. A
-patient's score per metric is a micro-average: all test-fold prediction
-pairs are pooled first, then the metric is computed once. Cohort scores
-are unweighted means over patients, and every model is reported relative
-to the naive mean-predicting baseline evaluated under the identical fold
-plan.
+patient's score per metric is a micro-average: every fold's predictions
+fill one array in row order, then the metric is computed once over it
+and the patient's actual glucose array. Cohort scores are unweighted
+means over patients, and every model is reported relative to the naive
+mean-predicting baseline evaluated under the identical fold plan.
 
 Besides absolute, relative and squared losses, each metric has a
-"glucose-specific" variant that multiplies the per-pair error by a
-penalty keyed on the clinical-error zone of the (actual, predicted)
+"glucose-specific" variant that multiplies each prediction's error by a
+penalty keyed on the clinical-error zone of its (actual, predicted)
 point, so e.g. missing hypoglycemia costs more than a near-miss at
 normal levels. The zone weights are configuration, not science: load
 them from a file to change them, use a unit table to recover the plain
@@ -29,7 +29,7 @@ import numpy as np
 
 from .models import NaivePredictor, attach_stacked, fit_stacker
 from .models.registry import ModelRegistryEntry
-from .records import MGDL_PER_MMOLL, PredictionPair
+from .records import MGDL_PER_MMOLL
 from .variants import VariantDataset, rebuild_rows
 
 METRICS = ("L1", "rL1", "RMSE", "gMAD", "gMARD", "gRMSE")
@@ -81,47 +81,45 @@ def contiguous_kfold(n: int, k: int = 10) -> FoldPlan:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _arrays(pairs: Sequence[PredictionPair]) -> tuple[np.ndarray, np.ndarray]:
-    if not pairs:
-        raise ValueError("metrics need at least one prediction pair")
-    pred = np.array([p.predicted for p in pairs], dtype=float)
-    actual = np.array([p.actual for p in pairs], dtype=float)
-    return pred, actual
+def _errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """``predicted - actual``, refusing empty input."""
+    if not len(actual):
+        raise ValueError("metrics need at least one prediction")
+    return predicted - actual
 
 
-def l1(pairs: Sequence[PredictionPair]) -> float:
-    pred, actual = _arrays(pairs)
-    return float(np.mean(np.abs(pred - actual)))
+def l1(predicted: np.ndarray, actual: np.ndarray) -> float:
+    return float(np.mean(np.abs(_errors(predicted, actual))))
 
 
-def rl1(pairs: Sequence[PredictionPair]) -> float:
-    pred, actual = _arrays(pairs)
-    return float(np.mean(np.abs(pred - actual) / actual))
+def rl1(predicted: np.ndarray, actual: np.ndarray) -> float:
+    return float(np.mean(np.abs(_errors(predicted, actual)) / actual))
 
 
-def rmse(pairs: Sequence[PredictionPair]) -> float:
-    pred, actual = _arrays(pairs)
-    return float(math.sqrt(np.mean((pred - actual) ** 2)))
+def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
+    return float(math.sqrt(np.mean(_errors(predicted, actual) ** 2)))
 
 
-def clarke_zone(ref_mgdl: float, pred_mgdl: float) -> str:
-    """Clinical-error zone of one (reference, predicted) point, in mg/dl."""
-    ref, pred = ref_mgdl, pred_mgdl
-    if abs(ref - pred) <= 0.2 * ref or (ref < 70 and pred < 70):
-        return "A"
-    if (ref >= 180 and pred <= 70) or (ref <= 70 and pred >= 180):
-        return "E"
-    if (70 <= ref <= 290 and pred >= ref + 110) or (
-        130 <= ref <= 180 and pred <= (7.0 / 5.0) * ref - 182
-    ):
-        return "C"
-    if (
-        (ref >= 240 and 70 <= pred <= 180)
-        or (ref <= 175.0 / 3.0 and 70 <= pred <= 180)
-        or (175.0 / 3.0 <= ref <= 70 and pred >= (6.0 / 5.0) * ref)
-    ):
-        return "D"
-    return "B"
+def clarke_zone(ref_mgdl, pred_mgdl) -> np.ndarray:
+    """Clinical-error zone of each (reference, predicted) point, in mg/dl.
+
+    Returns an array of one-letter zones, 0-d for scalar inputs. The
+    conditions are tried in the order A, E, C, D; a point meeting none is B.
+    """
+    ref, pred = np.asarray(ref_mgdl, dtype=float), np.asarray(pred_mgdl, dtype=float)
+    return np.select(
+        [
+            (np.abs(ref - pred) <= 0.2 * ref) | ((ref < 70) & (pred < 70)),
+            ((ref >= 180) & (pred <= 70)) | ((ref <= 70) & (pred >= 180)),
+            ((70 <= ref) & (ref <= 290) & (pred >= ref + 110))
+            | ((130 <= ref) & (ref <= 180) & (pred <= (7.0 / 5.0) * ref - 182)),
+            ((ref >= 240) & (70 <= pred) & (pred <= 180))
+            | ((ref <= 175.0 / 3.0) & (70 <= pred) & (pred <= 180))
+            | ((175.0 / 3.0 <= ref) & (ref <= 70) & (pred >= (6.0 / 5.0) * ref)),
+        ],
+        ["A", "E", "C", "D"],
+        "B",
+    )
 
 
 ZONES = ("A", "B", "C", "D", "E")
@@ -135,7 +133,7 @@ class PenaltyConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PenaltyTable:
-    """Multiplicative per-pair weights keyed by clinical-error zone."""
+    """Multiplicative per-prediction weights keyed by clinical-error zone."""
 
     weights: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_ZONE_WEIGHTS)
@@ -162,9 +160,11 @@ class PenaltyTable:
         if self.weights["A"] != 1.0:
             raise PenaltyConfigError("accurate-zone (A) weight must be exactly 1")
 
-    def weight(self, actual_mmoll: float, predicted_mmoll: float) -> float:
-        zone = clarke_zone(actual_mmoll * MGDL_PER_MMOLL, predicted_mmoll * MGDL_PER_MMOLL)
-        return float(self.weights[zone])
+    def weight(self, actual_mmoll, predicted_mmoll) -> np.ndarray:
+        """The zone weight of each (actual, predicted) point, in mmol/L."""
+        zones = clarke_zone(actual_mmoll * MGDL_PER_MMOLL, predicted_mmoll * MGDL_PER_MMOLL)
+        table = np.array([float(self.weights[z]) for z in ZONES])
+        return table[np.searchsorted(ZONES, zones)]  # ZONES is sorted
 
     @staticmethod
     def identity() -> "PenaltyTable":
@@ -185,17 +185,16 @@ class PenaltyTable:
 
 
 def g_metric(
-    pairs: Sequence[PredictionPair], penalty: PenaltyTable, base: str
+    predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable, base: str
 ) -> float:
     """Penalty-weighted variant of MAD, MARD or RMSE.
 
-    The per-pair error is multiplied by the zone weight before
+    Each prediction's error is multiplied by its zone weight before
     aggregation; for RMSE the weighted error is what gets squared. A unit
     table reproduces the base metric bit-for-bit.
     """
-    pred, actual = _arrays(pairs)
-    w = np.array([penalty.weight(a, p) for p, a in zip(pred, actual)])
-    err = pred - actual
+    err = _errors(predicted, actual)
+    w = penalty.weight(actual, predicted)
     if base == "MAD":
         return float(np.mean(w * np.abs(err)))
     if base == "MARD":
@@ -206,15 +205,15 @@ def g_metric(
 
 
 def compute_metrics(
-    pairs: Sequence[PredictionPair], penalty: PenaltyTable
+    predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable
 ) -> dict[str, float]:
     return {
-        "L1": l1(pairs),
-        "rL1": rl1(pairs),
-        "RMSE": rmse(pairs),
-        "gMAD": g_metric(pairs, penalty, "MAD"),
-        "gMARD": g_metric(pairs, penalty, "MARD"),
-        "gRMSE": g_metric(pairs, penalty, "RMSE"),
+        "L1": l1(predicted, actual),
+        "rL1": rl1(predicted, actual),
+        "RMSE": rmse(predicted, actual),
+        "gMAD": g_metric(predicted, actual, penalty, "MAD"),
+        "gMARD": g_metric(predicted, actual, penalty, "MARD"),
+        "gRMSE": g_metric(predicted, actual, penalty, "RMSE"),
     }
 
 
@@ -256,8 +255,10 @@ class EvalReport:
     improvement: dict[str, float]
     excluded_patients: tuple[str, ...]
     metadata: dict[str, object] = field(default_factory=dict)
-    pairs: Optional[dict[str, tuple[PredictionPair, ...]]] = None
-    naive_pairs: Optional[dict[str, tuple[PredictionPair, ...]]] = None
+    # with audit=True, per patient and in row order
+    predicted: Optional[dict[str, np.ndarray]] = None
+    naive_predicted: Optional[dict[str, np.ndarray]] = None
+    actual: Optional[dict[str, np.ndarray]] = None
     fold_splits: Optional[dict[str, list[tuple[list[int], list[int]]]]] = None
 
 
@@ -291,8 +292,9 @@ def evaluate(
     cfg = dataset.feature_config
     per_patient: dict[str, dict[str, float]] = {}
     naive_per_patient: dict[str, dict[str, float]] = {}
-    all_pairs: dict[str, tuple[PredictionPair, ...]] = {}
-    all_naive_pairs: dict[str, tuple[PredictionPair, ...]] = {}
+    all_predicted: dict[str, np.ndarray] = {}
+    all_naive_predicted: dict[str, np.ndarray] = {}
+    all_actual: dict[str, np.ndarray] = {}
     fold_splits: dict[str, list[tuple[list[int], list[int]]]] = {}
     excluded: list[str] = []
     fallbacks = 0
@@ -323,8 +325,9 @@ def evaluate(
             if stacker is not None:
                 design = attach_stacked(stacker, design)
 
-        pairs: list[PredictionPair] = []
-        naive_pairs: list[PredictionPair] = []
+        actual = prep.design.target_bg  # a fold rebuild keeps the targets
+        predicted = np.empty(len(prep))
+        naive_predicted = np.empty(len(prep))
         splits = plan.splits()
         for j, (train_idx, test_idx) in enumerate(splits):
             if fold_local:
@@ -341,20 +344,19 @@ def evaluate(
             model.fit(train)
             naive = NaivePredictor()
             naive.fit(train)
-            predicted = model.predict(test)
-            if predicted.shape != (len(test),):
-                raise ValueError(f"{entry.name} returned {predicted.shape} predictions "
+            fold = model.predict(test)
+            if fold.shape != (len(test),):
+                raise ValueError(f"{entry.name} returned {fold.shape} predictions "
                                  f"for {len(test)} test rows")
-            bad = ~(np.isfinite(predicted) & (predicted > 0))
+            bad = ~(np.isfinite(fold) & (fold > 0))
             if bad.any():
                 raise ValueError(
-                    f"{entry.name} predicted {float(predicted[bad][0])!r} mmol/L on variant "
+                    f"{entry.name} predicted {float(fold[bad][0])!r} mmol/L on variant "
                     f"{dataset.spec.id}, patient {pid}, fold {j}: predictions must "
                     f"be finite and > 0"
                 )
-            actual = test.target_bg.tolist()
-            pairs.extend(map(PredictionPair, predicted.tolist(), actual))
-            naive_pairs.extend(map(PredictionPair, naive.predict(test).tolist(), actual))
+            predicted[test_idx] = fold
+            naive_predicted[test_idx] = naive.predict(test)
             fallbacks += getattr(model, "fallback_count", 0)
             pipeline = getattr(model, "pipeline", None)
             if pipeline is not None and (
@@ -363,11 +365,12 @@ def evaluate(
             ):
                 pca_flags += 1
 
-        per_patient[pid] = compute_metrics(pairs, penalty)
-        naive_per_patient[pid] = compute_metrics(naive_pairs, penalty)
+        per_patient[pid] = compute_metrics(predicted, actual, penalty)
+        naive_per_patient[pid] = compute_metrics(naive_predicted, actual, penalty)
         if audit:
-            all_pairs[pid] = tuple(pairs)
-            all_naive_pairs[pid] = tuple(naive_pairs)
+            all_predicted[pid] = predicted
+            all_naive_predicted[pid] = naive_predicted
+            all_actual[pid] = actual
             fold_splits[pid] = splits
 
     cohort = {m: cohort_mean([per_patient[p][m] for p in per_patient]) for m in METRICS}
@@ -394,8 +397,9 @@ def evaluate(
             "pca_flags": pca_flags,
             "seed": seed,
         },
-        pairs=all_pairs if audit else None,
-        naive_pairs=all_naive_pairs if audit else None,
+        predicted=all_predicted if audit else None,
+        naive_predicted=all_naive_predicted if audit else None,
+        actual=all_actual if audit else None,
         fold_splits=fold_splits if audit else None,
     )
 

@@ -5,7 +5,6 @@ from .gpr import (
     GprCore,
     GprPredictor,
     WeightedGprEnsemble,
-    convex_combine,
     rbf_kernel,
     weighted_log_mean,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "WeightedGprEnsemble",
     "attach_stacked",
     "builtin_registry",
-    "convex_combine",
     "fit_stacker",
     "log_targets",
     "rbf_kernel",

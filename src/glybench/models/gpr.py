@@ -107,26 +107,20 @@ class GprPredictor:
         return from_log_array(self.core.mean(self.pipeline.transform(test.x)))
 
 
-def convex_combine(mu_p: float, mu_m: float, alpha: float, beta: float) -> float:
-    """Weighted average (alpha*mu_p + beta*mu_m) / (alpha + beta)."""
-    return (alpha * mu_p + beta * mu_m) / (alpha + beta)
-
-
-def weighted_log_mean(
-    mu_p: float, sigma_p: float, mu_m: float, sigma_m: float
-) -> float:
+def weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m) -> np.ndarray:
     """Blend two log-space predictions with reciprocal-sigma weights.
 
+    Elementwise ``(mu_p / sigma_p + mu_m / sigma_m) / (1 / sigma_p + 1 / sigma_m)``.
     A member with zero sigma is trusted exclusively; if both are zero the
     members average equally.
     """
-    if sigma_p <= 0.0 and sigma_m <= 0.0:
-        return 0.5 * (mu_p + mu_m)
-    if sigma_p <= 0.0:
-        return mu_p
-    if sigma_m <= 0.0:
-        return mu_m
-    return convex_combine(mu_p, mu_m, 1.0 / sigma_p, 1.0 / sigma_m)
+    p_zero, m_zero = sigma_p <= 0.0, sigma_m <= 0.0
+    # a zero sigma's weight is never used; dividing by 1 instead avoids inf
+    alpha = 1.0 / np.where(p_zero, 1.0, sigma_p)
+    beta = 1.0 / np.where(m_zero, 1.0, sigma_m)
+    blend = (alpha * mu_p + beta * mu_m) / (alpha + beta)
+    return np.where(p_zero, np.where(m_zero, 0.5 * (mu_p + mu_m), mu_p),
+                    np.where(m_zero, mu_m, blend))
 
 
 class WeightedGprEnsemble:
@@ -174,6 +168,5 @@ class WeightedGprEnsemble:
                 self.fallback_count += len(idx)
                 continue
             mu_m, sigma_m = core.posterior(q[idx])
-            for i, m, s in zip(idx.tolist(), mu_m.tolist(), sigma_m.tolist()):
-                out[i] = weighted_log_mean(float(mu_p[i]), float(sigma_p[i]), m, s)
+            out[idx] = weighted_log_mean(mu_p[idx], sigma_p[idx], mu_m, sigma_m)
         return from_log_array(out)

@@ -1,8 +1,8 @@
 """Domain vocabulary for diabetes-diary modeling.
 
 Everything downstream (cleaning, feature engineering, models, evaluation)
-speaks in terms of these types: raw diary records, patient histories
-and prediction pairs. All types are immutable values and safe to share
+speaks in terms of these types: raw diary records and patient
+histories. All types are immutable values and safe to share
 between concurrent tasks.
 
 Missing values are represented by ``None``, never by a sentinel number,
@@ -100,14 +100,6 @@ class PatientHistory:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class PredictionPair:
-    """A (predicted, actual) glucose pair feeding the loss metrics."""
-
-    predicted: float
-    actual: float
 
 
 def validate_history(h: PatientHistory) -> list[str]:

@@ -32,9 +32,8 @@ from glybench.evaluation import (
 )
 from glybench.features import IOB_KNOTS, compute_iob, iob_fraction
 from glybench.ingest import clean_cohort, parse_diary_csv
-from glybench.models import builtin_registry, convex_combine, weighted_log_mean
+from glybench.models import builtin_registry, weighted_log_mean
 from glybench.models.gpr import GprCore, rbf_kernel
-from glybench.records import PredictionPair
 from glybench.synth import default_config, generate, high_signal_config, zero_signal_config
 from glybench.variants import materialize, spec_by_id
 
@@ -61,24 +60,20 @@ def _ok(n: int, message: str) -> None:
 def test_criterion_1_metric_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
-    pairs = [
-        PredictionPair(float(rng.uniform(1, 30)), float(rng.uniform(1, 30)))
-        for _ in range(200)
-    ]
+    predicted, actual = rng.uniform(1, 30, size=(2, 200))
+    pairs = list(zip(predicted.tolist(), actual.tolist()))
     n = len(pairs)
-    oracle_l1 = math.fsum(abs(p.predicted - p.actual) for p in pairs) / n
-    oracle_rl1 = math.fsum(abs(p.predicted - p.actual) / p.actual for p in pairs) / n
-    oracle_rmse = math.sqrt(
-        math.fsum((p.predicted - p.actual) ** 2 for p in pairs) / n
-    )
-    assert abs(l1(pairs) - oracle_l1) <= 1e-12
-    assert abs(rl1(pairs) - oracle_rl1) <= 1e-12
-    assert abs(rmse(pairs) - oracle_rmse) <= 1e-12
+    oracle_l1 = math.fsum(abs(p - a) for p, a in pairs) / n
+    oracle_rl1 = math.fsum(abs(p - a) / a for p, a in pairs) / n
+    oracle_rmse = math.sqrt(math.fsum((p - a) ** 2 for p, a in pairs) / n)
+    assert abs(l1(predicted, actual) - oracle_l1) <= 1e-12
+    assert abs(rl1(predicted, actual) - oracle_rl1) <= 1e-12
+    assert abs(rmse(predicted, actual) - oracle_rmse) <= 1e-12
 
-    low = [PredictionPair(5.0, 3.0)]
-    high = [PredictionPair(10.0, 12.0)]
-    assert l1(low) == 2.0 and l1(high) == 2.0
-    assert rl1(low) == 2.0 / 3.0 and rl1(high) == 2.0 / 12.0
+    low = (np.array([5.0]), np.array([3.0]))
+    high = (np.array([10.0]), np.array([12.0]))
+    assert l1(*low) == 2.0 and l1(*high) == 2.0
+    assert rl1(*low) == 2.0 / 3.0 and rl1(*high) == 2.0 / 12.0
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -136,10 +131,10 @@ def test_criterion_3_weighted_combination():
         sig_p, sig_m = (float(v) for v in rng.uniform(1e-3, 5.0, size=2))
         out = weighted_log_mean(mu_p, sig_p, mu_m, sig_m)
         assert min(mu_p, mu_m) - 1e-12 <= out <= max(mu_p, mu_m) + 1e-12
-        alpha, beta = 1.0 / sig_p, 1.0 / sig_m
+        # rescaling both sigmas by c rescales both weights by 1/c
         c = float(rng.uniform(0.01, 100.0))
-        assert convex_combine(mu_p, mu_m, c * alpha, c * beta) == pytest.approx(
-            convex_combine(mu_p, mu_m, alpha, beta), abs=1e-12
+        assert weighted_log_mean(mu_p, c * sig_p, mu_m, c * sig_m) == pytest.approx(
+            out, abs=1e-12
         )
     _ok(3, "blend examples to 1e-4; convexity and weight-rescaling "
            "invariance on 1000 draws")
@@ -362,11 +357,11 @@ def test_criterion_9_identity_penalty_bitwise(library_grid):
     unit = PenaltyTable.identity()
     cells = 0
     for (vid, name), (report, _spies, _dataset) in library_grid.items():
-        for pid, pairs in report.pairs.items():
-            pair_list = list(pairs)
-            assert g_metric(pair_list, unit, "MAD") == l1(pair_list)
-            assert g_metric(pair_list, unit, "MARD") == rl1(pair_list)
-            assert g_metric(pair_list, unit, "RMSE") == rmse(pair_list)
+        for pid, predicted in report.predicted.items():
+            actual = report.actual[pid]
+            assert g_metric(predicted, actual, unit, "MAD") == l1(predicted, actual)
+            assert g_metric(predicted, actual, unit, "MARD") == rl1(predicted, actual)
+            assert g_metric(predicted, actual, unit, "RMSE") == rmse(predicted, actual)
         cells += 1
     assert cells == len(GRID_VARIANTS) * len(GRID_MODELS)
     _ok(9, f"gMAD/gMARD/gRMSE == MAD/MARD/RMSE bit-for-bit on all "

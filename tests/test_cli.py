@@ -10,7 +10,7 @@ import pytest
 
 from glybench import cli
 from glybench.cli import main, summarize_results
-from glybench.evaluation import METRICS
+from glybench.evaluation import METRICS, evaluate
 from glybench.ingest import parse_diary_csv
 
 
@@ -123,6 +123,39 @@ def test_run_unknown_variant_exits_2(cohort_csv, tmp_path, capsys):
     )
     assert code == 2
     assert "D_e99" in capsys.readouterr().err
+
+
+def _spy_on_evaluate(monkeypatch) -> list:
+    """Make ``run`` evaluate in-process and collect every report it makes."""
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(evaluate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    return reports
+
+
+def test_run_evaluates_a_repeated_variant_once(cohort_csv, tmp_path, monkeypatch):
+    reports = _spy_on_evaluate(monkeypatch)
+    out = tmp_path / "results"
+    assert main(["run", "--input", str(cohort_csv), "--out", str(out),
+                 "--variants", "D_a6,D_a6", "--models", "naive", "--k", "5",
+                 "--min-records", "20"]) == 0
+    assert [(r.variant, r.model) for r in reports] == [("D_a6", "naive")]
+    assert json.loads((out / "run_meta.json").read_text())["variants"] == ["D_a6"]
+
+
+def test_run_meta_reports_pca_flags_per_cell(cohort_csv, tmp_path, monkeypatch):
+    reports = _spy_on_evaluate(monkeypatch)
+    out = tmp_path / "results"
+    assert main(["run", "--input", str(cohort_csv), "--out", str(out),
+                 "--variants", "D_a12", "--models", "ridge", "--k", "5",
+                 "--min-records", "20"]) == 0
+    flags = json.loads((out / "run_meta.json").read_text())["pca_flags"]
+    assert set(flags) == {"D_a12/naive", "D_a12/ridge"}
+    assert flags == {f"{r.variant}/{r.model}": r.metadata["pca_flags"] for r in reports}
 
 
 def test_run_rerun_is_byte_identical(cohort_csv, tmp_path):
@@ -242,6 +275,8 @@ def test_run_grid_config_file_with_flag_overrides(cohort_csv, tmp_path):
         ({"variants": "D_a6"}, [], None, "'variants'"),
         ({"models": ["naive", 3]}, [], None, "'models'"),
         ({"out": 5}, [], None, "'out'"),
+        ({"variants": []}, [], None, "'variants'"),
+        ({}, ["--variants", ","], None, "'variants'"),
     ],
 )
 def test_run_rejects_bad_grid_values_before_writing(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glybench import evaluation
 from glybench.evaluation import (
@@ -27,11 +28,12 @@ from glybench.evaluation import (
 )
 from glybench.ingest import clean_cohort
 from glybench.models import builtin_registry
-from glybench.records import MGDL_PER_MMOLL, PredictionPair
+from glybench.records import MGDL_PER_MMOLL
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, rebuild_rows, spec_by_id
 
 import feature_oracle
+import metric_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,8 @@ def test_folds_partition_all_rows(n, k):
         assert test_idx == list(range(test_idx[0], test_idx[-1] + 1))  # contiguous
         seen.extend(test_idx)
     assert sorted(seen) == list(range(n))
+    sizes = [stop - start for start, stop in plan.bounds]
+    assert max(sizes) - min(sizes) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -82,37 +86,40 @@ def test_folds_partition_all_rows(n, k):
 # ---------------------------------------------------------------------------
 
 def test_relative_loss_rationale_pairs():
-    low = [PredictionPair(5.0, 3.0)]
-    high = [PredictionPair(10.0, 12.0)]
-    assert l1(low) == 2.0 and l1(high) == 2.0
-    assert rl1(low) == 2.0 / 3.0
-    assert rl1(high) == 2.0 / 12.0
+    low = (np.array([5.0]), np.array([3.0]))
+    high = (np.array([10.0]), np.array([12.0]))
+    assert l1(*low) == 2.0 and l1(*high) == 2.0
+    assert rl1(*low) == 2.0 / 3.0
+    assert rl1(*high) == 2.0 / 12.0
 
 
 def test_perfect_predictions_are_zero():
-    pairs = [PredictionPair(v, v) for v in (3.0, 7.5, 12.0)]
-    assert l1(pairs) == 0.0 and rl1(pairs) == 0.0 and rmse(pairs) == 0.0
+    values = np.array([3.0, 7.5, 12.0])
+    assert l1(values, values) == 0.0 and rl1(values, values) == 0.0
+    assert rmse(values, values) == 0.0
 
 
 def test_metrics_match_per_pair_summation_oracle():
     rng = np.random.default_rng(17)
-    pairs = [
-        PredictionPair(float(rng.uniform(1, 30)), float(rng.uniform(1, 30)))
-        for _ in range(200)
-    ]
+    predicted, actual = rng.uniform(1, 30, size=(2, 200))
+    pairs = list(zip(predicted.tolist(), actual.tolist()))
     n = len(pairs)
-    o_l1 = math.fsum(abs(p.predicted - p.actual) for p in pairs) / n
-    o_rl1 = math.fsum(abs(p.predicted - p.actual) / p.actual for p in pairs) / n
-    o_rmse = math.sqrt(math.fsum((p.predicted - p.actual) ** 2 for p in pairs) / n)
-    assert l1(pairs) == pytest.approx(o_l1, abs=1e-12)
-    assert rl1(pairs) == pytest.approx(o_rl1, abs=1e-12)
-    assert rmse(pairs) == pytest.approx(o_rmse, abs=1e-12)
+    o_l1 = math.fsum(abs(p - a) for p, a in pairs) / n
+    o_rl1 = math.fsum(abs(p - a) / a for p, a in pairs) / n
+    o_rmse = math.sqrt(math.fsum((p - a) ** 2 for p, a in pairs) / n)
+    assert l1(predicted, actual) == pytest.approx(o_l1, abs=1e-12)
+    assert rl1(predicted, actual) == pytest.approx(o_rl1, abs=1e-12)
+    assert rmse(predicted, actual) == pytest.approx(o_rmse, abs=1e-12)
 
 
 def test_metrics_refuse_empty_input():
+    empty = np.array([])
     for fn in (l1, rl1, rmse):
         with pytest.raises(ValueError):
-            fn([])
+            fn(empty, empty)
+    for base in ("MAD", "MARD", "RMSE"):
+        with pytest.raises(ValueError):
+            g_metric(empty, empty, PenaltyTable(), base)
 
 
 @given(
@@ -126,8 +133,8 @@ def test_metrics_refuse_empty_input():
     )
 )
 def test_rmse_dominates_l1(raw):
-    pairs = [PredictionPair(p, a) for p, a in raw]
-    assert rmse(pairs) >= l1(pairs) - 1e-12
+    predicted, actual = np.array(raw).T
+    assert rmse(predicted, actual) >= l1(predicted, actual) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +158,98 @@ def test_clarke_zone_spot_checks():
 
 def test_identity_penalty_recovers_base_metrics_bitwise():
     rng = np.random.default_rng(23)
-    pairs = [
-        PredictionPair(float(rng.uniform(1, 30)), float(rng.uniform(1, 30)))
-        for _ in range(100)
-    ]
+    predicted, actual = rng.uniform(1, 30, size=(2, 100))
     unit = PenaltyTable.identity()
-    assert g_metric(pairs, unit, "MAD") == l1(pairs)
-    assert g_metric(pairs, unit, "MARD") == rl1(pairs)
-    assert g_metric(pairs, unit, "RMSE") == rmse(pairs)
+    assert g_metric(predicted, actual, unit, "MAD") == l1(predicted, actual)
+    assert g_metric(predicted, actual, unit, "MARD") == rl1(predicted, actual)
+    assert g_metric(predicted, actual, unit, "RMSE") == rmse(predicted, actual)
 
 
 def test_g_metric_three_pair_hand_oracle():
     # zones by hand from the zone definitions: D (w=6), A (w=1), C (w=4)
-    pairs = [
-        PredictionPair(7.0, 3.0),
-        PredictionPair(7.0, 7.5),
-        PredictionPair(15.0, 5.0),
-    ]
+    predicted = np.array([7.0, 7.0, 15.0])
+    actual = np.array([3.0, 7.5, 5.0])
     table = PenaltyTable()
+    assert table.weight(actual, predicted).tolist() == [6.0, 1.0, 4.0]
     gmad = (6 * 4.0 + 1 * 0.5 + 4 * 10.0) / 3
     gmard = (6 * 4.0 / 3.0 + 1 * 0.5 / 7.5 + 4 * 10.0 / 5.0) / 3
     grmse = math.sqrt(((6 * 4.0) ** 2 + (1 * 0.5) ** 2 + (4 * 10.0) ** 2) / 3)
-    assert g_metric(pairs, table, "MAD") == pytest.approx(gmad, abs=1e-12)
-    assert g_metric(pairs, table, "MARD") == pytest.approx(gmard, abs=1e-12)
-    assert g_metric(pairs, table, "RMSE") == pytest.approx(grmse, abs=1e-12)
+    assert g_metric(predicted, actual, table, "MAD") == pytest.approx(gmad, abs=1e-12)
+    assert g_metric(predicted, actual, table, "MARD") == pytest.approx(gmard, abs=1e-12)
+    assert g_metric(predicted, actual, table, "RMSE") == pytest.approx(grmse, abs=1e-12)
+
+
+# every boundary of the zone conditions, on the reference axis and, as a
+# function of the reference, on the predicted axis
+_REF_EDGES = (70.0, 180.0, 290.0, 175.0 / 3.0, 130.0, 240.0)
+_MGDL = st.floats(min_value=0.0, max_value=1000.0)
+
+
+def _pred_edges(ref: float) -> tuple[float, ...]:
+    return (70.0, 180.0, ref - 0.2 * ref, ref + 0.2 * ref, ref + 110,
+            (7.0 / 5.0) * ref - 182, (6.0 / 5.0) * ref)
+
+
+def _neighbours(value: float) -> list[float]:
+    return [float(np.nextafter(value, -np.inf)), value, float(np.nextafter(value, np.inf))]
+
+
+def _near(draw, edges) -> float:
+    """An edge or any value, or a floating-point neighbour of it."""
+    return draw(st.sampled_from(_neighbours(draw(st.one_of(st.sampled_from(edges), _MGDL)))))
+
+
+@st.composite
+def _clarke_points(draw) -> tuple[float, float]:
+    ref = _near(draw, _REF_EDGES)
+    return ref, _near(draw, _pred_edges(ref))
+
+
+def _assert_zones_equal_the_oracle(points):
+    ref, pred = np.array(points, dtype=float).reshape(-1, 2).T
+    want = [metric_oracle.clarke_zone(r, p) for r, p in points]
+    assert clarke_zone(ref, pred).tolist() == want
+
+
+def test_array_zones_equal_the_scalar_oracle_on_every_boundary():
+    points = [
+        (ref, pred)
+        for edge in _REF_EDGES
+        for ref in _neighbours(edge)
+        for pred_edge in _pred_edges(ref) + _REF_EDGES
+        for pred in _neighbours(pred_edge)
+    ]
+    _assert_zones_equal_the_oracle(points)
+    assert {metric_oracle.clarke_zone(r, p) for r, p in points} == set("ABCDE")
+
+
+@given(st.lists(_clarke_points(), min_size=1, max_size=60))
+def test_array_zones_equal_the_scalar_oracle(points):
+    _assert_zones_equal_the_oracle(points)
+
+
+_MMOLL = hnp.arrays(float, st.integers(1, 60),
+                    elements=st.floats(min_value=0.1, max_value=40.0))
+
+
+@given(_MMOLL, st.data())
+def test_zone_weights_are_at_least_one_and_a_unit_table_is_the_plain_metric(predicted, data):
+    actual = data.draw(hnp.arrays(float, len(predicted),
+                                  elements=st.floats(min_value=1.0, max_value=40.0)))
+    weights = {"A": 1.0}
+    weights.update({z: data.draw(st.floats(min_value=1.0, max_value=100.0)) for z in "BCDE"})
+    table = PenaltyTable(weights)
+    w = table.weight(actual, predicted)
+    assert w.shape == actual.shape and (w >= 1.0).all()
+    assert w.tolist() == [
+        weights[metric_oracle.clarke_zone(a * MGDL_PER_MMOLL, p * MGDL_PER_MMOLL)]
+        for a, p in zip(actual.tolist(), predicted.tolist())
+    ]
+
+    unit = PenaltyTable.identity()
+    assert g_metric(predicted, actual, unit, "MAD") == l1(predicted, actual)
+    assert g_metric(predicted, actual, unit, "MARD") == rl1(predicted, actual)
+    assert g_metric(predicted, actual, unit, "RMSE") == rmse(predicted, actual)
 
 
 def test_penalty_table_validation():
@@ -224,9 +299,11 @@ def test_evaluate_is_deterministic(dataset):
 
 def test_evaluate_micro_average_pools_pairs(dataset):
     report = evaluate(dataset, builtin_registry()["naive"], k=5, seed=0, audit=True)
-    for pid, pairs in report.pairs.items():
-        assert len(pairs) == len(dataset.per_patient[pid])
-        assert report.per_patient[pid]["L1"] == l1(list(pairs))
+    for pid, predicted in report.predicted.items():
+        actual = report.actual[pid]
+        assert predicted.shape == actual.shape == (len(dataset.per_patient[pid]),)
+        assert report.per_patient[pid]["L1"] == l1(predicted, actual)
+        assert report.naive_per_patient[pid]["L1"] == l1(report.naive_predicted[pid], actual)
 
 
 def test_evaluate_fold_splits_never_overlap(dataset):
@@ -291,8 +368,10 @@ def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkey
     monkeypatch.setattr(evaluation, "rebuild_rows", lambda prep, visible: (
         feature_oracle.rebuild_rows(history[id(prep)], spec, cfg, visible)))
     expected = evaluate(ds, entry, k=5, seed=3, audit=True)
-    assert report.pairs == expected.pairs
-    assert report.naive_pairs == expected.naive_pairs
+    for field in ("predicted", "naive_predicted", "actual"):
+        ours, theirs = getattr(report, field), getattr(expected, field)
+        assert ours.keys() == theirs.keys()
+        assert all(ours[pid].tobytes() == theirs[pid].tobytes() for pid in ours)
     assert report.per_patient == expected.per_patient
 
 
@@ -305,7 +384,10 @@ def test_fold_rebuild_sees_only_the_records_of_training_rows(variant, monkeypatc
 
     def spy(prep, visible):
         seen.append((patient_of[id(prep)], np.asarray(visible).tolist()))
-        return rebuild_rows(prep, visible)
+        design = rebuild_rows(prep, visible)
+        # evaluate scores against the materialized targets
+        assert design.target_bg.tobytes() == prep.design.target_bg.tobytes()
+        return design
 
     monkeypatch.setattr(evaluation, "rebuild_rows", spy)
     k = 5

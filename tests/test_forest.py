@@ -224,7 +224,10 @@ def test_rf4_cells_equal_the_oracle_forest():
     ours = evaluate(dataset, entry, k=5, seed=11, audit=True)
     theirs = evaluate(dataset, dataclasses.replace(entry, factory=oracle_factory),
                       k=5, seed=11, audit=True)
-    assert ours.pairs == theirs.pairs
+    for field in ("predicted", "naive_predicted", "actual"):
+        mine, oracle_arrays = getattr(ours, field), getattr(theirs, field)
+        assert mine.keys() == oracle_arrays.keys()
+        assert all(mine[pid].tobytes() == oracle_arrays[pid].tobytes() for pid in mine)
     assert ours.per_patient == theirs.per_patient
 
 
@@ -239,7 +242,7 @@ from glybench.variants import materialize, spec_by_id
 cleaned, _ = clean_cohort(generate(default_config(patients=2, days=40, seed=2026)))
 dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
 report = evaluate(dataset, builtin_registry()["rf4"], k=10, seed=2026, audit=True)
-text = repr(sorted((pid, [p.predicted for p in pairs]) for pid, pairs in report.pairs.items()))
+text = repr(sorted((pid, values.tolist()) for pid, values in report.predicted.items()))
 print(hashlib.sha256(text.encode()).hexdigest())
 """
 

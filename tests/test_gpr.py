@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glybench.features import FeatureConfig, PcaConfig
 from glybench.models import (
     GprCore,
     GprPredictor,
     WeightedGprEnsemble,
-    convex_combine,
     rbf_kernel,
     weighted_log_mean,
 )
 from glybench.records import MealSlot
 
 from test_models import design, frow, predict_one
+
+import metric_oracle
 
 CFG = FeatureConfig()
 NUGGET = 0.25
@@ -124,8 +128,30 @@ def test_combination_is_convex_and_scale_invariant():
         assert min(mu_p, mu_m) - 1e-12 <= out <= max(mu_p, mu_m) + 1e-12
         alpha, beta = 1.0 / sig_p, 1.0 / sig_m
         c = float(rng.uniform(0.1, 100.0))
-        rescaled = convex_combine(mu_p, mu_m, c * alpha, c * beta)
-        assert rescaled == pytest.approx(convex_combine(mu_p, mu_m, alpha, beta), abs=1e-12)
+        rescaled = metric_oracle.convex_combine(mu_p, mu_m, c * alpha, c * beta)
+        assert rescaled == pytest.approx(
+            metric_oracle.convex_combine(mu_p, mu_m, alpha, beta), abs=1e-12)
+        # the same rescaling through the sigmas of the array blend
+        assert weighted_log_mean(mu_p, sig_p / c, mu_m, sig_m / c) == pytest.approx(
+            out, abs=1e-12)
+
+
+_MU = st.floats(min_value=-20.0, max_value=20.0)
+_SIGMA = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(*(
+    hnp.arrays(float, n, elements=e) for e in (_MU, _SIGMA, _MU, _SIGMA)))))
+def test_array_blend_equals_the_scalar_oracle_bytewise(members):
+    mu_p, sigma_p, mu_m, sigma_m = members
+    want = np.array([
+        metric_oracle.weighted_log_mean(*row)
+        for row in zip(mu_p.tolist(), sigma_p.tolist(), mu_m.tolist(), sigma_m.tolist())
+    ])
+    # subnormal sigmas overflow their weights to inf, in both versions alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m)
+    assert got.tobytes() == want.tobytes()
 
 
 def _slot_rows(rng, slot, n, level):
