@@ -11,14 +11,17 @@ would be comfortable predicting it from the diary alone:
 
 The eight-day window is literal calendar days by default; set
 ``window_recorded_dates`` to count back over the patient's eight most
-recent recorded dates instead.
+recent recorded dates instead. :func:`failed_rules` decides every record
+at once, as masks over the meal, date and glucose arrays of
+``features.RecordArrays``.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .records import DiaryRecord, PatientHistory
 
@@ -35,58 +38,59 @@ class EpDecision:
     failed_rules: frozenset[str] = field(default_factory=frozenset)
 
 
-def _slot_coverage(h: PatientHistory) -> dict[int, int]:
-    """Bit mask of the meal slots recorded on each date, keyed by ordinal."""
-    coverage: dict[int, int] = {}
-    for r in h.records:
-        if r.date is not None:
-            day = r.date.toordinal()
-            coverage[day] = coverage.get(day, 0) | (1 << r.meal.value)
-    return coverage
+def failed_rules(
+    meal: np.ndarray, day: np.ndarray, bg: np.ndarray, window_recorded_dates: bool = False
+) -> dict[str, np.ndarray]:
+    """For each rule, the mask of the records that fail it.
 
-
-def _decide(
-    records: Sequence[DiaryRecord],
-    i: int,
-    coverage: dict[int, int],
-    recorded_days: Optional[list[int]],
-) -> EpDecision:
-    """The decision for record ``i``, given the history's slot coverage and,
-    to count back over recorded dates, its sorted recorded date ordinals."""
-    failed: set[str] = set()
-    if i == 0:
-        return EpDecision(False, frozenset({PREV_MEAL_MISSING}))
-    prev = records[i - 1]
-    if prev.bg is None:
-        failed.add(PREV_MEAL_MISSING)
-    elif prev.bg < HYPO_THRESHOLD_MMOLL:
-        failed.add(PREV_HYPO)
-
-    current = records[i]
-    if current.date is None:
-        failed.add(SIX_OF_EIGHT)
-    else:
-        day = current.date.toordinal()
-        if recorded_days is None:
-            days = range(day - 8, day)
+    ``meal`` holds slot ordinals, ``day`` date ordinals (0 for an undated
+    record; real ordinals start at 1) and ``bg`` glucose (NaN when
+    missing). Record 0 fails only the preceding-meal rule; an undated
+    record fails the six-of-eight rule.
+    """
+    prev_bg = np.roll(bg, 1)
+    prev_bg[:1] = np.nan
+    both = np.left_shift(1, meal) | np.left_shift(1, np.roll(meal, 1))
+    dated = day > 0
+    dates, on_date = np.unique(day[dated], return_inverse=True)
+    # the bit mask of the slots recorded on each date, then a 0 that
+    # position -1 reads for a date with no records
+    coverage = np.zeros(len(dates) + 1, dtype=np.int64)
+    np.bitwise_or.at(coverage, on_date, np.left_shift(1, meal[dated]))
+    padded = np.append(dates, np.iinfo(np.int64).max)
+    end = np.searchsorted(dates, day)
+    qualifying = np.zeros(len(meal), dtype=np.intp)
+    for back in range(1, 9):
+        if window_recorded_dates:
+            at = np.maximum(end - back, -1)
         else:
-            end = bisect.bisect_left(recorded_days, day)
-            days = recorded_days[max(end - 8, 0):end]
-        both = (1 << current.meal.value) | (1 << prev.meal.value)
-        qualifying = sum(1 for d in days if coverage.get(d, 0) & both == both)
-        if qualifying < 6:
-            failed.add(SIX_OF_EIGHT)
+            at = np.searchsorted(dates, day - back)
+            at[padded[at] != day - back] = -1
+        qualifying += (coverage[at] & both) == both
+    six_of_eight = ~dated | (qualifying < 6)
+    six_of_eight[:1] = False
+    return {
+        PREV_HYPO: prev_bg < HYPO_THRESHOLD_MMOLL,
+        PREV_MEAL_MISSING: np.isnan(prev_bg),
+        SIX_OF_EIGHT: six_of_eight,
+    }
 
-    return EpDecision(not failed, frozenset(failed))
+
+def predictable(masks: dict[str, np.ndarray]) -> np.ndarray:
+    """The records that fail none of :func:`failed_rules`' masks."""
+    return ~np.logical_or.reduce(list(masks.values()))
 
 
-def ep_decisions(
-    h: PatientHistory, window_recorded_dates: bool = False
-) -> list[EpDecision]:
-    """:func:`is_expert_predictable` for every record, in one linear pass."""
-    coverage = _slot_coverage(h)
-    recorded = sorted(coverage) if window_recorded_dates else None
-    return [_decide(h.records, i, coverage, recorded) for i in range(len(h.records))]
+def _failed_rules_of(
+    records: Sequence[DiaryRecord], window_recorded_dates: bool
+) -> dict[str, np.ndarray]:
+    return failed_rules(
+        np.array([r.meal.value for r in records], dtype=np.intp),
+        np.array([0 if r.date is None else r.date.toordinal() for r in records],
+                 dtype=np.int64),
+        np.array([r.bg for r in records], dtype=float),
+        window_recorded_dates,
+    )
 
 
 def is_expert_predictable(
@@ -94,19 +98,18 @@ def is_expert_predictable(
 ) -> EpDecision:
     """Decide whether the glucose at record ``i`` is expert predictable.
 
-    Only looks at records strictly before index ``i`` and dates strictly
-    before its date, so the decision is free of look-ahead. ``i == 0``
-    fails the preceding-meal rule by construction.
+    Reads records ``0..i`` only, so the decision is free of look-ahead.
+    ``i == 0`` fails the preceding-meal rule by construction.
     """
-    coverage = _slot_coverage(h)
-    recorded = sorted(coverage) if window_recorded_dates else None
-    return _decide(h.records, i, coverage, recorded)
+    masks = _failed_rules_of(h.records[: i + 1], window_recorded_dates)
+    failed = frozenset(rule for rule, mask in masks.items() if mask[i])
+    return EpDecision(not failed, failed)
 
 
 def ep_counts(h: PatientHistory, window_recorded_dates: bool = False) -> tuple[int, int]:
     """(total records, records whose glucose is expert predictable)."""
-    decisions = ep_decisions(h, window_recorded_dates)
-    return len(decisions), sum(d.predictable for d in decisions)
+    masks = _failed_rules_of(h.records, window_recorded_dates)
+    return len(h.records), int(np.count_nonzero(predictable(masks)))
 
 
 EP_COUNTS_CSV_HEADER = "patient_id,total,ep_count"

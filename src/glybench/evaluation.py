@@ -184,17 +184,7 @@ class PenaltyTable:
         return PenaltyTable({str(k): float(v) for k, v in data.items()})
 
 
-def g_metric(
-    predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable, base: str
-) -> float:
-    """Penalty-weighted variant of MAD, MARD or RMSE.
-
-    Each prediction's error is multiplied by its zone weight before
-    aggregation; for RMSE the weighted error is what gets squared. A unit
-    table reproduces the base metric bit-for-bit.
-    """
-    err = _errors(predicted, actual)
-    w = penalty.weight(actual, predicted)
+def _weighted(err: np.ndarray, w: np.ndarray, actual: np.ndarray, base: str) -> float:
     if base == "MAD":
         return float(np.mean(w * np.abs(err)))
     if base == "MARD":
@@ -204,16 +194,29 @@ def g_metric(
     raise ValueError(f"unknown base metric {base!r}")
 
 
+def g_metric(
+    predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable, base: str
+) -> float:
+    """Penalty-weighted variant of MAD, MARD or RMSE.
+
+    Each prediction's error is multiplied by its zone weight before
+    aggregation; for RMSE the weighted error is what gets squared. A unit
+    table reproduces the base metric bit-for-bit.
+    """
+    return _weighted(_errors(predicted, actual), penalty.weight(actual, predicted), actual, base)
+
+
 def compute_metrics(
     predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable
 ) -> dict[str, float]:
+    """Every metric of :data:`METRICS`; the points' zones are classified once."""
+    err = _errors(predicted, actual)
+    w = penalty.weight(actual, predicted)
     return {
         "L1": l1(predicted, actual),
         "rL1": rl1(predicted, actual),
         "RMSE": rmse(predicted, actual),
-        "gMAD": g_metric(predicted, actual, penalty, "MAD"),
-        "gMARD": g_metric(predicted, actual, penalty, "MARD"),
-        "gRMSE": g_metric(predicted, actual, penalty, "RMSE"),
+        **{f"g{base}": _weighted(err, w, actual, base) for base in ("MAD", "MARD", "RMSE")},
     }
 
 

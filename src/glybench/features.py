@@ -4,20 +4,21 @@ A design's rows pair consecutive diary records: the features describe
 the state at record i, the target is the glucose reading at record i+1.
 Insulin on board decays along a monotone cubic through published
 (elapsed time, fraction remaining) points and is summed over every bolus
-in the trailing five hours.
+in the trailing five hours. ``RecordArrays`` turns a history's records
+into the arrays every design and row filter works on.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .records import DiaryRecord, PatientHistory, StaticInfo
+from .records import PatientHistory, StaticInfo
 
 # (elapsed hours, fraction of injected insulin still active)
 IOB_KNOTS: tuple[tuple[float, float], ...] = (
@@ -139,31 +140,13 @@ def _iob_window(t_us: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Timeline:
-    """A history's record times and glucose as arrays, with each record's
-    insulin-on-board window (see :func:`_iob_window`).
-
-    ``t_us`` holds integer microseconds, so differences are exact.
-    Everything here is fixed by the records' times and glucose; the carbs
-    and bolus amounts are passed to :func:`event_columns` separately.
-    """
+    """A history's record times (``t_us``, integer microseconds, so
+    differences are exact) and glucose as arrays, with each record's
+    insulin-on-board window (see :func:`_iob_window`)."""
 
     t_us: np.ndarray
     bg: np.ndarray
     iob_window: np.ndarray
-
-    @staticmethod
-    def of(records: Sequence[DiaryRecord]) -> "Timeline":
-        t_us = np.array(
-            [(r.timestamp() - _EPOCH) // _MICROSECOND for r in records], dtype=np.int64
-        )
-        bg = np.array([r.bg for r in records], dtype=float)
-        return Timeline(t_us, bg, _iob_window(t_us))
-
-
-def amounts(records: Sequence[DiaryRecord], field: str) -> np.ndarray:
-    """A carbs or bolus field as an array, missing values as 0 (no event)."""
-    values = (getattr(r, field) for r in records)
-    return np.array([0.0 if v is None else v for v in values], dtype=float)
 
 
 def _insulin_on_board(timeline: Timeline, bolus: np.ndarray) -> np.ndarray:
@@ -222,9 +205,8 @@ def compute_iob(h: PatientHistory, i: int) -> float:
     positive bolus inside the trailing five-hour window; the record's own
     bolus does not count.
     """
-    records = h.records[: i + 1]
-    iob = _insulin_on_board(Timeline.of(records), amounts(records, "bolus"))
-    return float(iob[i])
+    a = RecordArrays.of(PatientHistory(h.patient_id, h.records[: i + 1]))
+    return float(_insulin_on_board(a.timeline, a.bolus)[i])
 
 
 class DowMode(Enum):
@@ -263,56 +245,46 @@ class FeatureConfig:
 STATIC_COLUMNS = ("age", "sex", "height", "weight")
 
 
+def _static_values(s: StaticInfo) -> tuple[Optional[float], ...]:
+    """(age, sex01, height, weight), None where missing."""
+    sex01 = None if s.sex is None else float(s.sex.upper().startswith("M"))
+    return tuple(None if v is None else float(v) for v in (s.age, sex01, s.height, s.weight))
+
+
 def static_tuple(
     s: Optional[StaticInfo], defaults: tuple[float, float, float, float]
 ) -> tuple[float, float, float, float]:
     """(age, sex01, height, weight) with missing entries from cohort defaults."""
     if s is None:
         return defaults
-    sex01 = defaults[1]
-    if s.sex is not None:
-        sex01 = 1.0 if s.sex.upper().startswith("M") else 0.0
-    return (
-        float(s.age) if s.age is not None else defaults[0],
-        sex01,
-        float(s.height) if s.height is not None else defaults[2],
-        float(s.weight) if s.weight is not None else defaults[3],
-    )
+    pairs = zip(_static_values(s), defaults)
+    return tuple(d if v is None else v for v, d in pairs)  # type: ignore[return-value]
 
 
 def cohort_static_defaults(
     cohort: Sequence[PatientHistory],
 ) -> tuple[float, float, float, float]:
     """Cohort means of the static fields, for filling gaps (e.g. missing height)."""
-    cols: list[list[float]] = [[], [], [], []]
-    for h in cohort:
-        s = h.static
-        if s is None:
-            continue
-        if s.age is not None:
-            cols[0].append(float(s.age))
-        if s.sex is not None:
-            cols[1].append(1.0 if s.sex.upper().startswith("M") else 0.0)
-        if s.height is not None:
-            cols[2].append(float(s.height))
-        if s.weight is not None:
-            cols[3].append(float(s.weight))
+    rows = [_static_values(h.static) for h in cohort if h.static is not None]
+    cols = [[row[j] for row in rows if row[j] is not None] for j in range(4)]
     return tuple(sum(c) / len(c) if c else 0.0 for c in cols)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
 class RecordArrays:
     """A history's records as arrays, the input :func:`build_feature_rows`
-    assembles a design from.
+    assembles a design from, and the only reader of a record's fields on
+    the way from a cleaned history to a design.
 
-    ``meal`` holds slot ordinals and ``weekday`` Monday = 0; a missing
+    ``meal`` holds slot ordinals and ``day`` date ordinals; a missing
     exercise level reads 4 (normal) and a missing basal 0. ``cho`` and
     ``bolus`` hold 0 at a gap, and ``cho_gap``/``bolus_gap`` mark the gaps.
+    A variant's row filters are masks over these arrays (see :meth:`rows`).
     """
 
     timeline: Timeline
     meal: np.ndarray
-    weekday: np.ndarray
+    day: np.ndarray
     ev: np.ndarray
     pv: np.ndarray
     basal: np.ndarray
@@ -324,23 +296,44 @@ class RecordArrays:
 
     @staticmethod
     def of(h: PatientHistory) -> "RecordArrays":
+        """Raises ``ValueError`` naming the patient, meal slot and date of
+        a record without a date or a time."""
         records = h.records
+        for r in records:
+            if r.date is None or r.time is None:
+                raise ValueError(f"patient {h.patient_id}: the {r.meal.name} record "
+                                 f"dated {r.date} has no timestamp")
 
         def column(values) -> np.ndarray:
             return np.array(list(values), dtype=float)
 
+        t_us = np.array(
+            [(r.timestamp() - _EPOCH) // _MICROSECOND for r in records], dtype=np.int64
+        )
+        day = [r.date.toordinal() for r in records]  # type: ignore[union-attr]
         return RecordArrays(
-            timeline=Timeline.of(records),
+            timeline=Timeline(t_us, column(r.bg for r in records), _iob_window(t_us)),
             meal=np.array([r.meal.value for r in records], dtype=np.intp),
-            weekday=column(r.date.weekday() for r in records),  # type: ignore[union-attr]
+            day=np.array(day, dtype=np.int64),
             ev=column(4 if r.ev is None else r.ev.numeric_value for r in records),
             pv=column(r.pv for r in records),
             basal=column(0.0 if r.basal is None else r.basal for r in records),
-            cho=amounts(records, "cho"),
+            cho=column(0.0 if r.cho is None else r.cho for r in records),
             cho_gap=np.array([r.cho is None for r in records], dtype=bool),
-            bolus=amounts(records, "bolus"),
+            bolus=column(0.0 if r.bolus is None else r.bolus for r in records),
             bolus_gap=np.array([r.bolus is None for r in records], dtype=bool),
             static=h.static,
+        )
+
+    def rows(self, keep: np.ndarray) -> "RecordArrays":
+        """The records that the boolean mask ``keep`` marks, with the
+        insulin-on-board window rebuilt over their times."""
+        t_us = self.timeline.t_us[keep]
+        return RecordArrays(
+            timeline=Timeline(t_us, self.timeline.bg[keep], _iob_window(t_us)),
+            static=self.static,
+            **{f.name: getattr(self, f.name)[keep] for f in fields(self)
+               if f.name not in ("timeline", "static")},
         )
 
 
@@ -370,13 +363,14 @@ def build_feature_rows(
         cho = np.where(a.cho_gap, fills[0][a.meal], cho)
         bolus = np.where(a.bolus_gap, fills[1][a.meal], bolus)
     timeline = a.timeline
+    dow = (a.day + 6) % 7  # date.weekday(): ordinal 1 is a Monday
     columns = {
-        "meal": a.meal, "dow": a.weekday, "ev": a.ev, "pv": a.pv, "basal": a.basal,
+        "meal": a.meal, "dow": dow, "ev": a.ev, "pv": a.pv, "basal": a.basal,
         "bg": timeline.bg, **event_columns(timeline, cho, bolus),
         "horizon_dt": _minutes(np.diff(timeline.t_us)),
     }
     if cfg.dow_mode is DowMode.OneHot:
-        columns.update((f"dow_{d}", a.weekday == d) for d in range(7))
+        columns.update((f"dow_{d}", dow == d) for d in range(7))
     if cfg.include_static:
         static = static_tuple(a.static, cfg.static_defaults)
         columns.update((name, np.full(n, v)) for name, v in zip(STATIC_COLUMNS, static))

@@ -6,13 +6,14 @@ day-of-week / basal / patient-specific feature switches, an optional
 Variant ids prefixed ``D_e`` apply the EP filter; the matching ``D_a``
 ids run on all records.
 
-Variants differ in their missing-value policy only through masks over
-one set of record arrays per patient: throwout keeps the records whose
-field is present, a zero fill clears that field's gap mask (a gap reads
-0, no event), and a mean fill takes each meal slot's mean of the
-present values. Materialization keeps, per patient, those arrays and
-the design built from them with means over all records, so evaluation
-can rebuild the design with means from training-fold records only.
+A variant is a set of masks over one ``RecordArrays`` per patient:
+throwout keeps the records whose field is present, a zero fill clears that
+field's gap mask (a gap reads 0, no event), a mean fill takes each meal
+slot's mean of the present values, and the EP filter keeps the rows
+whose target record fails none of ``ep.failed_rules``' masks.
+Materialization keeps, per patient, those arrays and the design built
+from them with means over all records, so evaluation can rebuild the
+design with means from training-fold records only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 # ``is_expert_predictable`` stays importable from here: bench/traced.py
 # wraps this module's name (its ``ep.decide_s`` span)
-from .ep import ep_decisions, is_expert_predictable  # noqa: F401
+from .ep import failed_rules, is_expert_predictable, predictable  # noqa: F401
 from .features import (
     Design,
     DowMode,
@@ -191,26 +192,24 @@ def _gap_fills(a: RecordArrays, visible: np.ndarray) -> tuple[np.ndarray, np.nda
 def prepare_patient(
     h: PatientHistory, spec: VariantSpec, cfg: FeatureConfig
 ) -> PreparedPatient:
-    thrown = [name for name in ("cho", "bolus")
-              if getattr(spec, name) is MissingPolicy.Throwout]
-    kept = PatientHistory(
-        h.patient_id,
-        tuple(r for r in h.records if all(getattr(r, name) is not None for name in thrown)),
-        h.static,
-    )
-    arrays = RecordArrays.of(kept)
+    arrays = RecordArrays.of(h)
+    keep = np.ones(len(arrays.meal), dtype=bool)
+    for policy, gap in ((spec.cho, arrays.cho_gap), (spec.bolus, arrays.bolus_gap)):
+        if policy is MissingPolicy.Throwout:
+            keep &= ~gap
+    if not keep.all():
+        arrays = arrays.rows(keep)
     if spec.cho is MissingPolicy.ImputeZero:
         arrays = replace(arrays, cho_gap=np.zeros_like(arrays.cho_gap))
     if spec.bolus is MissingPolicy.ImputeZero:
         arrays = replace(arrays, bolus_gap=np.zeros_like(arrays.bolus_gap))
-    n_rows = max(len(kept) - 1, 0)
     if spec.ep_rules:
         # row t feeds the glucose at record t + 1
-        decisions = ep_decisions(kept)
-        row_starts = tuple(t for t in range(n_rows) if decisions[t + 1].predictable)
+        masks = failed_rules(arrays.meal, arrays.day, arrays.timeline.bg)
+        row_starts = tuple(np.flatnonzero(predictable(masks)[1:]).tolist())
     else:
-        row_starts = tuple(range(n_rows))
-    everything = np.ones(len(kept), dtype=bool)
+        row_starts = tuple(range(max(len(arrays.meal) - 1, 0)))
+    everything = np.ones(len(arrays.meal), dtype=bool)
     return PreparedPatient(
         row_starts=row_starts,
         cfg=cfg,

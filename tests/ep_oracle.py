@@ -1,9 +1,10 @@
 """Reference expert-predictable filter: one history scan per record.
 
-This is the direct reading of the three rules that the linear
-``glybench.ep`` (one slot-coverage map per history) must reproduce:
-for each record it lists the window dates and rescans the whole history
-for their meal slots, so deciding every record is quadratic.
+This is the direct reading of the three rules that the array
+``glybench.ep.failed_rules`` (one mask per rule over a history's meal,
+date and glucose arrays) must reproduce: for each record it lists the
+window dates and rescans the whole history for their meal slots, so
+deciding every record is quadratic.
 """
 
 from __future__ import annotations

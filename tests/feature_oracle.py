@@ -8,10 +8,11 @@ must reproduce bit for bit. Elapsed times come from
 bolus, most recent first, gaps are filled record by record, and each
 row becomes a matrix row value by value in the ``Vectorizer`` column
 layout. The variant's records are copied one by one from the cleaned
-history with its missing-value policies applied, and the gap means are
-summed record by record (the reference for the ``np.bincount`` fills in
-``glybench.variants``). Tests that want a design from hand-written rows
-build it here.
+history with its missing-value policies applied (the reference for the
+throwout and zero-fill masks over ``RecordArrays`` in
+``glybench.variants``), and the gap means are summed record by record
+(the reference for its ``np.bincount`` fills). Tests that want a design
+from hand-written rows build it here.
 """
 
 from __future__ import annotations

@@ -313,6 +313,26 @@ def test_non_finite_glucose_fails_inspect_and_run(cohort_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_record_without_a_time_fails_run_naming_it(cohort_csv, tmp_path, capsys):
+    lines = cohort_csv.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines[1:], start=1) if line.split(",")[4])
+    fields = lines[n].split(",")
+    patient, meal, date = fields[0], fields[1], fields[2]
+    fields[3] = ""
+    lines[n] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    # cleaning keeps a dated record, and the EP counts need no time
+    assert main(["inspect", "--input", str(bad)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "results"
+    assert main(["run", "--input", str(bad), "--out", str(out), "--variants", "D_a6",
+                 "--models", "naive", "--k", "5", "--min-records", "20"]) == 2
+    err = capsys.readouterr().err
+    assert f"patient {patient}: the {meal} record dated {date} has no timestamp" in err
+    assert not out.exists()
+
+
 def test_run_with_inline_synth_config(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(

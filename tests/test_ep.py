@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from glybench.ep import (
     PREV_MEAL_MISSING,
     SIX_OF_EIGHT,
     ep_counts,
-    ep_decisions,
+    failed_rules,
     is_expert_predictable,
 )
 from glybench.ingest import clean_cohort
@@ -112,35 +113,50 @@ def test_ep_counts_bounded_by_total():
 
 
 def _assert_matches_oracle(h: PatientHistory, window_recorded_dates: bool) -> None:
+    records = h.records
     expected = [
         ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
-        for i in range(len(h.records))
+        for i in range(len(records))
     ]
-    assert ep_decisions(h, window_recorded_dates) == expected
+    masks = failed_rules(
+        np.array([r.meal.value for r in records], dtype=np.intp),
+        np.array([0 if r.date is None else r.date.toordinal() for r in records],
+                 dtype=np.int64),
+        np.array([np.nan if r.bg is None else r.bg for r in records]),
+        window_recorded_dates,
+    )
+    assert masks.keys() == {PREV_HYPO, PREV_MEAL_MISSING, SIX_OF_EIGHT}
+    for rule, mask in masks.items():
+        assert mask.dtype == bool
+        assert mask.tolist() == [rule in d.failed_rules for d in expected], rule
+    # a decision reads records 0..i only: the oracle over that prefix
     assert [
-        is_expert_predictable(h, i, window_recorded_dates) for i in range(len(h.records))
-    ] == expected
+        is_expert_predictable(h, i, window_recorded_dates) for i in range(len(records))
+    ] == [
+        ep_oracle.is_expert_predictable(history(h.patient_id, records[: i + 1]), i,
+                                        window_recorded_dates)
+        for i in range(len(records))
+    ]
     assert ep_counts(h, window_recorded_dates) == (
         len(expected), sum(d.predictable for d in expected)
     )
 
 
-# days 0..11 and four of the eight slots keep six-of-eight coverage common;
-# undated records, missing and hypoglycemic readings hit the other rules
-_ep_records = st.lists(
-    st.builds(
-        lambda day, slot, bg: DiaryRecord(
-            meal=MealSlot(slot),
-            date=None if day is None else dt.date(2016, 5, 1) + dt.timedelta(days=day),
-            time=None,
-            bg=bg,
-        ),
-        st.one_of(st.none(), st.integers(0, 11)),
-        st.sampled_from([0, 1, 2, 7]),
-        st.sampled_from([None, 3.9, 4.0, 6.5]),
+# days 0..11 and four of the eight slots keep six-of-eight coverage common
+# (in the long lists); undated records, missing and hypoglycemic readings
+# hit the other rules
+_ep_record = st.builds(
+    lambda day, slot, bg: DiaryRecord(
+        meal=MealSlot(slot),
+        date=None if day is None else dt.date(2016, 5, 1) + dt.timedelta(days=day),
+        time=None,
+        bg=bg,
     ),
-    max_size=80,
+    st.one_of(st.none(), st.integers(0, 11)),
+    st.sampled_from([0, 1, 2, 7]),
+    st.sampled_from([None, 3.9, 4.0, 6.5]),
 )
+_ep_records = st.lists(_ep_record, max_size=80) | st.lists(_ep_record, min_size=40, max_size=80)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,8 +166,34 @@ def test_ep_decisions_equal_the_quadratic_oracle(records, window_recorded_dates)
 
 
 @pytest.mark.parametrize("window_recorded_dates", [False, True])
+def test_undated_records_add_no_window_date(window_recorded_dates):
+    # five dates cover both slots; undated records of both slots must not
+    # make a sixth, not even among the eight most recent recorded dates
+    records = [rec("", "", slot, bg=6.0) for slot in (MealSlot.AfterBreakfast,
+                                                     MealSlot.BeforeLunch)]
+    for d in range(3, 8):
+        date = (dt.date(2016, 5, 1) + dt.timedelta(days=d)).isoformat()
+        records.append(rec(date, "09:30:00", MealSlot.AfterBreakfast, bg=7.0))
+        records.append(rec(date, "12:00:00", MealSlot.BeforeLunch, bg=6.5))
+    records.append(rec("2016-05-09", "09:30:00", MealSlot.AfterBreakfast, bg=6.0))
+    records.append(rec("2016-05-09", "12:00:00", MealSlot.BeforeLunch, bg=5.8))
+    h = history("undated", records)
+    _assert_matches_oracle(h, window_recorded_dates)
+    decision = is_expert_predictable(h, len(records) - 1, window_recorded_dates)
+    assert decision.failed_rules == {SIX_OF_EIGHT}
+
+
+@pytest.mark.parametrize("window_recorded_dates", [False, True])
 def test_ep_decisions_equal_the_oracle_on_a_synthetic_cohort(window_recorded_dates):
     cleaned, _ = clean_cohort(generate(default_config(patients=2, days=30, seed=5)))
     for h in cleaned.values():
         _assert_matches_oracle(h, window_recorded_dates)
+        # cleaned records are in time order, so no later record is in a
+        # window: the decision equals the oracle's over the whole history
+        assert [
+            is_expert_predictable(h, i, window_recorded_dates) for i in range(len(h))
+        ] == [
+            ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
+            for i in range(len(h))
+        ]
     assert 0 < sum(ep_counts(h)[1] for h in cleaned.values())

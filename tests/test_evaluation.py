@@ -15,6 +15,7 @@ from glybench.evaluation import (
     PenaltyConfigError,
     PenaltyTable,
     clarke_zone,
+    compute_metrics,
     contiguous_kfold,
     evaluate,
     g_metric,
@@ -250,6 +251,15 @@ def test_zone_weights_are_at_least_one_and_a_unit_table_is_the_plain_metric(pred
     assert g_metric(predicted, actual, unit, "MAD") == l1(predicted, actual)
     assert g_metric(predicted, actual, unit, "MARD") == rl1(predicted, actual)
     assert g_metric(predicted, actual, unit, "RMSE") == rmse(predicted, actual)
+
+    # compute_metrics shares one set of zone weights among its g-metrics
+    for penalty in (table, unit):
+        metrics = compute_metrics(predicted, actual, penalty)
+        assert list(metrics) == list(METRICS)
+        assert [metrics[m] for m in ("L1", "rL1", "RMSE")] == [
+            l1(predicted, actual), rl1(predicted, actual), rmse(predicted, actual)]
+        for base in ("MAD", "MARD", "RMSE"):
+            assert metrics[f"g{base}"] == g_metric(predicted, actual, penalty, base)
 
 
 def test_penalty_table_validation():

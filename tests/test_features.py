@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glybench.features import (
@@ -17,11 +17,13 @@ from glybench.features import (
     PcaConfig,
     Vectorizer,
     build_feature_rows,
+    cohort_static_defaults,
     compute_iob,
     from_log,
     iob_fraction,
     pca_apply,
     pca_fit,
+    static_tuple,
     to_log_target,
 )
 from glybench.records import ExerciseLevel, MealSlot, StaticInfo
@@ -281,6 +283,19 @@ def test_dow_onehot_columns_sum_to_one(date):
     assert vec[date.weekday()] == 1.0
 
 
+# the weekday is derived from the date ordinal as (ordinal + 6) % 7
+@given(st.dates())
+@example(dt.date.min)
+@example(dt.date.max)
+def test_dow_columns_equal_the_weekday_on_every_date(date):
+    integer = FeatureConfig(dow_mode=DowMode.Integer)
+    assert col(build_feature_rows(_day_pair(date), integer), integer, "dow")[0] == date.weekday()
+    onehot = FeatureConfig(dow_mode=DowMode.OneHot)
+    design = build_feature_rows(_day_pair(date), onehot)
+    assert [col(design, onehot, f"dow_{d}")[0] for d in range(7)] == [
+        float(d == date.weekday()) for d in range(7)]
+
+
 # ---------------------------------------------------------------------------
 # log target
 # ---------------------------------------------------------------------------
@@ -378,3 +393,18 @@ def test_vectorizer_matches_column_names():
     cfg = FeatureConfig(dow_mode=DowMode.OneHot, include_basal=False, include_static=True)
     v = Vectorizer(cfg)
     assert build_feature_rows(_four_records(), cfg).x.shape[1] == len(v.column_names())
+
+
+def test_static_defaults_are_cohort_means_and_fill_missing_fields():
+    cohort = [
+        history("a", [], StaticInfo(age=30, sex="m", height=None, weight=70)),
+        history("b", [], StaticInfo(age=None, sex="Female", height=181.5, weight=None)),
+        history("c", [], None),
+        history("d", [], StaticInfo(age=41, sex=None, height=170, weight=80)),
+    ]
+    defaults = cohort_static_defaults(cohort)
+    assert defaults == (35.5, 0.5, 175.75, 75.0)
+    assert cohort_static_defaults([history("e", [])]) == (0.0, 0.0, 0.0, 0.0)
+    assert static_tuple(None, defaults) == defaults
+    assert static_tuple(StaticInfo(sex="Male", height=160), defaults) == (35.5, 1.0, 160.0, 75.0)
+    assert static_tuple(cohort[1].static, defaults) == (35.5, 0.0, 181.5, 75.0)

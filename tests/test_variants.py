@@ -107,12 +107,7 @@ def test_materialize_is_deterministic(cohort):
         other = b.per_patient[pid]
         assert prep.design.x.tobytes() == other.design.x.tobytes()
         assert prep.design.target_bg.tobytes() == other.design.target_bg.tobytes()
-        assert prep.arrays.static == other.arrays.static
-        mine, theirs = _record_columns(prep.arrays), _record_columns(other.arrays)
-        assert len(mine) == 12 and mine.keys() == theirs.keys()
-        for name, column in mine.items():
-            assert column.dtype == theirs[name].dtype, name
-            assert column.tobytes() == theirs[name].tobytes(), name
+        _assert_same_columns(prep.arrays, other.arrays)
 
 
 def _record_columns(a) -> dict:
@@ -122,6 +117,26 @@ def _record_columns(a) -> dict:
     columns.update((f"timeline.{f.name}", getattr(a.timeline, f.name))
                    for f in dataclasses.fields(a.timeline))
     return columns
+
+
+def _assert_same_columns(a, b) -> None:
+    mine, theirs = _record_columns(a), _record_columns(b)
+    assert len(mine) == 12 and mine.keys() == theirs.keys()
+    for name, column in mine.items():
+        assert column.dtype == theirs[name].dtype, name
+        assert column.shape == theirs[name].shape, name
+        assert column.tobytes() == theirs[name].tobytes(), name
+    assert a.static == b.static
+
+
+@settings(max_examples=200, deadline=None)
+@given(history_steps, st.just([True] * 60) | st.just([False] * 60)
+       | st.lists(st.booleans(), min_size=60, max_size=60))
+def test_rows_equal_the_arrays_of_the_kept_records(steps, bits):
+    h = timed_history(steps)
+    keep = np.array(bits[:len(h)], dtype=bool)
+    kept = PatientHistory(h.patient_id, tuple(r for r, k in zip(h.records, keep) if k))
+    _assert_same_columns(RecordArrays.of(h).rows(keep), RecordArrays.of(kept))
 
 
 def test_variant_rows_conform_to_spec(cohort):
@@ -246,7 +261,10 @@ def _rebuild_and_oracle(steps, visible, spec_id):
     base = feature_oracle.base_records(h, spec)
     assert prep.row_starts == tuple(feature_oracle.row_starts(base, spec))
     n = len(base)
-    assert len(prep.arrays.meal) == n
+    # throwout and zero fills as masks over one RecordArrays equal the
+    # arrays of the oracle's copied records, column for column
+    _assert_same_columns(prep.arrays, RecordArrays.of(base))
+    assert prep.arrays.day.tolist() == [r.date.toordinal() for r in base.records]
     shown = range(n) if visible is None else [i for i in visible if i < n]
     got = rebuild_rows(prep, list(shown))
     # at materialize time the means come from every record
