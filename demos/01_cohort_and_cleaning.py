@@ -18,7 +18,7 @@
 
 # %%
 from glybench import default_config, generate, validate_history
-from glybench.ingest import clean_cohort
+from glybench.ingest import clean, clean_cohort
 from glybench.records import encode_diary_csv
 
 cfg = default_config(patients=3, days=14, seed=7)
@@ -35,9 +35,9 @@ csv_text = encode_diary_csv(cohort)
 print("\n".join(csv_text.splitlines()[:6]))
 
 # %% [markdown]
-# Cleaning returns both the repaired history and an audit of what it did.
-# Counts always reconcile: dropped records account exactly for the size
-# difference.
+# Cleaning returns each repaired history, laid out as the arrays that
+# every later stage reads, and an audit of what it did. Counts always
+# reconcile: dropped records account exactly for the size difference.
 
 # %%
 cleaned, reports = clean_cohort(cohort)
@@ -52,7 +52,8 @@ for pid, rep in reports.items():
     )
 
 # %%
-# after cleaning, every history satisfies the post-cleaning invariants
-for pid, h in cleaned.items():
-    problems = validate_history(h)
+# `clean` repairs one history record by record; every cleaned history
+# satisfies the post-cleaning invariants
+for pid, h in cohort.items():
+    problems = validate_history(clean(h)[0])
     print(pid, "violations:", problems or "none")

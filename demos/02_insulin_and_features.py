@@ -19,7 +19,7 @@
 import datetime as dt
 
 from glybench import FeatureConfig, IOB_KNOTS, build_feature_rows, compute_iob, iob_fraction
-from glybench.features import Vectorizer
+from glybench.features import RecordArrays, Vectorizer
 from glybench.records import DiaryRecord, ExerciseLevel, MealSlot, PatientHistory
 
 for hours, frac in IOB_KNOTS:
@@ -52,16 +52,16 @@ for i in range(len(day.records)):
     print(f"record {i} ({day.records[i].meal.name:16s}): iob = {compute_iob(day, i):5.2f} u")
 
 # %% [markdown]
-# `build_feature_rows` pairs consecutive records into a design: one
-# matrix row per pair, the features describing the earlier record and
-# the target the later reading. Previous-event features look strictly
+# `build_feature_rows` pairs consecutive records, laid out as
+# `RecordArrays`, into a design: one matrix row per pair, the features
+# describing the earlier record and the target the later reading. Previous-event features look strictly
 # backward -- note how the before-lunch row still references the
 # *breakfast* carbs, not its own. Columns are named by
 # `Vectorizer.column_names()`.
 
 # %%
 cfg = FeatureConfig()
-design = build_feature_rows(day, cfg)
+design = build_feature_rows(RecordArrays.of(day), cfg)
 names = Vectorizer(cfg).column_names()
 print(f"{len(day.records)} records -> {len(design)} prediction rows")
 print("columns:", ", ".join(names))

@@ -64,6 +64,6 @@ print("5-of-8 coverage:", is_expert_predictable(PatientHistory("demo", tuple(spa
 # %%
 cleaned, _ = clean_cohort(generate(high_signal_config(patients=4, days=20, seed=3)))
 print(f"{'patient':<8}{'records':>9}{'expert predictable':>20}")
-for pid, h in cleaned.items():
-    total, ep = ep_counts(h)
+for pid, arrays in cleaned.items():
+    total, ep = ep_counts(arrays)
     print(f"{pid:<8}{total:>9}{ep:>20}")

@@ -48,7 +48,7 @@ from .features import (
 )
 from .ep import EpDecision, ep_counts, is_expert_predictable
 from .variants import VariantDataset, VariantSpec, builtin_specs, materialize, spec_by_id
-from .models import builtin_registry, resolve_models
+from .models import builtin_registry
 from .evaluation import (
     METRICS,
     EvalReport,
@@ -106,7 +106,6 @@ __all__ = [
     "parse_diary_csv",
     "pca_apply",
     "pca_fit",
-    "resolve_models",
     "rl1",
     "rmse",
     "spec_by_id",

@@ -174,10 +174,20 @@ def _grid_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+GRID_CONFIG_KEYS = ("input", "out", "synth", "seed", "k", "min_records", "penalty_table",
+                    "jobs", "variants", "models", "fold_local_stats")
+
+
 def _check_grid_config(cfg: dict) -> None:
-    """Reject a grid value of the wrong type or range, naming its key."""
+    """Reject an unknown key, or a grid value of the wrong type or range,
+    naming the key."""
     def bad(key: str, need: str) -> CliError:
         return CliError(f"config key '{key}' must be {need}, got {cfg[key]!r}")
+
+    for key in cfg:
+        if key not in GRID_CONFIG_KEYS:
+            raise CliError(f"unknown config key {key!r}; known keys: "
+                           f"{', '.join(GRID_CONFIG_KEYS)}")
 
     for key, minimum in (("k", 2), ("min_records", 0), ("seed", None), ("jobs", 1)):
         value = cfg[key]

@@ -13,17 +13,19 @@ The eight-day window is literal calendar days by default; set
 ``window_recorded_dates`` to count back over the patient's eight most
 recent recorded dates instead. :func:`failed_rules` decides every record
 at once, as masks over the meal, date and glucose arrays of
-``features.RecordArrays``.
+``features.RecordArrays``; :func:`ep_counts` reads a patient's cleaned
+arrays, and :func:`is_expert_predictable` decides one record of a
+``PatientHistory``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .records import DiaryRecord, PatientHistory
+from .features import RecordArrays
+from .records import PatientHistory
 
 HYPO_THRESHOLD_MMOLL = 4.0
 
@@ -81,18 +83,6 @@ def predictable(masks: dict[str, np.ndarray]) -> np.ndarray:
     return ~np.logical_or.reduce(list(masks.values()))
 
 
-def _failed_rules_of(
-    records: Sequence[DiaryRecord], window_recorded_dates: bool
-) -> dict[str, np.ndarray]:
-    return failed_rules(
-        np.array([r.meal.value for r in records], dtype=np.intp),
-        np.array([0 if r.date is None else r.date.toordinal() for r in records],
-                 dtype=np.int64),
-        np.array([r.bg for r in records], dtype=float),
-        window_recorded_dates,
-    )
-
-
 def is_expert_predictable(
     h: PatientHistory, i: int, window_recorded_dates: bool = False
 ) -> EpDecision:
@@ -101,15 +91,23 @@ def is_expert_predictable(
     Reads records ``0..i`` only, so the decision is free of look-ahead.
     ``i == 0`` fails the preceding-meal rule by construction.
     """
-    masks = _failed_rules_of(h.records[: i + 1], window_recorded_dates)
+    records = h.records[: i + 1]
+    masks = failed_rules(
+        np.array([r.meal.value for r in records], dtype=np.intp),
+        np.array([0 if r.date is None else r.date.toordinal() for r in records],
+                 dtype=np.int64),
+        np.array([r.bg for r in records], dtype=float),
+        window_recorded_dates,
+    )
     failed = frozenset(rule for rule, mask in masks.items() if mask[i])
     return EpDecision(not failed, failed)
 
 
-def ep_counts(h: PatientHistory, window_recorded_dates: bool = False) -> tuple[int, int]:
-    """(total records, records whose glucose is expert predictable)."""
-    masks = _failed_rules_of(h.records, window_recorded_dates)
-    return len(h.records), int(np.count_nonzero(predictable(masks)))
+def ep_counts(a: RecordArrays, window_recorded_dates: bool = False) -> tuple[int, int]:
+    """(total records, records whose glucose is expert predictable) of a
+    patient's cleaned arrays."""
+    masks = failed_rules(a.meal, a.day, a.bg, window_recorded_dates)
+    return len(a), int(np.count_nonzero(predictable(masks)))
 
 
 EP_COUNTS_CSV_HEADER = "patient_id,total,ep_count"

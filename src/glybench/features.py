@@ -4,8 +4,9 @@ A design's rows pair consecutive diary records: the features describe
 the state at record i, the target is the glucose reading at record i+1.
 Insulin on board decays along a monotone cubic through published
 (elapsed time, fraction remaining) points and is summed over every bolus
-in the trailing five hours. ``RecordArrays`` turns a history's records
-into the arrays every design and row filter works on.
+in the trailing five hours. ``RecordArrays`` lays a cleaned history's
+records out as the arrays that every design, row filter and count
+works on; cleaning builds one per patient.
 """
 
 from __future__ import annotations
@@ -138,28 +139,17 @@ def _iob_window(t_us: np.ndarray) -> np.ndarray:
     return np.array(lags).reshape(len(lags), n)
 
 
-@dataclass(frozen=True, eq=False)
-class Timeline:
-    """A history's record times (``t_us``, integer microseconds, so
-    differences are exact) and glucose as arrays, with each record's
-    insulin-on-board window (see :func:`_iob_window`)."""
-
-    t_us: np.ndarray
-    bg: np.ndarray
-    iob_window: np.ndarray
-
-
-def _insulin_on_board(timeline: Timeline, bolus: np.ndarray) -> np.ndarray:
+def _insulin_on_board(a: RecordArrays, bolus: np.ndarray) -> np.ndarray:
     given = np.where(bolus > 0, bolus, 0.0)
     iob = np.zeros(len(given))
     # most recent bolus first, the order the per-record sum runs in
-    for lag, frac in enumerate(timeline.iob_window, start=1):
+    for lag, frac in enumerate(a.iob_window, start=1):
         iob[lag:] += given[:-lag] * frac[lag:]
     return iob
 
 
 def _last_event(
-    timeline: Timeline, amount: np.ndarray
+    a: RecordArrays, amount: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amount, glucose-at and minutes-since of each record's most recent
     strictly earlier positive amount; (0, own glucose, the IOB window)
@@ -172,13 +162,13 @@ def _last_event(
     j = np.where(seen, last, positions)
     return (
         np.where(seen, amount[j], 0.0),
-        timeline.bg[j],
-        np.where(seen, _minutes(timeline.t_us - timeline.t_us[j]), IOB_WINDOW_MINUTES),
+        a.bg[j],
+        np.where(seen, _minutes(a.t_us - a.t_us[j]), IOB_WINDOW_MINUTES),
     )
 
 
 def event_columns(
-    timeline: Timeline, cho: np.ndarray, bolus: np.ndarray
+    a: RecordArrays, cho: np.ndarray, bolus: np.ndarray
 ) -> dict[str, np.ndarray]:
     """The feature columns that depend on the carbs and bolus amounts
     (``iob``, ``cho_prev``, ``bolus_prev``, ``bg_at_cho``, ``bg_at_bolus``,
@@ -190,10 +180,10 @@ def event_columns(
     the previous-event columns look strictly backward, so a record's own
     carbs or bolus never reference themselves.
     """
-    cols = {"iob": _insulin_on_board(timeline, bolus)}
+    cols = {"iob": _insulin_on_board(a, bolus)}
     for name, amount in (("cho", cho), ("bolus", bolus)):
         cols[f"{name}_prev"], cols[f"bg_at_{name}"], cols[f"dt_{name}"] = (
-            _last_event(timeline, amount)
+            _last_event(a, amount)
         )
     return cols
 
@@ -206,7 +196,7 @@ def compute_iob(h: PatientHistory, i: int) -> float:
     bolus does not count.
     """
     a = RecordArrays.of(PatientHistory(h.patient_id, h.records[: i + 1]))
-    return float(_insulin_on_board(a.timeline, a.bolus)[i])
+    return float(_insulin_on_board(a, a.bolus)[i])
 
 
 class DowMode(Enum):
@@ -262,27 +252,34 @@ def static_tuple(
 
 
 def cohort_static_defaults(
-    cohort: Sequence[PatientHistory],
+    cohort: Sequence[RecordArrays],
 ) -> tuple[float, float, float, float]:
     """Cohort means of the static fields, for filling gaps (e.g. missing height)."""
-    rows = [_static_values(h.static) for h in cohort if h.static is not None]
+    rows = [_static_values(a.static) for a in cohort if a.static is not None]
     cols = [[row[j] for row in rows if row[j] is not None] for j in range(4)]
     return tuple(sum(c) / len(c) if c else 0.0 for c in cols)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
 class RecordArrays:
-    """A history's records as arrays, the input :func:`build_feature_rows`
-    assembles a design from, and the only reader of a record's fields on
-    the way from a cleaned history to a design.
+    """A cleaned history's records as arrays, the input
+    :func:`build_feature_rows` assembles a design from. Cleaning builds
+    one per patient, and every later stage reads it in place of the
+    records.
 
-    ``meal`` holds slot ordinals and ``day`` date ordinals; a missing
-    exercise level reads 4 (normal) and a missing basal 0. ``cho`` and
-    ``bolus`` hold 0 at a gap, and ``cho_gap``/``bolus_gap`` mark the gaps.
-    A variant's row filters are masks over these arrays (see :meth:`rows`).
+    ``t_us`` holds the record times in integer microseconds (so
+    differences are exact) and ``iob_window`` each record's
+    insulin-on-board window (see :func:`_iob_window`). ``meal`` holds
+    slot ordinals and ``day`` date ordinals; a missing exercise level
+    reads 4 (normal) and a missing basal 0. ``cho`` and ``bolus`` hold 0
+    at a gap, and ``cho_gap``/``bolus_gap`` mark the gaps. Every variant
+    of a patient shares these arrays: its row filters are masks over them
+    (see :meth:`rows`), and nothing writes into them.
     """
 
-    timeline: Timeline
+    t_us: np.ndarray
+    bg: np.ndarray
+    iob_window: np.ndarray
     meal: np.ndarray
     day: np.ndarray
     ev: np.ndarray
@@ -293,6 +290,9 @@ class RecordArrays:
     bolus: np.ndarray
     bolus_gap: np.ndarray
     static: Optional[StaticInfo]
+
+    def __len__(self) -> int:
+        return len(self.t_us)
 
     @staticmethod
     def of(h: PatientHistory) -> "RecordArrays":
@@ -312,7 +312,9 @@ class RecordArrays:
         )
         day = [r.date.toordinal() for r in records]  # type: ignore[union-attr]
         return RecordArrays(
-            timeline=Timeline(t_us, column(r.bg for r in records), _iob_window(t_us)),
+            t_us=t_us,
+            bg=column(r.bg for r in records),
+            iob_window=_iob_window(t_us),
             meal=np.array([r.meal.value for r in records], dtype=np.intp),
             day=np.array(day, dtype=np.int64),
             ev=column(4 if r.ev is None else r.ev.numeric_value for r in records),
@@ -328,17 +330,14 @@ class RecordArrays:
     def rows(self, keep: np.ndarray) -> "RecordArrays":
         """The records that the boolean mask ``keep`` marks, with the
         insulin-on-board window rebuilt over their times."""
-        t_us = self.timeline.t_us[keep]
-        return RecordArrays(
-            timeline=Timeline(t_us, self.timeline.bg[keep], _iob_window(t_us)),
-            static=self.static,
-            **{f.name: getattr(self, f.name)[keep] for f in fields(self)
-               if f.name not in ("timeline", "static")},
-        )
+        kept = {f.name: getattr(self, f.name)[keep] for f in fields(self)
+                if f.name not in ("iob_window", "static")}
+        return RecordArrays(**kept, iob_window=_iob_window(kept["t_us"]),
+                            static=self.static)
 
 
 def build_feature_rows(
-    records: PatientHistory | RecordArrays,
+    a: RecordArrays,
     cfg: FeatureConfig,
     fills: Optional[tuple[np.ndarray, np.ndarray]] = None,
     row_starts: Optional[Sequence[int]] = None,
@@ -353,8 +352,7 @@ def build_feature_rows(
     record's own carbs or bolus never reference themselves, so the
     elapsed-time features stay positive.
     """
-    a = records if isinstance(records, RecordArrays) else RecordArrays.of(records)
-    n = len(a.meal)
+    n = len(a)
     if row_starts is None:
         row_starts = range(max(n - 1, 0))
     starts = np.array(row_starts, dtype=np.intp)
@@ -362,12 +360,11 @@ def build_feature_rows(
     if fills is not None:
         cho = np.where(a.cho_gap, fills[0][a.meal], cho)
         bolus = np.where(a.bolus_gap, fills[1][a.meal], bolus)
-    timeline = a.timeline
     dow = (a.day + 6) % 7  # date.weekday(): ordinal 1 is a Monday
     columns = {
         "meal": a.meal, "dow": dow, "ev": a.ev, "pv": a.pv, "basal": a.basal,
-        "bg": timeline.bg, **event_columns(timeline, cho, bolus),
-        "horizon_dt": _minutes(np.diff(timeline.t_us)),
+        "bg": a.bg, **event_columns(a, cho, bolus),
+        "horizon_dt": _minutes(np.diff(a.t_us)),
     }
     if cfg.dow_mode is DowMode.OneHot:
         columns.update((f"dow_{d}", dow == d) for d in range(7))
@@ -376,7 +373,7 @@ def build_feature_rows(
         columns.update((name, np.full(n, v)) for name, v in zip(STATIC_COLUMNS, static))
     return Design(
         Vectorizer(cfg).matrix(starts, columns),
-        timeline.bg[starts + 1],
+        a.bg[starts + 1],
         np.arange(len(starts)),
     )
 

@@ -1,7 +1,10 @@
 """Diary CSV parsing and cleaning.
 
 Cleaning drops records with no glucose reading or no date, and clamps
-readings below 1 mmol/L up to 1 (meters are unreliable down there). The
+readings below 1 mmol/L up to 1 (meters are unreliable down there).
+:func:`clean` works on records; :func:`clean_cohort` then lays each
+cleaned patient out as one ``features.RecordArrays``, which every later
+stage reads, and so refuses a kept record without a time. The
 missing-value policies are applied by ``glybench.variants``.
 """
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
+from .features import RecordArrays
 from .records import (
     DiaryRecord,
     PatientHistory,
@@ -98,12 +102,17 @@ def clean(h: PatientHistory) -> tuple[PatientHistory, CleaningReport]:
 
 def clean_cohort(
     cohort: Mapping[str, PatientHistory]
-) -> tuple[dict[str, PatientHistory], dict[str, CleaningReport]]:
-    """Clean every patient; returns (cleaned cohort, per-patient reports)."""
-    cleaned: dict[str, PatientHistory] = {}
+) -> tuple[dict[str, RecordArrays], dict[str, CleaningReport]]:
+    """Clean every patient; returns (each cleaned history laid out as
+    ``RecordArrays``, per-patient reports).
+
+    Raises ``ValueError`` naming the first kept record without a time.
+    """
+    cleaned: dict[str, RecordArrays] = {}
     reports: dict[str, CleaningReport] = {}
     for pid in sorted(cohort):
-        cleaned[pid], reports[pid] = clean(cohort[pid])
+        h, reports[pid] = clean(cohort[pid])
+        cleaned[pid] = RecordArrays.of(h)
     return cleaned, reports
 
 

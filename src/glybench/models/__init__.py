@@ -1,5 +1,5 @@
 from .base import FeaturePipeline, Predictor, log_targets
-from .forest import RandomForestPredictor, RegressionTree
+from .forest import RandomForestPredictor
 from .gpr import (
     DEFAULT_NUGGET,
     GprCore,
@@ -14,7 +14,6 @@ from .registry import (
     ModelRegistryEntry,
     builtin_registry,
     registry_csv,
-    resolve_models,
 )
 from .stacking import attach_stacked, fit_stacker
 
@@ -28,7 +27,6 @@ __all__ = [
     "NaivePredictor",
     "Predictor",
     "RandomForestPredictor",
-    "RegressionTree",
     "REGISTRY_CSV_HEADER",
     "RidgePredictor",
     "WeightedGprEnsemble",
@@ -38,6 +36,5 @@ __all__ = [
     "log_targets",
     "rbf_kernel",
     "registry_csv",
-    "resolve_models",
     "weighted_log_mean",
 ]

@@ -387,28 +387,6 @@ def _leaf_means(y: np.ndarray, leaf_of: np.ndarray, leaf: np.ndarray) -> np.ndar
     return value
 
 
-class RegressionTree:
-    """Single variance-reduction tree on all rows: the one-tree,
-    no-bootstrap case of the forest grower."""
-
-    def __init__(self, max_depth: int = 4):
-        self.max_depth = max_depth
-        self.nodes: Optional[TreeArrays] = None
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.nodes = grow_trees(x, y, np.arange(len(y))[None, :], self.max_depth)
-
-    def predict(self, z: np.ndarray) -> float:
-        if self.nodes is None:
-            raise ValueError("tree not fitted")
-        return float(self.nodes.predict(np.asarray(z, float)[None, :])[0, 0])
-
-    def depth(self) -> int:
-        if self.nodes is None:
-            raise ValueError("tree not fitted")
-        return self.nodes.tree_depths()[0]
-
-
 class RandomForestPredictor:
     """Bootstrap ensemble of depth-limited trees on log targets."""
 

@@ -12,7 +12,7 @@ the stacked column, and every model fits to the width it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from ..features import FeatureConfig
 from .base import Predictor
@@ -106,14 +106,3 @@ def registry_csv(registry: Mapping[str, ModelRegistryEntry] | None = None) -> st
         )
     return "\n".join(lines) + "\n"
 
-
-def resolve_models(
-    names: Sequence[str], registry: Mapping[str, ModelRegistryEntry] | None = None
-) -> list[ModelRegistryEntry]:
-    reg = registry if registry is not None else builtin_registry()
-    out = []
-    for name in names:
-        if name not in reg:
-            raise KeyError(f"unknown model name {name!r}")
-        out.append(reg[name])
-    return out

@@ -6,7 +6,8 @@ day-of-week / basal / patient-specific feature switches, an optional
 Variant ids prefixed ``D_e`` apply the EP filter; the matching ``D_a``
 ids run on all records.
 
-A variant is a set of masks over one ``RecordArrays`` per patient:
+A variant is a set of masks over the one ``RecordArrays`` per patient
+that ``ingest.clean_cohort`` builds, shared by every variant:
 throwout keeps the records whose field is present, a zero fill clears that
 field's gap mask (a gap reads 0, no event), a mean fill takes each meal
 slot's mean of the present values, and the EP filter keeps the rows
@@ -36,7 +37,7 @@ from .features import (
     cohort_static_defaults,
 )
 from .ingest import MissingPolicy
-from .records import MealSlot, PatientHistory
+from .records import MealSlot
 
 DEFAULT_MIN_RECORDS = 100
 
@@ -190,10 +191,11 @@ def _gap_fills(a: RecordArrays, visible: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def prepare_patient(
-    h: PatientHistory, spec: VariantSpec, cfg: FeatureConfig
+    arrays: RecordArrays, spec: VariantSpec, cfg: FeatureConfig
 ) -> PreparedPatient:
-    arrays = RecordArrays.of(h)
-    keep = np.ones(len(arrays.meal), dtype=bool)
+    """One variant of a patient's cleaned arrays, selected and masked
+    without writing into them."""
+    keep = np.ones(len(arrays), dtype=bool)
     for policy, gap in ((spec.cho, arrays.cho_gap), (spec.bolus, arrays.bolus_gap)):
         if policy is MissingPolicy.Throwout:
             keep &= ~gap
@@ -205,11 +207,11 @@ def prepare_patient(
         arrays = replace(arrays, bolus_gap=np.zeros_like(arrays.bolus_gap))
     if spec.ep_rules:
         # row t feeds the glucose at record t + 1
-        masks = failed_rules(arrays.meal, arrays.day, arrays.timeline.bg)
+        masks = failed_rules(arrays.meal, arrays.day, arrays.bg)
         row_starts = tuple(np.flatnonzero(predictable(masks)[1:]).tolist())
     else:
-        row_starts = tuple(range(max(len(arrays.meal) - 1, 0)))
-    everything = np.ones(len(arrays.meal), dtype=bool)
+        row_starts = tuple(range(max(len(arrays) - 1, 0)))
+    everything = np.ones(len(arrays), dtype=bool)
     return PreparedPatient(
         row_starts=row_starts,
         cfg=cfg,
@@ -224,7 +226,7 @@ def rebuild_rows(prepared: PreparedPatient, visible_records: np.ndarray) -> Desi
     Means come from the present values of the records at
     ``visible_records``; a patient without gaps gets an equal design.
     """
-    visible = np.zeros(len(prepared.arrays.meal), dtype=bool)
+    visible = np.zeros(len(prepared.arrays), dtype=bool)
     visible[visible_records] = True
     return build_feature_rows(
         prepared.arrays, prepared.cfg, _gap_fills(prepared.arrays, visible),
@@ -233,11 +235,12 @@ def rebuild_rows(prepared: PreparedPatient, visible_records: np.ndarray) -> Desi
 
 
 def materialize(
-    cohort: Mapping[str, PatientHistory],
+    cohort: Mapping[str, RecordArrays],
     spec: VariantSpec,
     min_records: int = DEFAULT_MIN_RECORDS,
 ) -> VariantDataset:
-    """Build one dataset variant from a cleaned cohort.
+    """Build one dataset variant from a cleaned cohort (as
+    ``ingest.clean_cohort`` returns it).
 
     Patients left with fewer than ``min_records`` rows after the
     variant's preprocessing are excluded and listed. Deterministic:

@@ -11,6 +11,7 @@ import pytest
 from glybench import cli
 from glybench.cli import main, summarize_results
 from glybench.evaluation import METRICS, evaluate
+from glybench.features import RecordArrays
 from glybench.ingest import parse_diary_csv
 
 
@@ -277,6 +278,7 @@ def test_run_grid_config_file_with_flag_overrides(cohort_csv, tmp_path):
         ({"out": 5}, [], None, "'out'"),
         ({"variants": []}, [], None, "'variants'"),
         ({}, ["--variants", ","], None, "'variants'"),
+        ({"min_record": 20}, [], None, "unknown config key 'min_record'"),
     ],
 )
 def test_run_rejects_bad_grid_values_before_writing(
@@ -322,15 +324,33 @@ def test_a_record_without_a_time_fails_run_naming_it(cohort_csv, tmp_path, capsy
     lines[n] = ",".join(fields)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    # cleaning keeps a dated record, and the EP counts need no time
-    assert main(["inspect", "--input", str(bad)]) == 0
+    message = f"patient {patient}: the {meal} record dated {date} has no timestamp"
+    # cleaning lays the records out as arrays for both commands
     capsys.readouterr()
+    assert main(["inspect", "--input", str(bad)]) == 2
+    assert message in capsys.readouterr().err
     out = tmp_path / "results"
     assert main(["run", "--input", str(bad), "--out", str(out), "--variants", "D_a6",
                  "--models", "naive", "--k", "5", "--min-records", "20"]) == 2
-    err = capsys.readouterr().err
-    assert f"patient {patient}: the {meal} record dated {date} has no timestamp" in err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_records_become_arrays_once_per_patient_per_command(cohort_csv, tmp_path,
+                                                             monkeypatch):
+    converted = []
+    of = RecordArrays.of
+    monkeypatch.setattr(RecordArrays, "of",
+                        staticmethod(lambda h: converted.append(h.patient_id) or of(h)))
+    patients = sorted(parse_diary_csv(cohort_csv.read_text()))
+    assert main(["inspect", "--input", str(cohort_csv)]) == 0
+    assert converted == patients
+    converted.clear()
+    assert len(cli.DEFAULT_GRID_VARIANTS) == 8
+    assert main(["run", "--input", str(cohort_csv), "--out", str(tmp_path / "results"),
+                 "--variants", ",".join(cli.DEFAULT_GRID_VARIANTS), "--models", "naive",
+                 "--k", "5", "--min-records", "20", "--jobs", "1"]) == 0
+    assert converted == patients
 
 
 def test_run_with_inline_synth_config(tmp_path):

@@ -15,7 +15,8 @@ from glybench.ep import (
     failed_rules,
     is_expert_predictable,
 )
-from glybench.ingest import clean_cohort
+from glybench.features import RecordArrays
+from glybench.ingest import clean, clean_cohort
 from glybench.records import DiaryRecord, MealSlot, PatientHistory
 from glybench.synth import default_config, generate
 
@@ -103,21 +104,32 @@ def test_window_is_calendar_days_by_default_and_flippable():
     i = len(records) - 1
     assert not is_expert_predictable(h, i).predictable
     assert is_expert_predictable(h, i, window_recorded_dates=True).predictable
+    arrays = RecordArrays.of(h)
+    assert ep_counts(arrays) == (len(records), 0)
+    assert ep_counts(arrays, window_recorded_dates=True) == _oracle_counts(h, True)
+    assert ep_counts(arrays, window_recorded_dates=True)[1] > 0
 
 
 def test_ep_counts_bounded_by_total():
     h, _ = ep_fixture(8)
-    total, ep = ep_counts(h)
+    total, ep = ep_counts(RecordArrays.of(h))
     assert total == len(h.records)
     assert 0 <= ep <= total
 
 
+def _oracle_decisions(h: PatientHistory, window_recorded_dates: bool) -> list:
+    return [ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
+            for i in range(len(h.records))]
+
+
+def _oracle_counts(h: PatientHistory, window_recorded_dates: bool) -> tuple[int, int]:
+    expected = _oracle_decisions(h, window_recorded_dates)
+    return len(expected), sum(d.predictable for d in expected)
+
+
 def _assert_matches_oracle(h: PatientHistory, window_recorded_dates: bool) -> None:
     records = h.records
-    expected = [
-        ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
-        for i in range(len(records))
-    ]
+    expected = _oracle_decisions(h, window_recorded_dates)
     masks = failed_rules(
         np.array([r.meal.value for r in records], dtype=np.intp),
         np.array([0 if r.date is None else r.date.toordinal() for r in records],
@@ -137,9 +149,6 @@ def _assert_matches_oracle(h: PatientHistory, window_recorded_dates: bool) -> No
                                         window_recorded_dates)
         for i in range(len(records))
     ]
-    assert ep_counts(h, window_recorded_dates) == (
-        len(expected), sum(d.predictable for d in expected)
-    )
 
 
 # days 0..11 and four of the eight slots keep six-of-eight coverage common
@@ -165,6 +174,30 @@ def test_ep_decisions_equal_the_quadratic_oracle(records, window_recorded_dates)
     _assert_matches_oracle(history("ep", records), window_recorded_dates)
 
 
+# dated, timed records in time order, as cleaning lays them out; days
+# with no records make the two window modes differ
+_timed_ep_entry = st.tuples(
+    st.integers(0, 11), st.integers(0, 24 * 60 - 1), st.sampled_from([0, 1, 2, 7]),
+    st.sampled_from([None, 3.9, 4.0, 6.5]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_timed_ep_entry, max_size=80)
+       | st.lists(_timed_ep_entry, min_size=40, max_size=80),
+       st.sets(st.integers(0, 11), max_size=4), st.booleans())
+def test_ep_counts_equal_the_oracle_on_dated_timed_histories(entries, empty_days,
+                                                             window_recorded_dates):
+    h = history("ep", [
+        DiaryRecord(meal=MealSlot(slot), date=dt.date(2016, 5, 1) + dt.timedelta(days=day),
+                    time=dt.time(minute // 60, minute % 60), bg=bg)
+        for day, minute, slot, bg in sorted(entries, key=lambda e: e[:2])
+        if day not in empty_days
+    ])
+    assert ep_counts(RecordArrays.of(h), window_recorded_dates) == _oracle_counts(
+        h, window_recorded_dates)
+
+
 @pytest.mark.parametrize("window_recorded_dates", [False, True])
 def test_undated_records_add_no_window_date(window_recorded_dates):
     # five dates cover both slots; undated records of both slots must not
@@ -185,9 +218,13 @@ def test_undated_records_add_no_window_date(window_recorded_dates):
 
 @pytest.mark.parametrize("window_recorded_dates", [False, True])
 def test_ep_decisions_equal_the_oracle_on_a_synthetic_cohort(window_recorded_dates):
-    cleaned, _ = clean_cohort(generate(default_config(patients=2, days=30, seed=5)))
-    for h in cleaned.values():
+    raw = generate(default_config(patients=2, days=30, seed=5))
+    cleaned, _ = clean_cohort(raw)
+    for pid, arrays in cleaned.items():
+        h, _ = clean(raw[pid])
         _assert_matches_oracle(h, window_recorded_dates)
+        assert ep_counts(arrays, window_recorded_dates) == _oracle_counts(
+            h, window_recorded_dates)
         # cleaned records are in time order, so no later record is in a
         # window: the decision equals the oracle's over the whole history
         assert [
@@ -196,4 +233,4 @@ def test_ep_decisions_equal_the_oracle_on_a_synthetic_cohort(window_recorded_dat
             ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
             for i in range(len(h))
         ]
-    assert 0 < sum(ep_counts(h)[1] for h in cleaned.values())
+    assert 0 < sum(ep_counts(arrays)[1] for arrays in cleaned.values())

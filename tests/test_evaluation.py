@@ -27,7 +27,7 @@ from glybench.evaluation import (
     rmse,
     wide_csv,
 )
-from glybench.ingest import clean_cohort
+from glybench.ingest import clean, clean_cohort
 from glybench.models import builtin_registry
 from glybench.records import MGDL_PER_MMOLL
 from glybench.synth import default_config, generate
@@ -366,14 +366,15 @@ def test_evaluate_rejects_non_finite_or_non_positive_predictions(dataset, value)
 @pytest.mark.parametrize("model", ["ridge", "gpr_be_AllPat_AllMeals"])
 @pytest.mark.parametrize("variant", ["D_a6", "D_e6"])
 def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkeypatch):
-    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    raw = generate(default_config(patients=3, days=25, seed=31))
+    cleaned, _ = clean_cohort(raw)
     entry = builtin_registry()[model]
     spec = spec_by_id(variant)
     ds = materialize(cleaned, spec, min_records=20)
     report = evaluate(ds, entry, k=5, seed=3, audit=True)
     assert all(p.needs_fold_means for p in ds.per_patient.values())
 
-    history = {id(prep): cleaned[pid] for pid, prep in ds.per_patient.items()}
+    history = {id(prep): clean(raw[pid])[0] for pid, prep in ds.per_patient.items()}
     cfg = ds.feature_config
     monkeypatch.setattr(evaluation, "rebuild_rows", lambda prep, visible: (
         feature_oracle.rebuild_rows(history[id(prep)], spec, cfg, visible)))

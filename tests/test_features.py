@@ -15,6 +15,7 @@ from glybench.features import (
     FeatureConfig,
     IOB_KNOTS,
     PcaConfig,
+    RecordArrays,
     Vectorizer,
     build_feature_rows,
     cohort_static_defaults,
@@ -142,6 +143,11 @@ def _four_records():
     )
 
 
+def design_of(h, cfg):
+    """The design of a history's consecutive record pairs."""
+    return build_feature_rows(RecordArrays.of(h), cfg)
+
+
 def col(design, cfg, name):
     """One named column of a design built under ``cfg``."""
     return design.x[:, Vectorizer(cfg).column_names().index(name)]
@@ -150,17 +156,17 @@ def col(design, cfg, name):
 def test_build_feature_rows_emits_n_minus_1_rows():
     h = _four_records()
     cfg = FeatureConfig()
-    design = build_feature_rows(h, cfg)
+    design = design_of(h, cfg)
     assert len(design) == 3
     assert design.x.shape == (3, len(Vectorizer(cfg).column_names()))
-    one = build_feature_rows(history("p", h.records[:1]), cfg)
+    one = design_of(history("p", h.records[:1]), cfg)
     assert len(one) == 0 and one.x.shape == (0, design.x.shape[1])
-    assert len(build_feature_rows(history("p", h.records[:2]), cfg)) == 1
+    assert len(design_of(history("p", h.records[:2]), cfg)) == 1
 
 
 def test_feature_rows_reference_strictly_earlier_events():
     cfg = FeatureConfig()
-    design = build_feature_rows(_four_records(), cfg)
+    design = design_of(_four_records(), cfg)
     # row 1: previous event is record 0
     assert col(design, cfg, "cho_prev")[1] == 20.0
     assert col(design, cfg, "bolus_prev")[1] == 2.0
@@ -174,14 +180,14 @@ def test_feature_rows_reference_strictly_earlier_events():
 
 def test_feature_rows_same_event_for_cho_and_bolus():
     cfg = FeatureConfig()
-    design = build_feature_rows(_four_records(), cfg)
+    design = design_of(_four_records(), cfg)
     assert col(design, cfg, "dt_cho")[1] == col(design, cfg, "dt_bolus")[1]
     assert col(design, cfg, "bg_at_cho")[1] == col(design, cfg, "bg_at_bolus")[1]
 
 
 def test_feature_rows_targets_and_horizon():
     cfg = FeatureConfig()
-    design = build_feature_rows(_four_records(), cfg)
+    design = design_of(_four_records(), cfg)
     assert design.target_bg[0] == 12.0
     assert col(design, cfg, "horizon_dt")[0] == pytest.approx(120.0)
     assert design.target_bg[2] == 7.5
@@ -194,14 +200,14 @@ def test_feature_rows_targets_and_horizon():
 def test_feature_rows_iob_matches_compute_iob():
     h = _four_records()
     cfg = FeatureConfig()
-    iob = col(build_feature_rows(h, cfg), cfg, "iob")
+    iob = col(design_of(h, cfg), cfg, "iob")
     for i, value in enumerate(iob):
         assert value == pytest.approx(compute_iob(h, i))
 
 
 def test_missing_exercise_and_basal_read_as_normal_and_zero():
     cfg = FeatureConfig()
-    design = build_feature_rows(history("p", [
+    design = design_of(history("p", [
         rec("2016-01-04", "08:00:00", MealSlot.BeforeBreakfast, bg=6.0),
         rec("2016-01-04", "10:00:00", MealSlot.AfterBreakfast, bg=7.0),
     ]), cfg)
@@ -222,7 +228,7 @@ CONFIGS = [
 def test_feature_rows_and_iob_equal_the_per_record_oracle(steps, cfg, static):
     h = timed_history(steps)
     h = history(h.patient_id, h.records, static)
-    got = build_feature_rows(h, cfg)
+    got = design_of(h, cfg)
     want = feature_oracle.design(feature_oracle.build_feature_rows(h, cfg), cfg)
     assert got.x.tobytes() == want.x.tobytes()
     assert got.target_bg.tobytes() == want.target_bg.tobytes()
@@ -265,7 +271,7 @@ def test_dow_integer_column_known_wednesday():
     # 2015-11-25 is a Wednesday on the civil calendar
     assert dt.date(2015, 11, 25).strftime("%A") == "Wednesday"
     cfg = FeatureConfig(dow_mode=DowMode.Integer)
-    assert col(build_feature_rows(_day_pair(dt.date(2015, 11, 25)), cfg), cfg, "dow")[0] == 2.0
+    assert col(design_of(_day_pair(dt.date(2015, 11, 25)), cfg), cfg, "dow")[0] == 2.0
 
 
 def test_dow_omit_has_no_dow_column():
@@ -276,7 +282,7 @@ def test_dow_omit_has_no_dow_column():
 @given(st.dates(min_value=dt.date(2000, 1, 1), max_value=dt.date(2030, 1, 1)))
 def test_dow_onehot_columns_sum_to_one(date):
     cfg = FeatureConfig(dow_mode=DowMode.OneHot)
-    design = build_feature_rows(_day_pair(date), cfg)
+    design = design_of(_day_pair(date), cfg)
     vec = [col(design, cfg, f"dow_{d}")[0] for d in range(7)]
     assert sum(vec) == 1.0
     assert set(vec) <= {0.0, 1.0}
@@ -289,9 +295,9 @@ def test_dow_onehot_columns_sum_to_one(date):
 @example(dt.date.max)
 def test_dow_columns_equal_the_weekday_on_every_date(date):
     integer = FeatureConfig(dow_mode=DowMode.Integer)
-    assert col(build_feature_rows(_day_pair(date), integer), integer, "dow")[0] == date.weekday()
+    assert col(design_of(_day_pair(date), integer), integer, "dow")[0] == date.weekday()
     onehot = FeatureConfig(dow_mode=DowMode.OneHot)
-    design = build_feature_rows(_day_pair(date), onehot)
+    design = design_of(_day_pair(date), onehot)
     assert [col(design, onehot, f"dow_{d}")[0] for d in range(7)] == [
         float(d == date.weekday()) for d in range(7)]
 
@@ -383,7 +389,7 @@ def test_pca_rejects_too_small_input():
 
 def test_vectorizer_dow_modes_change_width():
     def width(mode):
-        return build_feature_rows(_four_records(), FeatureConfig(dow_mode=mode)).x.shape[1]
+        return design_of(_four_records(), FeatureConfig(dow_mode=mode)).x.shape[1]
 
     assert width(DowMode.Integer) == width(DowMode.Omit) + 1
     assert width(DowMode.OneHot) == width(DowMode.Omit) + 7
@@ -392,7 +398,7 @@ def test_vectorizer_dow_modes_change_width():
 def test_vectorizer_matches_column_names():
     cfg = FeatureConfig(dow_mode=DowMode.OneHot, include_basal=False, include_static=True)
     v = Vectorizer(cfg)
-    assert build_feature_rows(_four_records(), cfg).x.shape[1] == len(v.column_names())
+    assert design_of(_four_records(), cfg).x.shape[1] == len(v.column_names())
 
 
 def test_static_defaults_are_cohort_means_and_fill_missing_fields():
@@ -402,9 +408,9 @@ def test_static_defaults_are_cohort_means_and_fill_missing_fields():
         history("c", [], None),
         history("d", [], StaticInfo(age=41, sex=None, height=170, weight=80)),
     ]
-    defaults = cohort_static_defaults(cohort)
+    defaults = cohort_static_defaults([RecordArrays.of(h) for h in cohort])
     assert defaults == (35.5, 0.5, 175.75, 75.0)
-    assert cohort_static_defaults([history("e", [])]) == (0.0, 0.0, 0.0, 0.0)
+    assert cohort_static_defaults([RecordArrays.of(history("e", []))]) == (0.0, 0.0, 0.0, 0.0)
     assert static_tuple(None, defaults) == defaults
     assert static_tuple(StaticInfo(sex="Male", height=160), defaults) == (35.5, 1.0, 160.0, 75.0)
     assert static_tuple(cohort[1].static, defaults) == (35.5, 0.0, 181.5, 75.0)

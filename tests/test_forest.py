@@ -15,7 +15,7 @@ import forest_oracle as oracle
 from glybench.evaluation import evaluate
 from glybench.features import FeatureConfig
 from glybench.ingest import clean_cohort
-from glybench.models import RandomForestPredictor, RegressionTree, builtin_registry
+from glybench.models import RandomForestPredictor, builtin_registry
 from glybench.models.forest import TreeArrays, grow_trees
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, spec_by_id
@@ -38,6 +38,15 @@ def _random_rows(seed: int, n: int):
         )
         for _ in range(n)
     ]
+
+
+def _tree(x: np.ndarray, y: np.ndarray, depth: int) -> TreeArrays:
+    """One tree on every row, without a bootstrap."""
+    return grow_trees(x, y, np.arange(len(y))[None, :], depth)
+
+
+def _predict(tree: TreeArrays, z: np.ndarray) -> float:
+    return float(tree.predict(z[None, :])[0, 0])
 
 
 def _assert_same_tree(node: oracle.Node, trees: TreeArrays, i: int) -> None:
@@ -73,44 +82,39 @@ def test_every_tree_respects_the_depth_bound():
 def test_single_tree_splits_two_clusters_exactly():
     x = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([1.0, 1.0, 3.0, 3.0])
-    tree = RegressionTree(max_depth=4)
-    tree.fit(x, y)
-    assert tree.depth() == 1
-    nodes = tree.nodes
-    assert nodes.roots.tolist() == [0]
-    assert nodes.feature.tolist() == [0, -1, -1]
-    assert nodes.value[nodes.left[0]] == 1.0
-    assert nodes.value[nodes.right[0]] == 3.0
-    assert tree.predict(np.array([0.0])) == 1.0
-    assert tree.predict(np.array([1.0])) == 3.0
+    tree = _tree(x, y, 4)
+    assert tree.tree_depths() == [1]
+    assert tree.roots.tolist() == [0]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.value[tree.left[0]] == 1.0
+    assert tree.value[tree.right[0]] == 3.0
+    assert _predict(tree, np.array([0.0])) == 1.0
+    assert _predict(tree, np.array([1.0])) == 3.0
 
 
 def test_tree_without_valid_split_is_a_leaf():
     x = np.array([[1.0], [1.0], [1.0], [1.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    tree = RegressionTree(max_depth=4)
-    tree.fit(x, y)
-    assert tree.depth() == 0
-    assert tree.nodes.feature.tolist() == [-1]
-    assert tree.predict(np.array([1.0])) == pytest.approx(2.5)
+    tree = _tree(x, y, 4)
+    assert tree.tree_depths() == [0]
+    assert tree.feature.tolist() == [-1]
+    assert _predict(tree, np.array([1.0])) == pytest.approx(2.5)
 
 
 def test_tree_split_uses_midpoint_threshold():
     x = np.array([[0.0], [0.0], [4.0], [4.0]])
     y = np.array([1.0, 1.0, 5.0, 5.0])
-    tree = RegressionTree(max_depth=1)
-    tree.fit(x, y)
-    assert tree.nodes.threshold[tree.nodes.roots[0]] == 2.0
+    tree = _tree(x, y, 1)
+    assert tree.threshold[tree.roots[0]] == 2.0
 
 
 def test_min_leaf_size_is_respected():
     # 3 rows cannot produce a 1-row leaf under a 2-row minimum
     x = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1.0, 2.0, 9.0])
-    tree = RegressionTree(max_depth=4)
-    tree.fit(x, y)
-    assert tree.depth() == 0
-    assert len(tree.nodes.feature) == 1
+    tree = _tree(x, y, 4)
+    assert tree.tree_depths() == [0]
+    assert len(tree.feature) == 1
 
 
 def test_same_seed_is_bit_identical():
@@ -188,12 +192,11 @@ def test_single_tree_equals_the_oracle_without_bootstrap():
     rng = np.random.default_rng(5)
     x = rng.integers(0, 3, size=(30, 3)).astype(float)
     y = rng.integers(0, 4, size=30).astype(float)
-    tree = RegressionTree(max_depth=3)
-    tree.fit(x, y)
+    tree = _tree(x, y, 3)
     expected = oracle.grow(x, y, 0, 3)
-    _assert_same_tree(expected, tree.nodes, tree.nodes.roots[0])
+    _assert_same_tree(expected, tree, tree.roots[0])
     for q in x:
-        assert tree.predict(q) == oracle.eval_tree(expected, q)
+        assert _predict(tree, q) == oracle.eval_tree(expected, q)
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")

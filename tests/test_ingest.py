@@ -158,7 +158,7 @@ def _bolus_history():
 def _impute(h, bolus=MissingPolicy.ImputeMean, visible=None):
     spec = VariantSpec("test", ep_rules=False, bolus=bolus)
     cfg = spec.feature_config()
-    prep = prepare_patient(h, spec, cfg)
+    prep = prepare_patient(RecordArrays.of(h), spec, cfg)
     base = feature_oracle.base_records(h, spec)
     # the policies as masks over the kept records equal the copied records
     copied = RecordArrays.of(base)

@@ -14,7 +14,6 @@ from glybench.models import (
     builtin_registry,
     fit_stacker,
     registry_csv,
-    resolve_models,
 )
 from glybench.records import MealSlot
 
@@ -272,11 +271,6 @@ def test_registry_csv_shape():
     assert lines[0] == "name,symbol,algorithm,confidence_weighting,stacking"
     assert "gpr_be,M^w_gpr,GPR,1,0" in lines
     assert "naive,M_avg,BG History Average,0,0" in lines
-
-
-def test_resolve_models_rejects_unknown():
-    with pytest.raises(KeyError):
-        resolve_models(["naive", "does_not_exist"])
 
 
 def test_every_registry_model_refits_bit_identically():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from glybench.ingest import clean_cohort
+from glybench.ingest import clean
 from glybench.records import encode_diary_csv, validate_history
 from glybench.synth import (
     config_from_json,
@@ -77,9 +77,8 @@ def test_generated_histories_validate():
 
 def test_messy_histories_validate_after_cleaning():
     cohort = generate(default_config(patients=2, days=10, seed=13))
-    cleaned, _ = clean_cohort(cohort)
-    for h in cleaned.values():
-        assert validate_history(h) == []
+    for h in cohort.values():
+        assert validate_history(clean(h)[0]) == []
 
 
 def test_pump_fraction_bounds():

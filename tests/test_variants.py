@@ -112,11 +112,8 @@ def test_materialize_is_deterministic(cohort):
 
 def _record_columns(a) -> dict:
     """Every array a ``RecordArrays`` holds, by name."""
-    columns = {f.name: getattr(a, f.name) for f in dataclasses.fields(a)
-               if isinstance(getattr(a, f.name), np.ndarray)}
-    columns.update((f"timeline.{f.name}", getattr(a.timeline, f.name))
-                   for f in dataclasses.fields(a.timeline))
-    return columns
+    return {f.name: getattr(a, f.name) for f in dataclasses.fields(a)
+            if isinstance(getattr(a, f.name), np.ndarray)}
 
 
 def _assert_same_columns(a, b) -> None:
@@ -127,6 +124,21 @@ def _assert_same_columns(a, b) -> None:
         assert column.shape == theirs[name].shape, name
         assert column.tobytes() == theirs[name].tobytes(), name
     assert a.static == b.static
+
+
+def test_variants_leave_the_shared_cleaned_arrays_unchanged(cohort):
+    # every variant selects and masks the one RecordArrays per patient that
+    # cleaning built, so a write into it would leak into the next variant
+    before = {pid: {name: column.copy() for name, column in _record_columns(a).items()}
+              for pid, a in cohort.items()}
+    for spec in builtin_specs():
+        for prep in materialize(cohort, spec, min_records=5).per_patient.values():
+            rebuild_rows(prep, range(0, len(prep.arrays), 2))
+    for pid, a in cohort.items():
+        columns = _record_columns(a)
+        assert columns.keys() == before[pid].keys()
+        for name, column in columns.items():
+            assert column.tobytes() == before[pid][name].tobytes(), (pid, name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,7 +199,7 @@ def test_rebuild_rows_uses_only_visible_records():
     h = PatientHistory("p", tuple(records))
     spec = spec_by_id("D_a6")
     cfg = spec.feature_config()
-    prep = prepare_patient(h, spec, cfg)
+    prep = prepare_patient(RecordArrays.of(h), spec, cfg)
     assert prep.needs_fold_means
 
     # the row *after* the missing-bolus record carries the imputed value
@@ -257,7 +269,7 @@ def _rebuild_and_oracle(steps, visible, spec_id):
     h = timed_history(steps)
     spec = spec_by_id(spec_id)
     cfg = spec.feature_config()
-    prep = prepare_patient(h, spec, cfg)
+    prep = prepare_patient(RecordArrays.of(h), spec, cfg)
     base = feature_oracle.base_records(h, spec)
     assert prep.row_starts == tuple(feature_oracle.row_starts(base, spec))
     n = len(base)
