@@ -66,7 +66,7 @@ ens.fit(train)
 slot = int(test.meal[0])
 query = test[np.flatnonzero(test.meal == slot)]
 q = ens.pipeline.transform(query.x)
-mu_p, sigma_p = ens.core_p.posterior(q)
+mu_p, sigma_p = ens.core.posterior(q)
 mu_m, sigma_m = ens.core_m[MealSlot(slot)].posterior(q)
 blended = np.exp(weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m))
 print(f"{MealSlot(slot).name}: {len(query)} test rows")

@@ -14,9 +14,10 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, evaluation
 from .ep import EP_COUNTS_CSV_HEADER, ep_counts
 from .evaluation import (
     METRICS,
@@ -80,13 +81,10 @@ def _load_cohort(path: str):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = config_from_json(_read(args.config))
-    else:
-        cfg = PRESETS[args.preset](seed=args.seed if args.seed is not None else 0)
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be an integer >= 0, got {args.seed}")
+    cfg = config_from_json(_read(args.config)) if args.config else PRESETS[args.preset]()
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     _require_parent_dir(args.out)
     cohort = generate(cfg)
@@ -142,16 +140,9 @@ def _grid_config(args: argparse.Namespace) -> dict:
         cfg = json.loads(_read(args.config))
         if not isinstance(cfg, dict):
             raise CliError("grid config must be a JSON object")
-    def override(key, value):
-        if value is not None:
-            cfg[key] = value
-    override("input", args.input)
-    override("out", args.out)
-    override("seed", args.seed)
-    override("k", args.k)
-    override("min_records", args.min_records)
-    override("penalty_table", args.penalty_table)
-    override("jobs", args.jobs)
+    for key in ("input", "out", "seed", "k", "min_records", "penalty_table", "jobs"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     if args.variants:
         cfg["variants"] = [v for chunk in args.variants for v in chunk.split(",") if v]
     if args.models:
@@ -334,12 +325,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _single_metric_long(reports: Sequence[EvalReport], metric: str) -> str:
-    lines = ["model,variant,metric,patient,value"]
-    for r in reports:
-        for pid in sorted(r.per_patient):
-            lines.append(f"{r.model},{r.variant},{metric},{pid},"
-                         f"{r.per_patient[pid][metric]!r}")
-    return "\n".join(lines) + "\n"
+    # through the module, not cli.results_long_csv: bench/traced.py times
+    # both cli names, and a nested call would count these rows twice
+    return evaluation.results_long_csv(reports, metrics=(metric,))
 
 
 # ---------------------------------------------------------------------------

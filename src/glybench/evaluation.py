@@ -414,10 +414,10 @@ def evaluate(
 LONG_CSV_HEADER = "model,variant,metric,patient,value"
 
 
-def results_long_csv(reports: Sequence[EvalReport]) -> str:
+def results_long_csv(reports: Sequence[EvalReport], metrics: Sequence[str] = METRICS) -> str:
     lines = [LONG_CSV_HEADER]
     for r in reports:
-        for metric in METRICS:
+        for metric in metrics:
             for pid in sorted(r.per_patient):
                 lines.append(
                     f"{r.model},{r.variant},{metric},{pid},{r.per_patient[pid][metric]!r}"

@@ -1,4 +1,4 @@
-from .base import FeaturePipeline, Predictor, log_targets
+from .base import FeaturePipeline, LogLearner, Predictor, log_targets
 from .forest import RandomForestPredictor
 from .gpr import (
     DEFAULT_NUGGET,
@@ -23,6 +23,7 @@ __all__ = [
     "GprCore",
     "GprPredictor",
     "KnnPredictor",
+    "LogLearner",
     "ModelRegistryEntry",
     "NaivePredictor",
     "Predictor",

@@ -2,12 +2,12 @@
 
 Every model fits on a training :class:`~glybench.features.Design` and
 predicts a strictly positive mmol/L value for each row of a test
-design, as one array. All learners except the naive baseline work on
-log glucose internally and exponentiate at the boundary. The pipeline
-standardizes columns from training rows only (zero-variance columns are
-centered and left at zero so they carry no weight) and, for PCA
-variants, projects onto components fit on the standardized training
-matrix.
+design, as one array. Every learner but the naive baseline is a
+:class:`LogLearner`, fit on log glucose and exponentiated at the
+boundary. The pipeline standardizes columns from training rows only
+(zero-variance columns are centered and left at zero so they carry no
+weight) and, for PCA variants, projects onto components fit on the
+standardized training matrix.
 """
 
 from __future__ import annotations
@@ -72,3 +72,29 @@ class FeaturePipeline:
         if self.pca is not None:
             z = pca_apply(self.pca, z)
         return z
+
+
+class LogLearner:
+    """Standardize, take the log of the targets, fit; exponentiate on predict.
+
+    A subclass implements ``_fit(z, y, train)`` on the pipeline's training
+    matrix and log targets, and ``_predict(q, test)``, which returns log
+    values for the transformed test matrix. ``fit`` needs ``min_rows`` rows.
+    """
+
+    min_rows = 1
+
+    def __init__(self, cfg: FeatureConfig):
+        self.pipeline = FeaturePipeline(cfg)
+        self._fitted = False
+
+    def fit(self, train: Design) -> None:
+        if len(train) < self.min_rows:
+            raise ValueError(f"{type(self).__name__} needs {self.min_rows}+ training rows")
+        self._fit(self.pipeline.fit(train.x), log_targets(train), train)
+        self._fitted = True
+
+    def predict(self, test: Design) -> np.ndarray:
+        if not self._fitted:
+            raise ValueError("predictor not fitted")
+        return from_log_array(self._predict(self.pipeline.transform(test.x), test))

@@ -16,12 +16,11 @@ predictions walk every row through every tree at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..features import Design, FeatureConfig
-from .base import FeaturePipeline, from_log_array, log_targets
+from .base import LogLearner
 
 MIN_LEAF = 2
 
@@ -387,8 +386,10 @@ def _leaf_means(y: np.ndarray, leaf_of: np.ndarray, leaf: np.ndarray) -> np.ndar
     return value
 
 
-class RandomForestPredictor:
+class RandomForestPredictor(LogLearner):
     """Bootstrap ensemble of depth-limited trees on log targets."""
+
+    min_rows = 2
 
     def __init__(
         self,
@@ -397,32 +398,19 @@ class RandomForestPredictor:
         n_trees: int = 100,
         seed: int = 0,
     ):
+        super().__init__(cfg)
         self.max_depth = max_depth
         self.n_trees = n_trees
         self.seed = seed
-        self.pipeline = FeaturePipeline(cfg)
-        self.trees: Optional[TreeArrays] = None
 
-    def fit(self, train: Design) -> None:
-        if len(train) < 2:
-            raise ValueError("random forest needs at least two training rows")
-        z = self.pipeline.fit(train.x)
-        y = log_targets(train)
+    def _fit(self, z: np.ndarray, y: np.ndarray, train: Design) -> None:
         rng = np.random.default_rng(self.seed)
         n = len(y)
         # one draw per tree, in order: the generator's stream per call
         samples = np.stack([rng.integers(0, n, size=n) for _ in range(self.n_trees)])
         self.trees = grow_trees(z, y, samples, self.max_depth)
 
-    def predict(self, test: Design) -> np.ndarray:
-        if self.trees is None:
-            raise ValueError("predictor not fitted")
-        z = self.pipeline.transform(test.x)
+    def _predict(self, q: np.ndarray, test: Design) -> np.ndarray:
         # mean over a C-contiguous rows x trees array: per row, the same
         # summation as averaging one row's tree values on their own
-        return from_log_array(np.mean(self.trees.predict(z), axis=1))
-
-    def depths(self) -> list[int]:
-        if self.trees is None:
-            raise ValueError("predictor not fitted")
-        return self.trees.tree_depths()
+        return np.mean(self.trees.predict(q), axis=1)

@@ -1,4 +1,8 @@
-"""Baseline, ridge and nearest-neighbour predictors."""
+"""Baseline, ridge and nearest-neighbour predictors.
+
+Ridge and KNN are :class:`~glybench.models.base.LogLearner` subclasses; the
+naive baseline works on raw glucose and stands outside that frame.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ..features import Design, FeatureConfig
-from .base import FeaturePipeline, from_log_array, log_targets
+from .base import LogLearner
 
 
 class NaivePredictor:
@@ -32,7 +36,7 @@ class NaivePredictor:
         return np.full(len(test), self.mean_bg)
 
 
-class RidgePredictor:
+class RidgePredictor(LogLearner):
     """Ridge regression on standardized features, log-space targets.
 
     Solves (Zᵀ Z + αI) w = Zᵀ (y - ȳ) by Cholesky; the intercept ȳ is
@@ -40,29 +44,22 @@ class RidgePredictor:
     intercept-only model, i.e. the geometric-mean prediction.
     """
 
-    def __init__(self, cfg: FeatureConfig, alpha: float = 1.0):
-        self.alpha = alpha
-        self.pipeline = FeaturePipeline(cfg)
-        self.intercept: Optional[float] = None
-        self.weights: Optional[np.ndarray] = None
+    min_rows = 2
 
-    def fit(self, train: Design) -> None:
-        if len(train) < 2:
-            raise ValueError("ridge needs at least two training rows")
-        z = self.pipeline.fit(train.x)
-        y = log_targets(train)
+    def __init__(self, cfg: FeatureConfig, alpha: float = 1.0):
+        super().__init__(cfg)
+        self.alpha = alpha
+
+    def _fit(self, z: np.ndarray, y: np.ndarray, train: Design) -> None:
         self.intercept = float(y.mean())
         gram = z.T @ z + self.alpha * np.eye(z.shape[1])
         self.weights = cho_solve(cho_factor(gram), z.T @ (y - self.intercept))
 
-    def predict(self, test: Design) -> np.ndarray:
-        if self.weights is None or self.intercept is None:
-            raise ValueError("predictor not fitted")
-        z = self.pipeline.transform(test.x)
-        return from_log_array(self.intercept + z @ self.weights)
+    def _predict(self, q: np.ndarray, test: Design) -> np.ndarray:
+        return self.intercept + q @ self.weights
 
 
-class KnnPredictor:
+class KnnPredictor(LogLearner):
     """K nearest neighbours (uniform weights) in standardized feature space.
 
     Prediction is the geometric mean of the neighbours' targets; when the
@@ -70,23 +67,15 @@ class KnnPredictor:
     """
 
     def __init__(self, cfg: FeatureConfig, k: int = 10):
+        super().__init__(cfg)
         self.k = k
-        self.pipeline = FeaturePipeline(cfg)
-        self.z: Optional[np.ndarray] = None
-        self.y: Optional[np.ndarray] = None
 
-    def fit(self, train: Design) -> None:
-        if not len(train):
-            raise ValueError("knn needs at least one training row")
-        self.z = self.pipeline.fit(train.x)
-        self.y = log_targets(train)
+    def _fit(self, z: np.ndarray, y: np.ndarray, train: Design) -> None:
+        self.z, self.y = z, y
 
-    def predict(self, test: Design) -> np.ndarray:
-        if self.z is None or self.y is None:
-            raise ValueError("predictor not fitted")
-        q = self.pipeline.transform(test.x)
+    def _predict(self, q: np.ndarray, test: Design) -> np.ndarray:
         d2 = ((q[:, None, :] - self.z[None, :, :]) ** 2).sum(axis=2)
         k = min(self.k, self.z.shape[0])
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
         # per row, the same summation as averaging one row's neighbours alone
-        return from_log_array(self.y[nearest].mean(axis=1))
+        return self.y[nearest].mean(axis=1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -216,46 +217,75 @@ def generate(cfg: SynthConfig) -> dict[str, PatientHistory]:
 # JSON configuration (CLI surface)
 # ---------------------------------------------------------------------------
 
+_CONFIG_KEYS = {
+    "synth config": ("preset", "patients", "days", "seed", "pump_fraction",
+                     "jitter_minutes", "start_date", "missingness", "bg_model"),
+    "missingness": ("record", "bg", "cho", "bolus", "basal", "ev"),
+    "bg_model": ("mu", "mu_spread", "phi", "sigma", "slot_offsets"),
+    "bg_model.slot_offsets": tuple(slot.name for slot in MealSlot),
+}
+
+
+def _object(value, path: str) -> dict:
+    """``value`` if it is a JSON object with only the keys known at ``path``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be a JSON object, got {value!r}")
+    known = _CONFIG_KEYS[path]
+    for key in value:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {path}; known keys: {', '.join(known)}")
+    return value
+
+
+def _number(value, name: str, low: float = -math.inf, high: float = math.inf,
+            integer: bool = False):
+    """``value`` if it is a JSON number (an integer if asked) in [low, high]."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not math.isfinite(value) or not low <= value <= high):
+        need = "an integer" if integer else "a number"
+        if low > -math.inf:
+            need += f" >= {low:g}" if high == math.inf else f" in [{low:g}, {high:g}]"
+        raise ValueError(f"synth config key '{name}' must be {need}, got {value!r}")
+    return value if integer else float(value)
+
+
 def config_from_json(text: str) -> SynthConfig:
     """Build a config from a JSON document.
 
     ``{"preset": "high_signal", "patients": 5, "days": 30, "seed": 7}``
     starts from a preset; any of patients/days/seed/pump_fraction/
-    missingness/bg_model fields override it.
+    jitter_minutes/start_date/missingness/bg_model fields override it.
+    An unknown key, a value of the wrong type, or a count, seed, rate or
+    fraction out of range raises ``ValueError`` naming the key.
     """
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("synth config must be a JSON object")
+    data = _object(json.loads(text), "synth config")
     preset = data.get("preset", "default")
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     cfg = PRESETS[preset](
-        patients=int(data.get("patients", 5)),
-        days=int(data.get("days", 40)),
-        seed=int(data.get("seed", 0)),
+        patients=_number(data.get("patients", 5), "patients", low=1, integer=True),
+        days=_number(data.get("days", 40), "days", low=1, integer=True),
+        seed=_number(data.get("seed", 0), "seed", low=0, integer=True),
     )
-    if "pump_fraction" in data:
-        cfg = replace(cfg, pump_fraction=float(data["pump_fraction"]))
-    if "jitter_minutes" in data:
-        cfg = replace(cfg, jitter_minutes=float(data["jitter_minutes"]))
+    for key, high in (("pump_fraction", 1), ("jitter_minutes", math.inf)):
+        if key in data:
+            cfg = replace(cfg, **{key: _number(data[key], key, 0, high)})
     if "start_date" in data:
-        cfg = replace(cfg, start_date=dt.date.fromisoformat(data["start_date"]))
+        try:
+            cfg = replace(cfg, start_date=dt.date.fromisoformat(data["start_date"]))
+        except (TypeError, ValueError):
+            raise ValueError(f"synth config key 'start_date' must be an ISO date string, "
+                             f"got {data['start_date']!r}") from None
     if "missingness" in data:
-        cfg = replace(cfg, missingness={str(k): float(v)
-                                        for k, v in data["missingness"].items()})
+        rates = _object(data["missingness"], "missingness")
+        cfg = replace(cfg, missingness={k: _number(v, f"missingness.{k}", 0, 1)
+                                        for k, v in rates.items()})
     if "bg_model" in data:
-        bm = data["bg_model"]
-        offsets = cfg.bg_model.slot_offsets
+        bm = _object(data["bg_model"], "bg_model")
+        fields = {k: _number(v, f"bg_model.{k}") for k, v in bm.items() if k != "slot_offsets"}
         if "slot_offsets" in bm:
-            offsets = {str(k): float(v) for k, v in bm["slot_offsets"].items()}
-        cfg = replace(
-            cfg,
-            bg_model=BgModel(
-                mu=float(bm.get("mu", cfg.bg_model.mu)),
-                mu_spread=float(bm.get("mu_spread", cfg.bg_model.mu_spread)),
-                phi=float(bm.get("phi", cfg.bg_model.phi)),
-                sigma=float(bm.get("sigma", cfg.bg_model.sigma)),
-                slot_offsets=offsets,
-            ),
-        )
+            offsets = _object(bm["slot_offsets"], "bg_model.slot_offsets")
+            fields["slot_offsets"] = {k: _number(v, f"bg_model.slot_offsets.{k}")
+                                      for k, v in offsets.items()}
+        cfg = replace(cfg, bg_model=replace(cfg.bg_model, **fields))
     return cfg

@@ -61,6 +61,53 @@ def test_synth_config_file(tmp_path):
     assert len(cohort) == 2
 
 
+BAD_SYNTH_CONFIGS = [
+    ({"patient": 2}, "unknown key 'patient' in synth config"),
+    ({"missingness": {"bolsu": 0.9}}, "unknown key 'bolsu' in missingness"),
+    ({"missingness": [1]}, "missingness must be a JSON object"),
+    ({"bg_model": []}, "bg_model must be a JSON object"),
+    ({"bg_model": {"mu_sd": 1.0}}, "unknown key 'mu_sd' in bg_model"),
+    ({"bg_model": {"slot_offsets": {"Lunch": 1.0}}},
+     "unknown key 'Lunch' in bg_model.slot_offsets"),
+    ({"patients": True}, "'patients' must be an integer >= 1"),
+    ({"patients": 2.5}, "'patients' must be an integer >= 1"),
+    ({"days": -3}, "'days' must be an integer >= 1"),
+    ({"seed": -1}, "'seed' must be an integer >= 0"),
+    ({"missingness": {"bg": 1.5}}, "'missingness.bg' must be a number in [0, 1]"),
+    ({"pump_fraction": -0.1}, "'pump_fraction' must be a number in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("config, key", BAD_SYNTH_CONFIGS)
+def test_synth_rejects_bad_config_before_writing(tmp_path, capsys, config, key):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"preset": "default", "days": 2, **config}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+    assert key in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"]
+
+
+@pytest.mark.parametrize("config, key", BAD_SYNTH_CONFIGS)
+def test_run_rejects_bad_inline_synth_config_before_writing(tmp_path, capsys, config, key):
+    out = tmp_path / "results"
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({
+        "synth": {"preset": "default", "patients": 2, "days": 20, **config},
+        "out": str(out), "variants": ["D_a6"], "models": ["naive"], "k": 5,
+        "min_records": 20,
+    }))
+    assert main(["run", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_rejects_a_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inspect_writes_reports(cohort_csv, tmp_path, capsys):
     out = tmp_path / "inspect"
     out.mkdir()

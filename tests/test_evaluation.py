@@ -29,7 +29,7 @@ from glybench.evaluation import (
 )
 from glybench.ingest import clean, clean_cohort
 from glybench.models import builtin_registry
-from glybench.records import MGDL_PER_MMOLL
+from glybench.records import MGDL_PER_MMOLL, MealSlot
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, rebuild_rows, spec_by_id
 
@@ -462,3 +462,59 @@ def test_result_tables_round_values(dataset):
     impr = improvement_csv(reports, "L1").strip().splitlines()
     naive_col = impr[0].split(",").index("naive")
     assert float(impr[1].split(",")[naive_col]) == 0.0
+
+
+class Forwarding:
+    """Forwards fit/predict and every other attribute to the wrapped model,
+    as a timing proxy does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def fit(self, train):
+        self._inner.fit(train)
+
+    def predict(self, test):
+        return self._inner.predict(test)
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+
+def _forwarded(entry):
+    return dataclasses.replace(entry, factory=lambda cfg, with_stacked, seed: Forwarding(
+        entry.factory(cfg, with_stacked, seed)))
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_evaluate_counts_slot_fallbacks_of_a_slot_seen_in_one_fold_only(dataset, wrap):
+    pid = sorted(dataset.per_patient)[0]
+    prep = dataset.per_patient[pid]
+    k = 5
+    _, test_idx = contiguous_kfold(len(prep), k).splits()[0]
+    x = prep.design.x.copy()
+    assert not np.any(x[:, 0] == MealSlot.DuringNight.value)
+    x[test_idx, 0] = MealSlot.DuringNight.value  # a slot no other fold trains on
+    design = dataclasses.replace(prep.design, x=x)
+    ds = dataclasses.replace(dataset, per_patient={
+        pid: dataclasses.replace(prep, design=design)})
+    entry = builtin_registry()["gpr_be"]
+    report = evaluate(ds, _forwarded(entry) if wrap else entry, k=k, seed=0,
+                      fold_local_stats=False)
+    assert report.metadata["slot_fallbacks"] == len(test_idx) > 0
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("model", ["ridge", "KNN10U", "rf4", "gpr_IndPat_AllMeals", "gpr_be"])
+def test_evaluate_counts_a_fold_with_too_few_rows_for_pca(model, wrap):
+    cleaned, _ = clean_cohort(generate(default_config(patients=1, days=25, seed=31)))
+    ds = materialize(cleaned, spec_by_id("D_a12"), min_records=5)
+    pid = sorted(ds.per_patient)[0]
+    prep = ds.per_patient[pid]
+    assert ds.feature_config.pca.components == 4
+    ds.per_patient[pid] = dataclasses.replace(
+        prep, row_starts=prep.row_starts[:5], design=prep.design[:5])
+    entry = builtin_registry()[model]
+    # each of the 5 folds trains on 4 rows, too few to fit 4 components
+    report = evaluate(ds, _forwarded(entry) if wrap else entry, k=5, seed=0)
+    assert report.metadata["pca_flags"] == 5

@@ -73,10 +73,10 @@ def test_constant_targets_give_constant_prediction():
 def test_every_tree_respects_the_depth_bound():
     m = RandomForestPredictor(CFG, max_depth=4, n_trees=25, seed=3)
     m.fit(design(_random_rows(3, 60)))
-    assert m.depths()
-    assert all(d <= 4 for d in m.depths())
-    assert len(m.depths()) == len(m.trees.roots) == 25
-    assert max(m.depths()) == int(m.trees.depth.max())
+    depths = m.trees.tree_depths()
+    assert all(d <= 4 for d in depths)
+    assert len(depths) == len(m.trees.roots) == 25
+    assert max(depths) == int(m.trees.depth.max())
 
 
 def test_single_tree_splits_two_clusters_exactly():

@@ -175,7 +175,7 @@ def test_ensemble_prediction_lies_between_members():
     ens.fit(design(rows))
     queries = design([frow(meal=MealSlot.BeforeLunch, bg=b) for b in (5.0, 8.0, 11.0)])
     q = ens.pipeline.transform(queries.x)
-    mu_p, _ = ens.core_p.posterior(q)
+    mu_p, _ = ens.core.posterior(q)
     mu_m, _ = ens.core_m[MealSlot.BeforeLunch].posterior(q)
     combined = np.log(ens.predict(queries))
     assert np.all(np.minimum(mu_p, mu_m) - 1e-9 <= combined)

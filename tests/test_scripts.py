@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from glybench.models import builtin_registry
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -76,3 +78,23 @@ def test_traced_harness_runs_a_stacking_model_on_fold_local_rows(tmp_path):
     assert metrics["models.stacking.rows_attached"] > 0
     assert metrics["features.rows_vectorized"] > 0
     assert (tmp_path / "results" / "results_long.csv").exists()
+
+
+def test_traced_harness_writes_the_untraced_run_for_every_registry_model(tmp_path):
+    cohort = _two_patient_cohort(tmp_path)
+    args = ["run", "--input", str(cohort), "--variants", "D_a12,D_e6",
+            "--models", ",".join(builtin_registry()), "--k", "5",
+            "--min-records", "20", "--seed", "4", "--jobs", "1"]
+    traced, plain = tmp_path / "traced", tmp_path / "plain"
+    done = _run([str(ROOT / "bench" / "traced.py"), *args, "--out", str(traced)],
+                cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.strip().splitlines()[-1])
+    assert all(metrics[f"models.{name}.fit_s"] > 0 for name in builtin_registry())
+    done = _run(["-m", "glybench.cli", *args, "--out", str(plain)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in traced.iterdir()) == names
+    assert "results_long.csv" in names
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
