@@ -24,10 +24,12 @@ from .evaluation import (
     EvalReport,
     PenaltyTable,
     cohort_mean,
-    evaluate,
+    evaluate,  # noqa: F401 -- not called here; bench/traced.py times cli.evaluate
+    evaluate_group,
     improvement_csv,
     percent_improvement,
     results_long_csv,
+    sharing_groups,
     wide_csv,
 )
 from .ingest import cleaning_csv, clean_cohort, parse_diary_csv
@@ -199,18 +201,18 @@ def _check_grid_config(cfg: dict) -> None:
             raise bad(key, "a path string")
 
 
-def _evaluate_cell(task) -> tuple[tuple[str, str], EvalReport]:
-    dataset, model_name, k, seed, weights, fold_local = task
-    entry = builtin_registry()[model_name]
-    report = evaluate(
+def _evaluate_group(task) -> list[tuple[tuple[str, str], EvalReport]]:
+    dataset, model_names, k, seed, weights, fold_local = task
+    registry = builtin_registry()
+    reports = evaluate_group(
         dataset,
-        entry,
+        [registry[name] for name in model_names],
         k=k,
         seed=seed,
         penalty=PenaltyTable(weights),
         fold_local_stats=fold_local,
     )
-    return (dataset.spec.id, model_name), report
+    return [((dataset.spec.id, report.model), report) for report in reports]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -267,22 +269,24 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"which keep fewer than two patients at --min-records {cfg['min_records']}"
         )
 
+    # one task per (variant, group of models that share fitted parts)
+    groups = [[entry.name for entry in group]
+              for group in sharing_groups([registry[name] for name in model_names])]
     tasks = [
-        (dataset, model_name, cfg["k"], cfg["seed"], penalty_weights,
-         cfg["fold_local_stats"])
+        (dataset, names, cfg["k"], cfg["seed"], penalty_weights, cfg["fold_local_stats"])
         for dataset in datasets
-        for model_name in model_names
+        for names in groups
     ]
     jobs = cfg["jobs"]
     results: dict[tuple[str, str], EvalReport] = {}
     if jobs == 1:
         for task in tasks:
-            key, report = _evaluate_cell(task)
-            results[key] = report
+            results.update(_evaluate_group(task))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, report in pool.map(_evaluate_cell, tasks):
-                results[key] = report
+        # a pool forks all its workers up front: start no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            for cells in pool.map(_evaluate_group, tasks):
+                results.update(cells)
 
     reports = [results[key] for key in sorted(results)]
 

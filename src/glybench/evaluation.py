@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .models import NaivePredictor, attach_stacked, fit_stacker
-from .models.registry import ModelRegistryEntry
+from .models.registry import ModelRegistryEntry, builtin_registry
 from .records import MGDL_PER_MMOLL
 from .variants import VariantDataset, rebuild_rows
 
@@ -273,6 +273,32 @@ def derive_seed(root_seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def sharing_groups(
+    entries: Sequence[ModelRegistryEntry],
+) -> list[list[ModelRegistryEntry]]:
+    """The entries grouped by ``(algorithm, stacking)``, in first-seen order.
+
+    The models of one group share fitted parts when :func:`evaluate_group`
+    runs them in one fold pass: both patient-wide GPs of a stacking flag
+    fit one patient-wide core per fold. Every other model is a group of one.
+    """
+    groups: dict[tuple[str, bool], list[ModelRegistryEntry]] = {}
+    for entry in entries:
+        groups.setdefault((entry.algorithm, entry.stacking), []).append(entry)
+    return list(groups.values())
+
+
+@dataclass
+class _Cell:
+    """One entry's results so far in a fold pass, predictions per patient."""
+
+    entry: ModelRegistryEntry
+    per_patient: dict[str, dict[str, float]] = field(default_factory=dict)
+    predicted: dict[str, np.ndarray] = field(default_factory=dict)
+    fallbacks: int = 0
+    pca_flags: int = 0
+
+
 def evaluate(
     dataset: VariantDataset,
     entry: ModelRegistryEntry,
@@ -282,30 +308,49 @@ def evaluate(
     fold_local_stats: bool = True,
     audit: bool = False,
 ) -> EvalReport:
-    """Contiguous k-fold evaluation of one model on one dataset variant.
+    """Contiguous k-fold evaluation of one model on one dataset variant."""
+    return evaluate_group(dataset, [entry], k=k, seed=seed, penalty=penalty,
+                          fold_local_stats=fold_local_stats, audit=audit)[0]
+
+
+def evaluate_group(
+    dataset: VariantDataset,
+    entries: Sequence[ModelRegistryEntry],
+    k: int = 10,
+    seed: int = 0,
+    penalty: Optional[PenaltyTable] = None,
+    fold_local_stats: bool = True,
+    audit: bool = False,
+) -> list[EvalReport]:
+    """Contiguous k-fold evaluation of models on one dataset variant, one
+    report per entry, in one pass over patients and folds.
 
     Per training fold, imputation means are recomputed from the records
     the training rows touch (unless ``fold_local_stats`` is off), and
-    the model refits its own standardization/PCA on the training rows,
+    each model refits its own standardization/PCA on the training rows,
     so no test-fold information reaches the fit. Patients with fewer
-    than k rows are excluded and reported. The naive baseline runs under
-    the identical fold plan.
+    than k rows are excluded and reported. Each fold's train and test
+    designs are built once and handed to every entry, and the naive
+    baseline runs once per fold under the identical fold plan. The
+    entries must agree on ``stacking``; a stacking group fits one ridge
+    stacker per patient.
     """
+    if len({entry.stacking for entry in entries}) != 1:
+        raise ValueError("evaluate_group needs one or more entries that agree on stacking")
+    stacking = entries[0].stacking
     penalty = penalty if penalty is not None else PenaltyTable()
     cfg = dataset.feature_config
-    per_patient: dict[str, dict[str, float]] = {}
+    cells = [_Cell(entry) for entry in entries]
     naive_per_patient: dict[str, dict[str, float]] = {}
-    all_predicted: dict[str, np.ndarray] = {}
     all_naive_predicted: dict[str, np.ndarray] = {}
     all_actual: dict[str, np.ndarray] = {}
     fold_splits: dict[str, list[tuple[list[int], list[int]]]] = {}
     excluded: list[str] = []
-    fallbacks = 0
 
     patient_ids = sorted(dataset.per_patient)
-    if entry.stacking and len(patient_ids) < 2:
+    if stacking and len(patient_ids) < 2:
         raise ValueError("stacking models need at least two retained patients")
-    pca_flags = 0
+    stacker_entry = builtin_registry()["ridge"]  # the learner behind the stacked column
 
     for pid in patient_ids:
         prep = dataset.per_patient[pid]
@@ -317,10 +362,10 @@ def evaluate(
         starts = np.array(prep.row_starts, dtype=np.intp)
 
         stacker = None
-        if entry.stacking:
+        if stacking:
             others = [dataset.per_patient[q].design for q in patient_ids if q != pid]
             stacker = fit_stacker(
-                entry.build_stacker(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
+                stacker_entry.build(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
                 others,
             )
         if not fold_local:
@@ -329,7 +374,8 @@ def evaluate(
                 design = attach_stacked(stacker, design)
 
         actual = prep.design.target_bg  # a fold rebuild keeps the targets
-        predicted = np.empty(len(prep))
+        for cell in cells:
+            cell.predicted[pid] = np.empty(len(prep))
         naive_predicted = np.empty(len(prep))
         splits = plan.splits()
         for j, (train_idx, test_idx) in enumerate(splits):
@@ -339,72 +385,81 @@ def evaluate(
                 design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))
                 if stacker is not None:
                     design = attach_stacked(stacker, design)
+            # every entry gets these two designs, so fitted parts cached on
+            # train.shared are shared within the fold
             train, test = design[train_idx], design[test_idx]
-
-            model = entry.build(
-                cfg, seed=derive_seed(seed, dataset.spec.id, entry.name, pid, j)
-            )
-            model.fit(train)
             naive = NaivePredictor()
             naive.fit(train)
-            fold = model.predict(test)
-            if fold.shape != (len(test),):
-                raise ValueError(f"{entry.name} returned {fold.shape} predictions "
-                                 f"for {len(test)} test rows")
-            bad = ~(np.isfinite(fold) & (fold > 0))
-            if bad.any():
-                raise ValueError(
-                    f"{entry.name} predicted {float(fold[bad][0])!r} mmol/L on variant "
-                    f"{dataset.spec.id}, patient {pid}, fold {j}: predictions must "
-                    f"be finite and > 0"
-                )
-            predicted[test_idx] = fold
             naive_predicted[test_idx] = naive.predict(test)
-            fallbacks += getattr(model, "fallback_count", 0)
-            pipeline = getattr(model, "pipeline", None)
-            if pipeline is not None and (
-                pipeline.pca_skipped
-                or (pipeline.pca is not None and pipeline.pca.rank_deficient)
-            ):
-                pca_flags += 1
 
-        per_patient[pid] = compute_metrics(predicted, actual, penalty)
+            for cell in cells:
+                name = cell.entry.name
+                model = cell.entry.build(
+                    cfg, seed=derive_seed(seed, dataset.spec.id, name, pid, j)
+                )
+                model.fit(train)
+                fold = model.predict(test)
+                if fold.shape != (len(test),):
+                    raise ValueError(f"{name} returned {fold.shape} predictions "
+                                     f"for {len(test)} test rows")
+                bad = ~(np.isfinite(fold) & (fold > 0))
+                if bad.any():
+                    raise ValueError(
+                        f"{name} predicted {float(fold[bad][0])!r} mmol/L on variant "
+                        f"{dataset.spec.id}, patient {pid}, fold {j}: predictions must "
+                        f"be finite and > 0"
+                    )
+                cell.predicted[pid][test_idx] = fold
+                cell.fallbacks += getattr(model, "fallback_count", 0)
+                pipeline = getattr(model, "pipeline", None)
+                if pipeline is not None and (
+                    pipeline.pca_skipped
+                    or (pipeline.pca is not None and pipeline.pca.rank_deficient)
+                ):
+                    cell.pca_flags += 1
+
         naive_per_patient[pid] = compute_metrics(naive_predicted, actual, penalty)
+        for cell in cells:
+            cell.per_patient[pid] = compute_metrics(cell.predicted[pid], actual, penalty)
         if audit:
-            all_predicted[pid] = predicted
             all_naive_predicted[pid] = naive_predicted
             all_actual[pid] = actual
             fold_splits[pid] = splits
 
-    cohort = {m: cohort_mean([per_patient[p][m] for p in per_patient]) for m in METRICS}
     naive_cohort = {
         m: cohort_mean([naive_per_patient[p][m] for p in naive_per_patient])
         for m in METRICS
     }
-    improvement = {
-        m: percent_improvement(naive_cohort[m], cohort[m]) for m in METRICS
-    }
-    return EvalReport(
-        model=entry.name,
-        variant=dataset.spec.id,
-        k=k,
-        per_patient=per_patient,
-        naive_per_patient=naive_per_patient,
-        cohort=cohort,
-        naive_cohort=naive_cohort,
-        improvement=improvement,
-        excluded_patients=tuple(excluded),
-        metadata={
-            "fold_local_stats": fold_local_stats,
-            "slot_fallbacks": fallbacks,
-            "pca_flags": pca_flags,
-            "seed": seed,
-        },
-        predicted=all_predicted if audit else None,
-        naive_predicted=all_naive_predicted if audit else None,
-        actual=all_actual if audit else None,
-        fold_splits=fold_splits if audit else None,
-    )
+    reports = []
+    for cell in cells:
+        cohort = {
+            m: cohort_mean([cell.per_patient[p][m] for p in cell.per_patient])
+            for m in METRICS
+        }
+        reports.append(EvalReport(
+            model=cell.entry.name,
+            variant=dataset.spec.id,
+            k=k,
+            per_patient=cell.per_patient,
+            naive_per_patient=naive_per_patient,
+            cohort=cohort,
+            naive_cohort=naive_cohort,
+            improvement={
+                m: percent_improvement(naive_cohort[m], cohort[m]) for m in METRICS
+            },
+            excluded_patients=tuple(excluded),
+            metadata={
+                "fold_local_stats": fold_local_stats,
+                "slot_fallbacks": cell.fallbacks,
+                "pca_flags": cell.pca_flags,
+                "seed": seed,
+            },
+            predicted=cell.predicted if audit else None,
+            naive_predicted=all_naive_predicted if audit else None,
+            actual=all_actual if audit else None,
+            fold_splits=fold_splits if audit else None,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

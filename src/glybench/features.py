@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -433,11 +433,14 @@ class Design:
     :class:`Vectorizer` column layout, plus any appended stacked column;
     ``target_bg`` the mmol/L targets; ``index`` each row's position in
     the patient's row sequence. Indexing with row positions selects rows.
+    ``shared`` holds parts fitted on this design that models may reuse;
+    a new design, sliced or replaced, starts with it empty.
     """
 
     x: np.ndarray
     target_bg: np.ndarray
     index: np.ndarray
+    shared: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.index)

@@ -17,23 +17,29 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..features import Design, FeatureConfig
 from ..records import MealSlot
 from .base import LogLearner
 
 DEFAULT_NUGGET = 0.25
+KERNEL_BLOCK_ROWS = 256
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    # exp(-0.5 * max(|a|² + |b|² - 2 a·b, 0)) computed in place, so at
-    # most two (len(a), len(b)) arrays are alive at once instead of three:
-    # this kernel is the memory peak of a GP fit
-    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
-    d2 -= 2.0 * a @ b.T
+    # exp(-0.5 * max(|a|² + |b|² - 2 a·b, 0)) built in the one (len(a),
+    # len(b)) array that holds 2 a·b: the norm sums are added a block of
+    # rows at a time, so the only other temporary is (block, len(b)). This
+    # kernel is the memory peak of a GP fit. Each element is still rounded
+    # as (|a|² + |b|²) - 2 a·b.
+    sa = np.sum(a**2, axis=1)[:, None]
+    sb = np.sum(b**2, axis=1)[None, :]
+    d2 = np.matmul(2.0 * a, b.T)
+    for start in range(0, len(a), KERNEL_BLOCK_ROWS):
+        rows = slice(start, start + KERNEL_BLOCK_ROWS)
+        np.subtract(sa[rows] + sb, d2[rows], out=d2[rows])
     np.maximum(d2, 0.0, out=d2)
     d2 *= -0.5
     return np.exp(d2, out=d2)
@@ -51,6 +57,8 @@ class GprCore:
         self._mean = 0.0
 
     def fit(self, z: np.ndarray, y: np.ndarray) -> None:
+        from scipy.linalg import cho_factor, cho_solve  # lazily: it loads in 0.2 s
+
         if len(y) == 0:
             raise ValueError("gpr needs at least one training row")
         self._z = np.atleast_2d(np.asarray(z, float))
@@ -72,6 +80,8 @@ class GprCore:
 
     def posterior(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and standard deviations for a batch of queries."""
+        from scipy.linalg import cho_solve
+
         k_star = self._cross_kernel(q)
         means = self._mean + k_star @ self._alpha
         solved = cho_solve(self._factor, k_star.T)
@@ -87,7 +97,16 @@ class GprPredictor(LogLearner):
         self.core = GprCore()
 
     def _fit(self, z: np.ndarray, y: np.ndarray, train: Design) -> None:
-        self.core.fit(z, y)
+        # the core is a function of the training rows (``train`` carries
+        # them), the pipeline's configuration, the nugget and the prior mean:
+        # another GP fit on the same design reuses it
+        key = (GprCore, self.pipeline.cfg, self.core.nugget, self.core.prior_mean)
+        shared = train.shared.get(key)
+        if shared is None:
+            self.core.fit(z, y)
+            train.shared[key] = self.core
+        else:
+            self.core = shared
 
     def _predict(self, q: np.ndarray, test: Design) -> np.ndarray:
         return self.core.mean(q)
@@ -112,8 +131,9 @@ def weighted_log_mean(mu_p, sigma_p, mu_m, sigma_m) -> np.ndarray:
 class WeightedGprEnsemble(GprPredictor):
     """Patient-wide GP blended with a per-meal-slot GP by posterior confidence.
 
-    The inherited ``core`` is the patient-wide member; ``core_m`` holds a
-    GP per meal slot. All share one standardization so their sigmas are
+    The inherited ``core`` is the patient-wide member (reused from, or left
+    for, a GP fit on the same training design); ``core_m`` holds a GP per
+    meal slot. All share one standardization so their sigmas are
     comparable. Queries whose slot has no fitted member fall back to the
     patient-wide GP alone (counted in ``fallback_count``).
     """

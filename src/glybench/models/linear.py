@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..features import Design, FeatureConfig
 from .base import LogLearner
@@ -51,6 +50,8 @@ class RidgePredictor(LogLearner):
         self.alpha = alpha
 
     def _fit(self, z: np.ndarray, y: np.ndarray, train: Design) -> None:
+        from scipy.linalg import cho_factor, cho_solve  # lazily: it loads in 0.2 s
+
         self.intercept = float(y.mean())
         gram = z.T @ z + self.alpha * np.eye(z.shape[1])
         self.weights = cho_solve(cho_factor(gram), z.T @ (y - self.intercept))

@@ -7,6 +7,8 @@ attached, and a factory. Factories take the variant's feature
 configuration, a flag for the stacked feature column, and a seed. The
 built-in learners ignore the flag: a stacking model's design carries
 the stacked column, and every model fits to the width it is given.
+The stacked column itself comes from the ``ridge`` entry, fit on the
+other patients.
 """
 
 from __future__ import annotations
@@ -31,14 +33,9 @@ class ModelRegistryEntry:
     confidence_weighting: bool
     stacking: bool
     factory: Factory
-    stacker_factory: Factory | None = None
 
     def build(self, cfg: FeatureConfig, seed: int = 0) -> Predictor:
         return self.factory(cfg, self.stacking, seed)
-
-    def build_stacker(self, cfg: FeatureConfig, seed: int = 0) -> Predictor:
-        factory = self.stacker_factory or _ridge_factory
-        return factory(cfg, False, seed)
 
 
 def _naive_factory(cfg: FeatureConfig, with_stacked: bool, seed: int) -> Predictor:
@@ -70,8 +67,7 @@ def builtin_registry() -> dict[str, ModelRegistryEntry]:
 
     The support-vector and neural-network rows of the original line-up
     are extension points: register additional entries by adding to the
-    returned mapping. The stacking learner defaults to ridge regression;
-    swap ``stacker_factory`` to change it.
+    returned mapping.
     """
     entries = [
         ModelRegistryEntry("naive", "M_avg", "BG History Average", False, False,

@@ -238,13 +238,16 @@ def _object(value, path: str) -> dict:
 
 
 def _number(value, name: str, low: float = -math.inf, high: float = math.inf,
-            integer: bool = False):
-    """``value`` if it is a JSON number (an integer if asked) in [low, high]."""
+            integer: bool = False, below_high: bool = False):
+    """``value`` if it is a JSON number (an integer if asked) in [low, high],
+    or in [low, high) with ``below_high``."""
     if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not math.isfinite(value) or not low <= value <= high):
+            or not math.isfinite(value)
+            or not (low <= value < high if below_high else low <= value <= high)):
         need = "an integer" if integer else "a number"
         if low > -math.inf:
-            need += f" >= {low:g}" if high == math.inf else f" in [{low:g}, {high:g}]"
+            close = ")" if below_high else "]"
+            need += f" >= {low:g}" if high == math.inf else f" in [{low:g}, {high:g}{close}"
         raise ValueError(f"synth config key '{name}' must be {need}, got {value!r}")
     return value if integer else float(value)
 
@@ -255,8 +258,9 @@ def config_from_json(text: str) -> SynthConfig:
     ``{"preset": "high_signal", "patients": 5, "days": 30, "seed": 7}``
     starts from a preset; any of patients/days/seed/pump_fraction/
     jitter_minutes/start_date/missingness/bg_model fields override it.
-    An unknown key, a value of the wrong type, or a count, seed, rate or
-    fraction out of range raises ``ValueError`` naming the key.
+    An unknown key, a value of the wrong type, or a count, seed, rate,
+    fraction or ``bg_model.phi`` out of range raises ``ValueError`` naming
+    the key.
     """
     data = _object(json.loads(text), "synth config")
     preset = data.get("preset", "default")
@@ -282,7 +286,11 @@ def config_from_json(text: str) -> SynthConfig:
                                         for k, v in rates.items()})
     if "bg_model" in data:
         bm = _object(data["bg_model"], "bg_model")
-        fields = {k: _number(v, f"bg_model.{k}") for k, v in bm.items() if k != "slot_offsets"}
+        fields = {k: _number(v, f"bg_model.{k}") for k, v in bm.items()
+                  if k not in ("slot_offsets", "phi")}
+        if "phi" in bm:
+            # an AR(1) coefficient of 1 or more lets the deviation diverge
+            fields["phi"] = _number(bm["phi"], "bg_model.phi", 0, 1, below_high=True)
         if "slot_offsets" in bm:
             offsets = _object(bm["slot_offsets"], "bg_model.slot_offsets")
             fields["slot_offsets"] = {k: _number(v, f"bg_model.slot_offsets.{k}")

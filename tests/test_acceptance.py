@@ -25,10 +25,12 @@ from glybench.evaluation import (
     METRICS,
     PenaltyTable,
     evaluate,
+    evaluate_group,
     g_metric,
     l1,
     rl1,
     rmse,
+    sharing_groups,
 )
 from glybench.features import IOB_KNOTS, compute_iob, iob_fraction
 from glybench.ingest import clean_cohort, parse_diary_csv
@@ -225,7 +227,8 @@ class _Spy:
 
 @pytest.fixture(scope="module")
 def library_grid(grid_cohort_csv):
-    """Every grid cell evaluated in-process with identity spies and
+    """Every grid cell evaluated in-process in ``run``'s groups of models
+    that share fitted parts, with an identity spy on every entry and
     audited prediction pairs. Shared by the hygiene and identity-penalty
     criteria."""
     cleaned, _ = clean_cohort(parse_diary_csv(grid_cohort_csv.read_text()))
@@ -233,20 +236,24 @@ def library_grid(grid_cohort_csv):
     cells = {}
     for vid in GRID_VARIANTS:
         dataset = materialize(cleaned, spec_by_id(vid), min_records=GRID_MIN_RECORDS)
+        spies: dict[str, list[_Spy]] = {name: [] for name in GRID_MODELS}
+        spied = []
         for name in GRID_MODELS:
             entry = registry[name]
-            spies: list[_Spy] = []
 
             def spied_factory(cfg, with_stacked, seed, _inner=entry.factory,
-                              _spies=spies):
+                              _spies=spies[name]):
                 spy = _Spy(_inner(cfg, with_stacked, seed))
                 _spies.append(spy)
                 return spy
 
-            spy_entry = dataclasses.replace(entry, factory=spied_factory)
-            report = evaluate(dataset, spy_entry, k=GRID_K, seed=GRID_SEED,
-                              audit=True)
-            cells[(vid, name)] = (report, spies, dataset)
+            spied.append(dataclasses.replace(entry, factory=spied_factory))
+        groups = sharing_groups(spied)
+        assert len(groups) < len(GRID_MODELS)  # the patient-wide GPs share a pass
+        for group in groups:
+            for report in evaluate_group(dataset, group, k=GRID_K, seed=GRID_SEED,
+                                         audit=True):
+                cells[(vid, report.model)] = (report, spies[report.model], dataset)
     return cells
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from glybench import cli
 from glybench.cli import main, summarize_results
-from glybench.evaluation import METRICS, evaluate
+from glybench.evaluation import METRICS, evaluate_group
 from glybench.features import RecordArrays
 from glybench.ingest import parse_diary_csv
 
@@ -75,6 +75,9 @@ BAD_SYNTH_CONFIGS = [
     ({"seed": -1}, "'seed' must be an integer >= 0"),
     ({"missingness": {"bg": 1.5}}, "'missingness.bg' must be a number in [0, 1]"),
     ({"pump_fraction": -0.1}, "'pump_fraction' must be a number in [0, 1]"),
+    ({"bg_model": {"phi": 1}}, "'bg_model.phi' must be a number in [0, 1)"),
+    ({"bg_model": {"phi": 1.5}}, "'bg_model.phi' must be a number in [0, 1)"),
+    ({"bg_model": {"phi": -0.1}}, "'bg_model.phi' must be a number in [0, 1)"),
 ]
 
 
@@ -173,20 +176,21 @@ def test_run_unknown_variant_exits_2(cohort_csv, tmp_path, capsys):
     assert "D_e99" in capsys.readouterr().err
 
 
-def _spy_on_evaluate(monkeypatch) -> list:
+def _spy_on_evaluate_group(monkeypatch) -> list:
     """Make ``run`` evaluate in-process and collect every report it makes."""
     reports = []
 
     def spy(*args, **kwargs):
-        reports.append(evaluate(*args, **kwargs))
-        return reports[-1]
+        group = evaluate_group(*args, **kwargs)
+        reports.extend(group)
+        return group
 
-    monkeypatch.setattr(cli, "evaluate", spy)
+    monkeypatch.setattr(cli, "evaluate_group", spy)
     return reports
 
 
 def test_run_evaluates_a_repeated_variant_once(cohort_csv, tmp_path, monkeypatch):
-    reports = _spy_on_evaluate(monkeypatch)
+    reports = _spy_on_evaluate_group(monkeypatch)
     out = tmp_path / "results"
     assert main(["run", "--input", str(cohort_csv), "--out", str(out),
                  "--variants", "D_a6,D_a6", "--models", "naive", "--k", "5",
@@ -196,14 +200,70 @@ def test_run_evaluates_a_repeated_variant_once(cohort_csv, tmp_path, monkeypatch
 
 
 def test_run_meta_reports_pca_flags_per_cell(cohort_csv, tmp_path, monkeypatch):
-    reports = _spy_on_evaluate(monkeypatch)
+    reports = _spy_on_evaluate_group(monkeypatch)
     out = tmp_path / "results"
     assert main(["run", "--input", str(cohort_csv), "--out", str(out),
                  "--variants", "D_a12", "--models", "ridge", "--k", "5",
                  "--min-records", "20"]) == 0
     flags = json.loads((out / "run_meta.json").read_text())["pca_flags"]
     assert set(flags) == {"D_a12/naive", "D_a12/ridge"}
+    assert len(reports) == len(flags)  # each cell's report is made once
     assert flags == {f"{r.variant}/{r.model}": r.metadata["pca_flags"] for r in reports}
+
+
+def test_run_evaluates_each_cell_once_in_groups_that_share_fitted_parts(
+        cohort_csv, tmp_path, monkeypatch):
+    groups = []
+
+    def spy(dataset, entries, **kwargs):
+        groups.append((dataset.spec.id, [e.name for e in entries]))
+        return evaluate_group(dataset, entries, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_group", spy)
+    assert main(["run", "--input", str(cohort_csv), "--out", str(tmp_path / "r"),
+                 "--variants", "D_e2,D_a6", "--models",
+                 "gpr_be_AllPat_AllMeals,ridge,gpr_be,gpr_AllPat_AllMeals,"
+                 "gpr_IndPat_AllMeals", "--k", "5", "--min-records", "20"]) == 0
+    per_variant = [["gpr_be_AllPat_AllMeals", "gpr_AllPat_AllMeals"], ["ridge"],
+                   ["gpr_be", "gpr_IndPat_AllMeals"], ["naive"]]
+    assert groups == [(v, names) for v in ("D_e2", "D_a6") for names in per_variant]
+
+
+def test_run_starts_no_more_workers_than_tasks(cohort_csv, tmp_path, monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, runs tasks here."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    base = ["run", "--input", str(cohort_csv), "--variants", "D_a6,D_e6",
+            "--models", "naive,ridge", "--k", "5", "--min-records", "20"]
+    assert main(base + ["--out", str(tmp_path / "wide"), "--jobs", "64"]) == 0
+    assert pools == [4]  # 2 variants x {naive, ridge}
+    assert main(base + ["--out", str(tmp_path / "serial"), "--jobs", "1"]) == 0
+    assert tree_hashes(tmp_path / "wide") == tree_hashes(tmp_path / "serial")
+
+
+def test_run_gp_pair_parallel_jobs_match_sequential(cohort_csv, tmp_path):
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    base = ["run", "--input", str(cohort_csv), "--variants", "D_a6",
+            "--models", "gpr_IndPat_AllMeals,gpr_be", "--k", "5",
+            "--min-records", "20", "--seed", "3"]
+    assert main(base + ["--out", str(seq), "--jobs", "1"]) == 0
+    assert main(base + ["--out", str(par), "--jobs", "2"]) == 0
+    assert tree_hashes(seq) == tree_hashes(par)
 
 
 def test_run_rerun_is_byte_identical(cohort_csv, tmp_path):
@@ -543,7 +603,7 @@ def test_run_with_out_at_a_file_exits_2_before_evaluating(tmp_path, capsys, monk
     out = tmp_path / "results"
     out.write_text("keep me\n")
     evaluated = []
-    monkeypatch.setattr(cli, "evaluate", lambda *a, **kw: evaluated.append(a))
+    monkeypatch.setattr(cli, "evaluate_group", lambda *a, **kw: evaluated.append(a))
     code = main(["run", "--input", str(cohort), "--out", str(out),
                  "--variants", "D_a6", "--models", "naive", "--k", "5",
                  "--min-records", "20", "--jobs", "1"])

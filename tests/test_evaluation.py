@@ -518,3 +518,86 @@ def test_evaluate_counts_a_fold_with_too_few_rows_for_pca(model, wrap):
     # each of the 5 folds trains on 4 rows, too few to fit 4 components
     report = evaluate(ds, _forwarded(entry) if wrap else entry, k=5, seed=0)
     assert report.metadata["pca_flags"] == 5
+
+
+# ---------------------------------------------------------------------------
+# one fold pass per group of models
+# ---------------------------------------------------------------------------
+
+def _assert_reports_equal(a, b):
+    """Equal float for float: metrics, metadata and the audit arrays."""
+    for name in ("model", "variant", "k", "per_patient", "naive_per_patient", "cohort",
+                 "naive_cohort", "improvement", "excluded_patients", "metadata",
+                 "fold_splits"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("predicted", "naive_predicted", "actual"):
+        arrays_a, arrays_b = getattr(a, name), getattr(b, name)
+        assert list(arrays_a) == list(arrays_b), name
+        for pid in arrays_a:
+            assert arrays_a[pid].tobytes() == arrays_b[pid].tobytes(), (name, pid)
+
+
+@pytest.mark.parametrize("variant", ["D_a6", "D_a12", "D_e2"])  # fold-local, PCA, one design
+def test_evaluate_group_equals_evaluate_per_entry(variant):
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    ds = materialize(cleaned, spec_by_id(variant), min_records=20)
+    groups = evaluation.sharing_groups(list(builtin_registry().values()))
+    assert sorted(len(g) for g in groups) == [1, 1, 1, 1, 2, 2]
+    reports = 0
+    for group in groups:
+        for entry, report in zip(group, evaluation.evaluate_group(ds, group, k=5, seed=7,
+                                                                  audit=True)):
+            _assert_reports_equal(report, evaluate(ds, entry, k=5, seed=7, audit=True))
+            reports += 1
+    assert reports == len(builtin_registry())
+
+
+def test_evaluate_group_refuses_entries_that_disagree_on_stacking(dataset):
+    registry = builtin_registry()
+    with pytest.raises(ValueError, match="agree on stacking"):
+        evaluation.evaluate_group(dataset, [registry["gpr_be"],
+                                            registry["gpr_be_AllPat_AllMeals"]], k=5)
+    with pytest.raises(ValueError, match="agree on stacking"):
+        evaluation.evaluate_group(dataset, [], k=5)
+
+
+def _count_factorizations(monkeypatch) -> list[np.ndarray]:
+    import scipy.linalg
+
+    factorized = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def spy(a, *args, **kwargs):
+        factorized.append(np.array(a))
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    return factorized
+
+
+@pytest.mark.parametrize("variant", ["D_a6", "D_e2"])
+def test_a_gp_pair_factorizes_the_patient_wide_kernel_once_per_fold(variant, monkeypatch):
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    ds = materialize(cleaned, spec_by_id(variant), min_records=20)
+    k = 5
+    train_sizes = [len(train) for pid in sorted(ds.per_patient)
+                   for train, _ in contiguous_kfold(len(ds.per_patient[pid]), k).splits()]
+    registry = builtin_registry()
+    for stacking in (False, True):
+        pair = [e for e in registry.values() if e.algorithm == "GPR" and e.stacking == stacking]
+        assert evaluation.sharing_groups(pair) == [pair]
+
+        factorized = _count_factorizations(monkeypatch)
+        evaluation.evaluate_group(ds, pair, k=k, seed=0)
+        # patient-wide kernels are the fold's training size; a slot GP's is
+        # smaller and the ridge stacker's gram is as wide as the design
+        wide = [a.shape[0] for a in factorized if a.shape[0] in train_sizes]
+        assert sorted(wide) == sorted(train_sizes)
+        assert len({a.tobytes() for a in factorized}) == len(factorized)
+
+        # evaluated one entry at a time, each fold factorizes that kernel twice
+        factorized.clear()
+        for entry in pair:
+            evaluate(ds, entry, k=k, seed=0)
+        wide = [a.shape[0] for a in factorized if a.shape[0] in train_sizes]
+        assert sorted(wide) == sorted(2 * train_sizes)

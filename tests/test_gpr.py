@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,6 +16,7 @@ from glybench.models import (
     rbf_kernel,
     weighted_log_mean,
 )
+from glybench.models.gpr import KERNEL_BLOCK_ROWS
 from glybench.records import MealSlot
 
 from test_models import design, frow, predict_one
@@ -80,6 +81,33 @@ def test_posterior_variance_is_bounded():
     core.fit(z, rng.normal(size=6))
     _, sigmas = core.posterior(np.vstack([z, rng.normal(size=(10, 2))]))
     assert np.all((0.0 <= sigmas**2) & (sigmas**2 <= 1.0 + NUGGET + 1e-12))
+
+
+def _two_temporary_rbf_kernel(a, b):
+    """The kernel as first written, the norm sums and 2 a·b each in a full
+    (len(a), len(b)) array: the oracle for rbf_kernel's rounding."""
+    a = np.atleast_2d(a)
+    b = np.atleast_2d(b)
+    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+    d2 -= 2.0 * a @ b.T
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -0.5
+    return np.exp(d2, out=d2)
+
+
+_EDGE_ROWS = [KERNEL_BLOCK_ROWS + i for i in (-1, 0, 1)] + [
+    2 * KERNEL_BLOCK_ROWS + i for i in (-1, 0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.one_of(st.sampled_from(_EDGE_ROWS), st.integers(1, 3 * KERNEL_BLOCK_ROWS)),
+       n=st.integers(1, 300), d=st.integers(1, 22), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.01, 1.0, 5.0]), symmetric=st.booleans())
+def test_rbf_kernel_equals_the_two_temporary_oracle_bitwise(m, n, d, seed, scale, symmetric):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(scale=scale, size=(m, d))
+    b = a if symmetric else rng.normal(scale=scale, size=(n, d))
+    assert rbf_kernel(a, b).tobytes() == _two_temporary_rbf_kernel(a, b).tobytes()
 
 
 def test_gpr_predictor_outputs_positive_mmoll():
@@ -214,3 +242,18 @@ def test_gpr_refuses_empty_training_set():
         GprPredictor(CFG).fit(design([]))
     with pytest.raises(ValueError):
         WeightedGprEnsemble(CFG).fit(design([]))
+
+
+def test_gps_fit_on_one_training_design_share_the_patient_wide_core():
+    rng = np.random.default_rng(12)
+    train = design(_slot_rows(rng, MealSlot.BeforeBreakfast, 6, 7.0)
+                   + _slot_rows(rng, MealSlot.BeforeLunch, 6, 9.0))
+    gp, ens = GprPredictor(CFG), WeightedGprEnsemble(CFG)
+    gp.fit(train)
+    ens.fit(train)
+    assert ens.core is gp.core
+    other = WeightedGprEnsemble(CFG)
+    other.fit(train[np.arange(len(train))])  # a new design shares nothing
+    assert other.core is not gp.core
+    test = design(_slot_rows(rng, MealSlot.BeforeLunch, 3, 8.0))
+    assert other.predict(test).tobytes() == ens.predict(test).tobytes()

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +301,34 @@ def test_every_registry_model_refits_bit_identically():
         a.fit(data)
         b.fit(data)
         assert np.array_equal(a.predict(data[:5]), b.predict(data[:5])), entry.name
+
+
+_SETUP_PATH = """
+import json
+import sys
+import glybench
+from glybench.ep import ep_counts
+from glybench.ingest import clean_cohort, parse_diary_csv
+from glybench.records import encode_diary_csv
+from glybench.synth import default_config, generate
+from glybench.variants import materialize, spec_by_id
+
+text = encode_diary_csv(generate(default_config(patients=2, days=10, seed=1)))
+cleaned, _ = clean_cohort(parse_diary_csv(text))
+for vid in ("D_a6", "D_e12"):
+    materialize(cleaned, spec_by_id(vid), min_records=1)
+print(json.dumps({"ep_counts": [ep_counts(cleaned[pid]) for pid in sorted(cleaned)],
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def test_the_set_up_path_does_not_load_scipy_linalg():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", _SETUP_PATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert len(loaded["ep_counts"]) == 2
+    assert "scipy.linalg" not in loaded["modules"]

@@ -93,8 +93,21 @@ def test_traced_harness_writes_the_untraced_run_for_every_registry_model(tmp_pat
     assert all(metrics[f"models.{name}.fit_s"] > 0 for name in builtin_registry())
     done = _run(["-m", "glybench.cli", *args, "--out", str(plain)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    # models that share fitted parts still each fit and predict once per
+    # fold through the proxy: one per entry, variant, patient and fold
+    lines = (plain / "results_long.csv").read_text().splitlines()[1:]
+    evaluated = {tuple(line.split(",")[1:4:2]) for line in lines}  # (variant, patient)
+    folds = len(builtin_registry()) * 5 * len(evaluated)
+    assert metrics["models.fits"] == metrics["models.predictions"] == folds
     names = sorted(p.name for p in plain.iterdir())
     assert sorted(p.name for p in traced.iterdir()) == names
     assert "results_long.csv" in names
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_traced_harness_finds_every_name_it_wraps(tmp_path):
+    # install() looks each wrapped name up, evaluate in glybench.cli included
+    done = _run(["-B", "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
+                 "import traced; traced.install(traced.Tracer())"], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
