@@ -341,6 +341,7 @@ def build_feature_rows(
     cfg: FeatureConfig,
     fills: Optional[tuple[np.ndarray, np.ndarray]] = None,
     row_starts: Optional[Sequence[int]] = None,
+    log_target: Optional[np.ndarray] = None,
 ) -> Design:
     """The design of a history's consecutive record pairs.
 
@@ -350,7 +351,9 @@ def build_feature_rows(
     takes in each meal slot (indexed by slot ordinal); without it a gap
     is no event. The previous-event features look strictly backward: a
     record's own carbs or bolus never reference themselves, so the
-    elapsed-time features stay positive.
+    elapsed-time features stay positive. ``log_target``, when given, is
+    the targets' logs from an earlier build of the same rows: fills
+    change features, never targets.
     """
     n = len(a)
     if row_starts is None:
@@ -375,6 +378,7 @@ def build_feature_rows(
         Vectorizer(cfg).matrix(starts, columns),
         a.bg[starts + 1],
         np.arange(len(starts)),
+        log_target,
     )
 
 
@@ -432,21 +436,32 @@ class Design:
     ``x`` holds the raw (unstandardized) feature values in the
     :class:`Vectorizer` column layout, plus any appended stacked column;
     ``target_bg`` the mmol/L targets; ``index`` each row's position in
-    the patient's row sequence. Indexing with row positions selects rows.
-    ``shared`` holds parts fitted on this design that models may reuse;
-    a new design, sliced or replaced, starts with it empty.
+    the patient's row sequence; ``log_target`` the targets' logs, taken
+    with :func:`to_log_target` row by row when not given, so a design
+    and its slices and rebuilds take them once. Indexing with row
+    positions selects rows. ``shared`` holds parts fitted on this design
+    that models may reuse; a new design, sliced or replaced, starts with
+    it empty.
     """
 
     x: np.ndarray
     target_bg: np.ndarray
     index: np.ndarray
+    log_target: Optional[np.ndarray] = field(default=None, repr=False)
     shared: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.log_target is None:
+            # math.log per row: np.log may differ from it in the last bit
+            logs = np.array([to_log_target(v) for v in self.target_bg.tolist()], dtype=float)
+            object.__setattr__(self, "log_target", logs)
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __getitem__(self, rows) -> "Design":
-        return Design(self.x[rows], self.target_bg[rows], self.index[rows])
+        return Design(self.x[rows], self.target_bg[rows], self.index[rows],
+                      self.log_target[rows])
 
     @property
     def meal(self) -> np.ndarray:

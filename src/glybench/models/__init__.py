@@ -1,4 +1,4 @@
-from .base import FeaturePipeline, LogLearner, Predictor, log_targets
+from .base import FeaturePipeline, LogLearner, Predictor
 from .forest import RandomForestPredictor
 from .gpr import (
     DEFAULT_NUGGET,
@@ -34,7 +34,6 @@ __all__ = [
     "attach_stacked",
     "builtin_registry",
     "fit_stacker",
-    "log_targets",
     "rbf_kernel",
     "registry_csv",
     "weighted_log_mean",

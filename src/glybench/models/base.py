@@ -16,17 +16,13 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from ..features import Design, FeatureConfig, PcaModel, from_log, pca_apply, pca_fit, to_log_target
+from ..features import Design, FeatureConfig, PcaModel, from_log, pca_apply, pca_fit
 
 
 class Predictor(Protocol):
     def fit(self, train: Design) -> None: ...
 
     def predict(self, test: Design) -> np.ndarray: ...
-
-
-def log_targets(design: Design) -> np.ndarray:
-    return np.array([to_log_target(v) for v in design.target_bg.tolist()])
 
 
 def from_log_array(log_values: np.ndarray) -> np.ndarray:
@@ -75,7 +71,7 @@ class FeaturePipeline:
 
 
 class LogLearner:
-    """Standardize, take the log of the targets, fit; exponentiate on predict.
+    """Standardize, fit on the design's log targets; exponentiate on predict.
 
     A subclass implements ``_fit(z, y, train)`` on the pipeline's training
     matrix and log targets, and ``_predict(q, test)``, which returns log
@@ -91,7 +87,7 @@ class LogLearner:
     def fit(self, train: Design) -> None:
         if len(train) < self.min_rows:
             raise ValueError(f"{type(self).__name__} needs {self.min_rows}+ training rows")
-        self._fit(self.pipeline.fit(train.x), log_targets(train), train)
+        self._fit(self.pipeline.fit(train.x), train.log_target, train)
         self._fitted = True
 
     def predict(self, test: Design) -> np.ndarray:

@@ -15,6 +15,7 @@ predictions walk every row through every tree at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +154,7 @@ class _Scratch:
         self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         key = (name, np.dtype(dtype))
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:

@@ -3,8 +3,12 @@
 The GP uses a unit-variance RBF kernel with length scale 1 on
 standardized features, a constant nugget added to the kernel diagonal
 for observation noise, and the training log-target mean as its prior
-mean. Posterior mean and standard deviation come from a Cholesky solve
-of the nugget-augmented kernel matrix.
+mean. A fit holds one kernel-sized array: the training kernel is built
+in the buffer that LAPACK then factorizes in place, and only the
+triangle that the upper Cholesky factor reads is computed. Posterior
+means use the factor's solve of the centered targets, and posterior
+variances the one triangular solve of Rasmussen & Williams (2006,
+Alg. 2.1).
 
 The ensemble extends the patient-wide GP predictor with one GP per meal
 slot, weighting each member by the reciprocal of its posterior standard
@@ -26,23 +30,64 @@ DEFAULT_NUGGET = 0.25
 KERNEL_BLOCK_ROWS = 256
 
 
+def _rbf_in_place(out: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> None:
+    """exp(-0.5 * max((sa + sb) - out, 0)) written over ``out``.
+
+    ``out`` holds 2 a·b for a block of kernel entries and ``sa``/``sb``
+    the squared norms of their rows and columns, shaped to broadcast over
+    it. Every kernel entry is computed here, so the cross and the
+    training kernels round alike.
+    """
+    np.subtract(sa + sb, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+
+
 def rbf_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    # exp(-0.5 * max(|a|² + |b|² - 2 a·b, 0)) built in the one (len(a),
-    # len(b)) array that holds 2 a·b: the norm sums are added a block of
-    # rows at a time, so the only other temporary is (block, len(b)). This
-    # kernel is the memory peak of a GP fit. Each element is still rounded
-    # as (|a|² + |b|²) - 2 a·b.
+    # built in the one (len(a), len(b)) array that holds 2 a·b, a block of
+    # rows at a time, so the only other temporary is (block, len(b))
     sa = np.sum(a**2, axis=1)[:, None]
     sb = np.sum(b**2, axis=1)[None, :]
-    d2 = np.matmul(2.0 * a, b.T)
+    k = np.matmul(2.0 * a, b.T)
     for start in range(0, len(a), KERNEL_BLOCK_ROWS):
         rows = slice(start, start + KERNEL_BLOCK_ROWS)
-        np.subtract(sa[rows] + sb, d2[rows], out=d2[rows])
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -0.5
-    return np.exp(d2, out=d2)
+        _rbf_in_place(k[rows], sa[rows], sb)
+    return k
+
+
+def _factor_training_kernel(z: np.ndarray, nugget: float) -> np.ndarray:
+    """The upper Cholesky factor U of ``rbf_kernel(z, z) + nugget·I``,
+    made in the one n×n array that holds 2 z·zᵀ.
+
+    LAPACK reads a Fortran-ordered matrix, which is the transpose of the
+    C-ordered buffer ``t``, and its upper factorization reads only the
+    upper triangle, which is ``t``'s lower one. So the upper blocks of
+    2 z·zᵀ are mirrored into the lower ones a block at a time (a
+    diagonal block through a block-sized copy), the kernel is computed
+    on and below the diagonal blocks only, and ``t.T`` is factorized in
+    place. Every entry LAPACK reads equals ``rbf_kernel(z, z)``'s entry
+    at the same position of the matrix it factorizes, so U does too.
+    The returned array is F-ordered; its lower triangle is scratch.
+    """
+    from scipy.linalg import cho_factor  # lazily: it loads in 0.2 s
+
+    n = len(z)
+    s = np.sum(z**2, axis=1)
+    t = np.matmul(2.0 * z, z.T)
+    for start in range(0, n, KERNEL_BLOCK_ROWS):
+        end = min(start + KERNEL_BLOCK_ROWS, n)
+        rows = slice(start, end)
+        for col in range(0, start, KERNEL_BLOCK_ROWS):
+            cols = slice(col, col + KERNEL_BLOCK_ROWS)
+            t[rows, cols] = t[cols, rows].T
+        t[rows, rows] = t[rows, rows].T  # numpy copies an overlapping source first
+        _rbf_in_place(t[rows, :end], s[rows, None], s[None, :end])
+    t.flat[:: n + 1] += nugget
+    factor, _ = cho_factor(t.T, overwrite_a=True, check_finite=False)
+    return factor
 
 
 class GprCore:
@@ -52,22 +97,24 @@ class GprCore:
         self.nugget = nugget
         self.prior_mean = prior_mean
         self._z: Optional[np.ndarray] = None
-        self._factor = None
+        self._factor: Optional[np.ndarray] = None  # upper triangle: U, K = UᵀU
         self._alpha: Optional[np.ndarray] = None
         self._mean = 0.0
 
     def fit(self, z: np.ndarray, y: np.ndarray) -> None:
-        from scipy.linalg import cho_factor, cho_solve  # lazily: it loads in 0.2 s
+        from scipy.linalg import cho_solve
 
         if len(y) == 0:
             raise ValueError("gpr needs at least one training row")
-        self._z = np.atleast_2d(np.asarray(z, float))
+        z = np.atleast_2d(np.asarray(z, float))
         y = np.asarray(y, float)
+        # the one finiteness check: LAPACK is called without scipy's scans
+        if not (np.isfinite(z).all() and np.isfinite(y).all()):
+            raise ValueError("gpr needs finite training inputs and targets")
+        self._z = z
         self._mean = self.prior_mean if self.prior_mean is not None else float(y.mean())
-        k = rbf_kernel(self._z, self._z)
-        k[np.diag_indices_from(k)] += self.nugget
-        self._factor = cho_factor(k)
-        self._alpha = cho_solve(self._factor, y - self._mean)
+        self._factor = _factor_training_kernel(z, self.nugget)
+        self._alpha = cho_solve((self._factor, False), y - self._mean, check_finite=False)
 
     def _cross_kernel(self, q: np.ndarray) -> np.ndarray:
         if self._z is None or self._alpha is None:
@@ -80,12 +127,14 @@ class GprCore:
 
     def posterior(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and standard deviations for a batch of queries."""
-        from scipy.linalg import cho_solve
+        from scipy.linalg import solve_triangular
 
         k_star = self._cross_kernel(q)
         means = self._mean + k_star @ self._alpha
-        solved = cho_solve(self._factor, k_star.T)
-        var = 1.0 - np.sum(k_star.T * solved, axis=0)
+        # Alg. 2.1: v = U⁻ᵀ k*, var = 1 - vᵀv, solved over k*ᵀ in place
+        v = solve_triangular(self._factor, k_star.T, trans="T", overwrite_b=True,
+                             check_finite=False)
+        var = 1.0 - np.sum(v * v, axis=0)
         return means, np.sqrt(np.maximum(var, 0.0))
 
 

@@ -25,6 +25,7 @@ def fit_stacker(stacker: Predictor, other_patients: Sequence[Design]) -> Predict
             np.vstack([d.x for d in other_patients]),
             np.concatenate([d.target_bg for d in other_patients]),
             np.concatenate([d.index for d in other_patients]),
+            np.concatenate([d.log_target for d in other_patients]),
         )
     )
     return stacker

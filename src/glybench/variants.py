@@ -230,7 +230,7 @@ def rebuild_rows(prepared: PreparedPatient, visible_records: np.ndarray) -> Desi
     visible[visible_records] = True
     return build_feature_rows(
         prepared.arrays, prepared.cfg, _gap_fills(prepared.arrays, visible),
-        prepared.row_starts,
+        prepared.row_starts, prepared.design.log_target,
     )
 
 

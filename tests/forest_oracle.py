@@ -9,13 +9,14 @@ on the sort algorithm numpy picks for the host CPU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from glybench.features import Design, FeatureConfig, from_log
-from glybench.models import FeaturePipeline, log_targets
+from glybench.models import FeaturePipeline
 from glybench.models.forest import MIN_LEAF
 
 
@@ -134,7 +135,7 @@ class OracleForestPredictor:
         if len(train) < 2:
             raise ValueError("random forest needs at least two training rows")
         z = self.pipeline.fit(train.x)
-        y = log_targets(train)
+        y = np.array([math.log(v) for v in train.target_bg.tolist()])
         self.trees = grow_forest(z, y, self.n_trees, self.max_depth, self.seed)
 
     def predict(self, test: Design) -> np.ndarray:

@@ -601,3 +601,36 @@ def test_a_gp_pair_factorizes_the_patient_wide_kernel_once_per_fold(variant, mon
             evaluate(ds, entry, k=k, seed=0)
         wide = [a.shape[0] for a in factorized if a.shape[0] in train_sizes]
         assert sorted(wide) == sorted(2 * train_sizes)
+
+
+class _NanQuery:
+    """A model whose first test row of every fold has one NaN feature."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def fit(self, train):
+        self.model.fit(train)
+
+    def predict(self, test):
+        x = test.x.copy()
+        x[0, 1] = np.nan
+        return self.model.predict(dataclasses.replace(test, x=x))
+
+
+@pytest.mark.parametrize("stacking", [False, True])
+def test_a_nan_test_row_fails_a_gp_pair_naming_the_model(stacking):
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    ds = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
+    pair = [e for e in builtin_registry().values()
+            if e.algorithm == "GPR" and e.stacking == stacking]
+    assert len(pair) == 2
+    for broken in pair:
+        def factory(cfg, with_stacked, seed, build=broken.factory):
+            return _NanQuery(build(cfg, with_stacked, seed))
+
+        entries = [dataclasses.replace(e, factory=factory) if e is broken else e
+                   for e in pair]
+        with pytest.raises(ValueError) as err:
+            evaluation.evaluate_group(ds, entries, k=5, seed=0)
+        assert f"{broken.name} predicted nan mmol/L on variant D_a6" in str(err.value)

@@ -257,3 +257,67 @@ def test_gps_fit_on_one_training_design_share_the_patient_wide_core():
     assert other.core is not gp.core
     test = design(_slot_rows(rng, MealSlot.BeforeLunch, 3, 8.0))
     assert other.predict(test).tobytes() == ens.predict(test).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the in-place training factor and the one-solve variance
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.sampled_from(_EDGE_ROWS), st.integers(1, 2 * KERNEL_BLOCK_ROWS + 2)),
+       d=st.integers(1, 22), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.3, 1.0, 3.0]))
+def test_fit_factor_equals_the_factor_of_the_full_kernel_bitwise(n, d, seed, scale):
+    from scipy.linalg import cho_factor
+
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=scale, size=(n, d))
+    core = GprCore(nugget=NUGGET)
+    core.fit(z, rng.normal(size=n))
+    want = cho_factor(rbf_kernel(z, z) + NUGGET * np.eye(n))[0]
+    upper = np.triu_indices(n)
+    assert core._factor[upper].tobytes() == want[upper].tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (40, 7), (300, 50)])
+def test_one_solve_sigmas_match_the_two_solve_form(n, m):
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(n, 5))
+    queries = np.vstack([rng.normal(size=(m, 5)), z[: m // 2]])
+    core = GprCore(nugget=NUGGET)
+    core.fit(z, rng.normal(size=n))
+    _, sigmas = core.posterior(queries)
+    k_star = rbf_kernel(queries, z)
+    factor = cho_factor(rbf_kernel(z, z) + NUGGET * np.eye(n))
+    var = 1.0 - np.sum(k_star.T * cho_solve(factor, k_star.T), axis=0)
+    assert np.max(np.abs(sigmas - np.sqrt(np.maximum(var, 0.0)))) <= 1e-12
+
+
+def test_a_fit_holds_one_kernel_sized_array():
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  (its import is not the fit's memory)
+
+    n = 1000
+    rng = np.random.default_rng(3)
+    z, y = rng.normal(size=(n, 20)), rng.normal(size=n)
+    GprCore().fit(z[:10], y[:10])
+    tracemalloc.start()
+    try:
+        GprCore().fit(z, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+
+
+@pytest.mark.parametrize("where", ["z", "y"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_fit_refuses_non_finite_inputs(where, value):
+    rng = np.random.default_rng(5)
+    z, y = rng.normal(size=(6, 3)), rng.normal(size=6)
+    (z if where == "z" else y)[2] = value
+    with pytest.raises(ValueError, match="finite"):
+        GprCore().fit(z, y)

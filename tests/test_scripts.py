@@ -1,4 +1,5 @@
-"""The demos and the benchmark's probe and traced harness run against the package.
+"""The demos, the benchmark's probe and traced harness, and the tools run
+against the package.
 
 They call the library from outside ``src/``: the demos as a reader
 would, ``bench/setup_probe.py`` through ``materialize(...).per_patient``,
@@ -111,3 +112,15 @@ def test_traced_harness_finds_every_name_it_wraps(tmp_path):
     done = _run(["-B", "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
                  "import traced; traced.install(traced.Tracer())"], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_compare_runs_finds_one_source_tree_identical_to_itself(tmp_path):
+    src = str(ROOT / "src")
+    done = _run([str(ROOT / "tools" / "compare_runs.py"), src, src, "--cohorts", "tiny"],
+                cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    files = [line for line in lines if not line.startswith("==")]
+    assert "results_long.csv: identical" in files
+    assert all(line.endswith(": identical") for line in files), done.stdout
+    assert lines[-1] == "== tiny, change: --jobs 1 -> --jobs 2: identical"

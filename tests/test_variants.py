@@ -351,3 +351,30 @@ def test_gap_fills_equal_the_sequential_means_bit_for_bit(entries):
     for name, got in zip(("cho", "bolus"), fills):
         want = feature_oracle.slot_fills(source, name)
         assert got.tobytes() == np.array([want[slot] for slot in MealSlot]).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["D_a6", "D_e6"])
+def test_log_targets_are_taken_once_per_patient_design(cohort, variant, monkeypatch):
+    import math
+
+    from glybench import evaluation, features
+    from glybench.models import builtin_registry
+
+    ds = materialize(cohort, spec_by_id(variant), min_records=20)
+    for prep in ds.per_patient.values():
+        design = prep.design
+        want = np.array([math.log(v) for v in design.target_bg.tolist()])
+        assert design.log_target.tobytes() == want.tobytes()
+        rows = np.arange(0, len(design), 3)
+        assert design[rows].log_target.tobytes() == want[rows].tobytes()
+        assert rebuild_rows(prep, np.arange(len(prep.arrays) // 2)).log_target \
+            is design.log_target
+
+    calls = []
+    to_log_target = features.to_log_target
+    monkeypatch.setattr(features, "to_log_target",
+                        lambda bg: calls.append(bg) or to_log_target(bg))
+    registry = builtin_registry()
+    for name in ("ridge", "gpr_be_AllPat_AllMeals"):  # fold rebuilds and the stacker
+        evaluation.evaluate(ds, registry[name], k=5, seed=0)
+    assert calls == []

@@ -1,0 +1,257 @@
+"""Compare the outputs of `glybench run` between two source trees.
+
+    python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC [--cohorts acceptance,grid,long_diary]
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the
+``glybench`` package (a checkout's ``src/``). For each cohort, each side
+synthesizes the cohort and runs the grid with ``--jobs 1`` and
+``--jobs 2``, each command in a fresh process. For every output file the
+tool prints ``identical``, or the changed rows with their key cells
+(``model, variant, metric, patient`` in ``results_long.csv``) and the
+largest relative difference of a changed number (the ``MAX_ROWS`` rows
+that changed most are listed). A last line per cohort
+compares the change's ``--jobs 2`` outputs with its ``--jobs 1`` ones.
+
+Cohorts:
+
+- ``acceptance``: the default preset (5 patients x 40 days, seed 2026),
+  ``run``'s default variants and every model of the tree's registry;
+- ``grid``: 2 x 40 days (seed 2026), ``D_a6``, every registry model;
+- ``long_diary``: 1 x 200 days (seed 2027), ``D_e6`` and ``D_a6``, the
+  naive baseline, ridge and the patient-wide GP pair;
+- ``tiny``: 2 x 20 days (seed 4), ``D_a6``, ridge and the patient-wide GP
+  pair with k = 5, a quick check of the tool itself.
+
+Every run uses ``--min-records 20``. The variant and model lists that
+follow ``run``'s defaults or the registry are read by each side from its
+own tree, so a side that adds a model or a default variant shows up as a
+changed layout rather than being left out.
+
+The exit status is 0 when every file is identical, 1 when any differs,
+and 2 when a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+JOBS = (1, 2)
+MAX_ROWS = 5
+MIN_RECORDS = 20
+
+
+@dataclass(frozen=True)
+class Cohort:
+    seed: int
+    patients: int
+    days: int
+    variants: tuple[str, ...] | None  # None: `run`'s default variants
+    models: tuple[str, ...] | None  # None: every model of the registry
+    k: int = 10
+
+
+COHORTS = {
+    "acceptance": Cohort(2026, 5, 40, None, None),
+    "grid": Cohort(2026, 2, 40, ("D_a6",), None),
+    "long_diary": Cohort(2027, 1, 200, ("D_e6", "D_a6"),
+                         ("naive", "ridge", "gpr_IndPat_AllMeals", "gpr_be")),
+    "tiny": Cohort(4, 2, 20, ("D_a6",), ("ridge", "gpr_IndPat_AllMeals", "gpr_be"), k=5),
+}
+
+
+class CommandFailed(Exception):
+    pass
+
+
+def python(src: Path, what: str, *args: str) -> str:
+    """Run Python on ``args`` with ``src`` first on the import path; its
+    stdout. A failure is reported as ``what`` failing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = " | ".join(done.stderr.strip().splitlines()[-3:])
+        raise CommandFailed(f"{what} ({src}) exited {done.returncode}: {tail}")
+    return done.stdout
+
+
+def glybench(src: Path, *args: str) -> None:
+    python(src, f"glybench {args[0]}", "-m", "glybench.cli", *args)
+
+
+def registry_models(src: Path) -> list[str]:
+    names = python(src, "the registry", "-c",
+                   "from glybench.models.registry import builtin_registry; "
+                   "print(','.join(builtin_registry()))")
+    return names.strip().split(",")
+
+
+def run_side(src: Path, cohort: Cohort, work: Path) -> tuple[Path, dict[int, Path]]:
+    """Synthesize the cohort and run it once per jobs count: the cohort
+    CSV and the output directories by jobs count."""
+    work.mkdir(parents=True)
+    config = work / "synth.json"
+    config.write_text(json.dumps(
+        {"preset": "default", "patients": cohort.patients, "days": cohort.days}))
+    csv_path = work / "cohort.csv"
+    glybench(src, "synth", "--config", str(config), "--seed", str(cohort.seed),
+             "--out", str(csv_path))
+    models = cohort.models or registry_models(src)
+    grid = ["--models", ",".join(models), "--k", str(cohort.k),
+            "--min-records", str(MIN_RECORDS), "--seed", str(cohort.seed)]
+    if cohort.variants:
+        grid += ["--variants", ",".join(cohort.variants)]
+    outs = {}
+    for jobs in JOBS:
+        outs[jobs] = work / f"jobs{jobs}"
+        glybench(src, "run", "--input", str(csv_path), "--out", str(outs[jobs]), *grid,
+                 "--jobs", str(jobs))
+    return csv_path, outs
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else float("inf")
+
+
+def _flatten(value, path=""):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flatten(value[key], f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flatten(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _rows(name: str, text: str) -> tuple[list[str], list[list[str]]]:
+    """A file as a header and rows of cells: JSON as (path, value) rows,
+    every other output (CSV) as it is."""
+    if name.endswith(".json"):
+        return ["key", "value"], [[k, json.dumps(v)] for k, v in _flatten(json.loads(text))]
+    table = list(csv.reader(io.StringIO(text)))
+    return (table[0], table[1:]) if table else ([], [])
+
+
+def diff_file(name: str, a: str, b: str) -> list[str]:
+    """The report lines of one file: ``identical``, or how many rows
+    changed and the ``MAX_ROWS`` that changed most."""
+    if a == b:
+        return [f"{name}: identical"]
+    head_a, rows_a = _rows(name, a)
+    head_b, rows_b = _rows(name, b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [f"{name}: differs in layout ({len(rows_a)} rows -> {len(rows_b)} rows, "
+                f"header {'equal' if head_a == head_b else 'changed'})"]
+    changed = []  # (largest relative difference in the row, report line)
+    for row_a, row_b in zip(rows_a, rows_b):
+        if row_a == row_b:
+            continue
+        key = " ".join(f"{h}={x}" for h, x, y in zip(head_a, row_a, row_b)
+                       if x == y and _number(x) is None)
+        cells, largest = [], 0.0
+        for h, x, y in zip(head_a, row_a, row_b):
+            if x == y:
+                continue
+            nx, ny = _number(x), _number(y)
+            if nx is not None and ny is not None:
+                rel = _relative(nx, ny)
+                largest = max(largest, rel)
+                cells.append(f"{h}: {x} -> {y} (relative {rel:.2g})")
+            else:
+                largest = float("inf")
+                cells.append(f"{h}: {x!r} -> {y!r}")
+        changed.append((largest, f"  {key}: " + "; ".join(cells)))
+    changed.sort(key=lambda c: -c[0])  # stable: ties keep file order
+    lines = [f"{name}: {len(changed)} of {len(rows_a)} rows changed, largest relative "
+             f"difference {changed[0][0]:.2g}"]
+    lines.extend(line for _, line in changed[:MAX_ROWS])
+    if len(changed) > MAX_ROWS:
+        lines.append(f"  ... and {len(changed) - MAX_ROWS} more")
+    return lines
+
+
+def diff_dirs(a: Path, b: Path) -> tuple[bool, list[str]]:
+    names_a = {p.name for p in a.iterdir()}
+    names_b = {p.name for p in b.iterdir()}
+    lines = [f"{name}: only in {side}" for side, names in ((a, names_a - names_b),
+                                                           (b, names_b - names_a))
+             for name in sorted(names)]
+    same = not lines
+    for name in sorted(names_a & names_b):
+        file_lines = diff_file(name, (a / name).read_text(), (b / name).read_text())
+        same = same and file_lines == [f"{name}: identical"]
+        lines.extend(file_lines)
+    return same, lines
+
+
+def compare(parent: Path, change: Path, cohorts: list[str], work: Path) -> bool:
+    same = True
+    for name in cohorts:
+        cohort = COHORTS[name]
+        parent_csv, parent_out = run_side(parent, cohort, work / name / "parent")
+        change_csv, change_out = run_side(change, cohort, work / name / "change")
+        lines = diff_file("cohort.csv", parent_csv.read_text(), change_csv.read_text())
+        same = same and len(lines) == 1 and lines[0].endswith(": identical")
+        print(f"== {name}, synth: parent -> change")
+        print("\n".join(lines))
+        for jobs in JOBS:
+            ok, lines = diff_dirs(parent_out[jobs], change_out[jobs])
+            same = same and ok
+            print(f"== {name}, --jobs {jobs}: parent -> change")
+            print("\n".join(lines))
+        ok, lines = diff_dirs(change_out[JOBS[0]], change_out[JOBS[-1]])
+        same = same and ok
+        print(f"== {name}, change: --jobs {JOBS[0]} -> --jobs {JOBS[-1]}: "
+              f"{'identical' if ok else 'differs'}")
+        if not ok:
+            print("\n".join(line for line in lines if not line.endswith(": identical")))
+    return same
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--cohorts", default="acceptance,grid,long_diary",
+                        help=f"comma-separated, of {', '.join(COHORTS)}")
+    args = parser.parse_args(argv)
+    cohorts = [c for c in args.cohorts.split(",") if c]
+    unknown = [c for c in cohorts if c not in COHORTS]
+    if unknown or not cohorts:
+        parser.error(f"unknown cohorts {unknown}; choose from {', '.join(COHORTS)}")
+    for src in (args.parent_src, args.change_src):
+        if not (src / "glybench" / "__init__.py").is_file():
+            parser.error(f"{src} holds no glybench package")
+    with tempfile.TemporaryDirectory(prefix="compare_runs_") as work:
+        try:
+            same = compare(args.parent_src.resolve(), args.change_src.resolve(), cohorts,
+                           Path(work))
+        except CommandFailed as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
