@@ -18,8 +18,8 @@
 # %%
 import datetime as dt
 
-from glybench import FeatureConfig, IOB_KNOTS, build_feature_rows, compute_iob, iob_fraction
-from glybench.features import RecordArrays, Vectorizer
+from glybench import FeatureConfig, IOB_KNOTS, build_feature_rows, iob_fraction
+from glybench.features import RecordArrays, Vectorizer, event_columns
 from glybench.records import DiaryRecord, ExerciseLevel, MealSlot, PatientHistory
 
 for hours, frac in IOB_KNOTS:
@@ -48,8 +48,10 @@ day = PatientHistory(
         entry("20:11:00", MealSlot.AfterSupper, 3.0),
     ),
 )
+arrays = RecordArrays.of(day)
+iob = event_columns(arrays, arrays.cho, arrays.bolus)["iob"]
 for i in range(len(day.records)):
-    print(f"record {i} ({day.records[i].meal.name:16s}): iob = {compute_iob(day, i):5.2f} u")
+    print(f"record {i} ({day.records[i].meal.name:16s}): iob = {iob[i]:5.2f} u")
 
 # %% [markdown]
 # `build_feature_rows` pairs consecutive records, laid out as
@@ -61,7 +63,7 @@ for i in range(len(day.records)):
 
 # %%
 cfg = FeatureConfig()
-design = build_feature_rows(RecordArrays.of(day), cfg)
+design = build_feature_rows(arrays, cfg)
 names = Vectorizer(cfg).column_names()
 print(f"{len(day.records)} records -> {len(design)} prediction rows")
 print("columns:", ", ".join(names))

@@ -19,6 +19,7 @@
 # %%
 from glybench import evaluate, generate, high_signal_config, materialize, spec_by_id
 from glybench import zero_signal_config
+from glybench.evaluation import improvements
 from glybench.ingest import clean_cohort
 from glybench.models import builtin_registry
 
@@ -30,11 +31,13 @@ def run(label, cfg, variant="D_a6"):
     cleaned, _ = clean_cohort(generate(cfg))
     dataset = materialize(cleaned, spec_by_id(variant), min_records=20)
     print(f"--- {label} cohort, variant {variant}")
+    # the baseline is a cell like any other, under the same fold plan
+    naive = evaluate(dataset, registry["naive"], k=10, seed=0).cohort
     for name in MODELS:
-        report = evaluate(dataset, registry[name], k=10, seed=0)
-        print(f"{name:22s} L1 {report.cohort['L1']:6.3f}  "
-              f"rL1 {report.cohort['rL1']:6.3f}  "
-              f"improvement vs naive {report.improvement['L1']:+6.1f}%")
+        cohort = evaluate(dataset, registry[name], k=10, seed=0).cohort
+        print(f"{name:22s} L1 {cohort['L1']:6.3f}  "
+              f"rL1 {cohort['rL1']:6.3f}  "
+              f"improvement vs naive {improvements(naive, cohort)['L1']:+6.1f}%")
 
 
 # %% [markdown]

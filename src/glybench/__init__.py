@@ -39,7 +39,6 @@ from .features import (
     IOB_KNOTS,
     PcaConfig,
     build_feature_rows,
-    compute_iob,
     from_log,
     iob_fraction,
     pca_apply,
@@ -90,7 +89,6 @@ __all__ = [
     "build_feature_rows",
     "clean",
     "clean_cohort",
-    "compute_iob",
     "contiguous_kfold",
     "default_config",
     "ep_counts",

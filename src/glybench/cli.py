@@ -20,14 +20,15 @@ from typing import Optional, Sequence
 from . import __version__, evaluation
 from .ep import EP_COUNTS_CSV_HEADER, ep_counts
 from .evaluation import (
+    LONG_CSV_HEADER,
     METRICS,
     EvalReport,
     PenaltyTable,
-    cohort_mean,
+    cohort_scores,
     evaluate,  # noqa: F401 -- not called here; bench/traced.py times cli.evaluate
     evaluate_group,
     improvement_csv,
-    percent_improvement,
+    improvements,
     results_long_csv,
     sharing_groups,
     wide_csv,
@@ -54,10 +55,16 @@ def _read(path: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file and a rename. The file gets the
+    mode ``open`` would give it, ``0o666`` less the umask, where
+    ``mkstemp`` alone would leave it ``0o600``."""
+    umask = os.umask(0)
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                    prefix=".tmp-glybench-")
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -346,39 +353,44 @@ SUMMARY_CSV_HEADER = (
 def summarize_results(long_csv: str) -> list[dict[str, object]]:
     """Best (model, variant) per metric with the naive reference value.
 
-    Cohort values are unweighted means of the per-patient entries, taken
-    as ``evaluate`` takes them, so they equal the ``wide_*`` tables bit
-    for bit; the winner is the lowest cohort loss (ties break on model
-    then variant name), and improvement is always relative to naive on
-    the winning variant, as in the ``improvement_*`` tables.
+    The per-patient values of each (model, variant) are read in file
+    order and go through ``cohort_scores`` and ``improvements``, as the
+    ``wide_*`` and ``improvement_*`` tables do, so the figures equal
+    those tables bit for bit. The winner is the lowest cohort loss (ties
+    break on model then variant name), and improvement is relative to
+    naive on the winning variant (NaN without a naive cell there).
     """
     lines = [ln for ln in long_csv.splitlines() if ln.strip()]
-    if not lines or lines[0] != "model,variant,metric,patient,value":
+    if not lines or lines[0] != LONG_CSV_HEADER:
         raise CliError("results file is not a long-form results CSV")
-    values: dict[tuple[str, str, str], list[float]] = {}
+    per_patient: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
     for ln in lines[1:]:
-        model, variant, metric, _patient, value = ln.split(",")
-        values.setdefault((metric, model, variant), []).append(float(value))
-    cohort = {key: cohort_mean(v) for key, v in values.items()}
+        model, variant, metric, patient, value = ln.split(",")
+        per_patient.setdefault((model, variant), {}).setdefault(patient, {})[metric] = (
+            float(value))
+    seen = {metric for values in per_patient.values()
+            for scores in values.values() for metric in scores}
+    metrics = [metric for metric in METRICS if metric in seen]
+    for (model, variant), values in per_patient.items():
+        for patient, scores in values.items():
+            missing = [metric for metric in metrics if metric not in scores]
+            if missing:
+                raise CliError(f"results file has no {missing[0]} value for {model} "
+                               f"on {variant}, patient {patient}")
+    cohorts = {key: cohort_scores(values, metrics) for key, values in per_patient.items()}
     summary = []
-    for metric in METRICS:
-        cells = {
-            (model, variant): val
-            for (m, model, variant), val in cohort.items()
-            if m == metric
-        }
-        if not cells:
-            continue
-        best_model, best_variant = min(cells, key=lambda k: (cells[k], k[0], k[1]))
-        best = cells[(best_model, best_variant)]
-        naive = cells.get(("naive", best_variant))
-        pct = float("nan") if naive is None else percent_improvement(naive, best)
+    for metric in metrics:
+        best_model, best_variant = min(
+            cohorts, key=lambda key: (cohorts[key][metric], key[0], key[1]))
+        best = cohorts[best_model, best_variant]
+        naive = cohorts.get(("naive", best_variant))
         summary.append(
             {
                 "metric": metric,
-                "naive_error": naive,
-                "best_error": best,
-                "percent_improvement": pct,
+                "naive_error": None if naive is None else naive[metric],
+                "best_error": best[metric],
+                "percent_improvement": (
+                    float("nan") if naive is None else improvements(naive, best)[metric]),
                 "best_model": best_model,
                 "best_variant": best_variant,
             }

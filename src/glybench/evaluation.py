@@ -4,9 +4,13 @@ Each patient's time-ordered rows are cut into k contiguous segments;
 every segment serves once as the test fold while the rest train. A
 patient's score per metric is a micro-average: every fold's predictions
 fill one array in row order, then the metric is computed once over it
-and the patient's actual glucose array. Cohort scores are unweighted
-means over patients, and every model is reported relative to the naive
-mean-predicting baseline evaluated under the identical fold plan.
+and the patient's actual glucose array. The baseline is the registry's
+``naive`` entry, a cell like any other: every model is reported relative
+to the naive cell of the same variant, which runs under the identical
+fold plan. Cohort scores (:func:`cohort_scores`, unweighted means over
+patients) and improvements over the baseline (:func:`improvements`)
+come from one pair of functions, which the result tables and ``report``
+both call.
 
 Besides absolute, relative and squared losses, each metric has a
 "glucose-specific" variant that multiplies each prediction's error by a
@@ -23,11 +27,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .models import NaivePredictor, attach_stacked, fit_stacker
+from .models import attach_stacked, fit_stacker
 from .models.registry import ModelRegistryEntry, builtin_registry
 from .records import MGDL_PER_MMOLL
 from .variants import VariantDataset, rebuild_rows
@@ -221,12 +226,21 @@ def compute_metrics(
 
 
 def cohort_mean(values: Sequence[float]) -> float:
-    """Cohort score: the unweighted mean of per-patient values, NaN if none.
+    """Cohort score: the unweighted mean of per-patient values, NaN if none."""
+    return float(np.mean(values)) if len(values) else float("nan")
+
+
+def cohort_scores(
+    per_patient: Mapping[str, Mapping[str, float]], metrics: Sequence[str] = METRICS
+) -> dict[str, float]:
+    """Each metric's cohort score from ``{patient: {metric: value}}``.
 
     Every cohort figure (result tables, ``report`` summaries) goes through
-    this one function, so equal inputs give bit-identical outputs.
+    this one function, summing the patients in the mapping's order, so
+    equal inputs give bit-identical outputs.
     """
-    return float(np.mean(values)) if len(values) else float("nan")
+    return {m: cohort_mean([scores[m] for scores in per_patient.values()])
+            for m in metrics}
 
 
 def percent_improvement(naive_value: float, model_value: float) -> float:
@@ -242,27 +256,37 @@ def percent_improvement(naive_value: float, model_value: float) -> float:
     return (naive_value - model_value) / naive_value * 100.0
 
 
+def improvements(
+    naive: Mapping[str, float], model: Mapping[str, float]
+) -> dict[str, float]:
+    """The percent improvement of each of ``model``'s cohort scores over
+    the naive cell's; every improvement figure goes through here."""
+    return {m: percent_improvement(naive[m], value) for m, value in model.items()}
+
+
 # ---------------------------------------------------------------------------
 # Cross-validated evaluation
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EvalReport:
+    """What one (model, variant) cell measured, per patient and in row
+    order: the patient's fold plan, predictions and actual glucose, and
+    the metrics over them."""
+
     model: str
     variant: str
     k: int
     per_patient: dict[str, dict[str, float]]
-    naive_per_patient: dict[str, dict[str, float]]
-    cohort: dict[str, float]
-    naive_cohort: dict[str, float]
-    improvement: dict[str, float]
     excluded_patients: tuple[str, ...]
-    metadata: dict[str, object] = field(default_factory=dict)
-    # with audit=True, per patient and in row order
-    predicted: Optional[dict[str, np.ndarray]] = None
-    naive_predicted: Optional[dict[str, np.ndarray]] = None
-    actual: Optional[dict[str, np.ndarray]] = None
-    fold_splits: Optional[dict[str, list[tuple[list[int], list[int]]]]] = None
+    metadata: dict[str, object]
+    predicted: dict[str, np.ndarray]
+    actual: dict[str, np.ndarray]
+    folds: dict[str, FoldPlan]
+
+    @cached_property  # read only after the fold pass has filled per_patient
+    def cohort(self) -> dict[str, float]:
+        return cohort_scores(self.per_patient)
 
 
 def derive_seed(root_seed: int, *parts: object) -> int:
@@ -288,17 +312,6 @@ def sharing_groups(
     return list(groups.values())
 
 
-@dataclass
-class _Cell:
-    """One entry's results so far in a fold pass, predictions per patient."""
-
-    entry: ModelRegistryEntry
-    per_patient: dict[str, dict[str, float]] = field(default_factory=dict)
-    predicted: dict[str, np.ndarray] = field(default_factory=dict)
-    fallbacks: int = 0
-    pca_flags: int = 0
-
-
 def evaluate(
     dataset: VariantDataset,
     entry: ModelRegistryEntry,
@@ -306,11 +319,10 @@ def evaluate(
     seed: int = 0,
     penalty: Optional[PenaltyTable] = None,
     fold_local_stats: bool = True,
-    audit: bool = False,
 ) -> EvalReport:
     """Contiguous k-fold evaluation of one model on one dataset variant."""
     return evaluate_group(dataset, [entry], k=k, seed=seed, penalty=penalty,
-                          fold_local_stats=fold_local_stats, audit=audit)[0]
+                          fold_local_stats=fold_local_stats)[0]
 
 
 def evaluate_group(
@@ -320,7 +332,6 @@ def evaluate_group(
     seed: int = 0,
     penalty: Optional[PenaltyTable] = None,
     fold_local_stats: bool = True,
-    audit: bool = False,
 ) -> list[EvalReport]:
     """Contiguous k-fold evaluation of models on one dataset variant, one
     report per entry, in one pass over patients and folds.
@@ -330,34 +341,38 @@ def evaluate_group(
     each model refits its own standardization/PCA on the training rows,
     so no test-fold information reaches the fit. Patients with fewer
     than k rows are excluded and reported. Each fold's train and test
-    designs are built once and handed to every entry, and the naive
-    baseline runs once per fold under the identical fold plan. The
-    entries must agree on ``stacking``; a stacking group fits one ridge
-    stacker per patient.
+    designs are built once and handed to every entry. The entries must
+    agree on ``stacking``; a stacking group fits one ridge stacker per
+    patient. The reports hold only what each cell measured: the baseline
+    is the ``naive`` entry's own cell (see :func:`improvements`).
     """
     if len({entry.stacking for entry in entries}) != 1:
         raise ValueError("evaluate_group needs one or more entries that agree on stacking")
     stacking = entries[0].stacking
     penalty = penalty if penalty is not None else PenaltyTable()
     cfg = dataset.feature_config
-    cells = [_Cell(entry) for entry in entries]
-    naive_per_patient: dict[str, dict[str, float]] = {}
-    all_naive_predicted: dict[str, np.ndarray] = {}
-    all_actual: dict[str, np.ndarray] = {}
-    fold_splits: dict[str, list[tuple[list[int], list[int]]]] = {}
-    excluded: list[str] = []
-
     patient_ids = sorted(dataset.per_patient)
     if stacking and len(patient_ids) < 2:
         raise ValueError("stacking models need at least two retained patients")
     stacker_entry = builtin_registry()["ridge"]  # the learner behind the stacked column
 
+    excluded = tuple(pid for pid in patient_ids if len(dataset.per_patient[pid]) < k)
+    actual: dict[str, np.ndarray] = {}
+    folds: dict[str, FoldPlan] = {}
+    # filled in as the pass measures each cell
+    reports = [
+        EvalReport(model=entry.name, variant=dataset.spec.id, k=k, per_patient={},
+                   excluded_patients=excluded,
+                   metadata={"fold_local_stats": fold_local_stats, "slot_fallbacks": 0,
+                             "pca_flags": 0, "seed": seed},
+                   predicted={}, actual=actual, folds=folds)
+        for entry in entries
+    ]
     for pid in patient_ids:
-        prep = dataset.per_patient[pid]
-        if len(prep) < k:
-            excluded.append(pid)
+        if pid in excluded:
             continue
-        plan = contiguous_kfold(len(prep), k)
+        prep = dataset.per_patient[pid]
+        plan = folds[pid] = contiguous_kfold(len(prep), k)
         fold_local = fold_local_stats and prep.needs_fold_means
         starts = np.array(prep.row_starts, dtype=np.intp)
 
@@ -373,12 +388,10 @@ def evaluate_group(
             if stacker is not None:
                 design = attach_stacked(stacker, design)
 
-        actual = prep.design.target_bg  # a fold rebuild keeps the targets
-        for cell in cells:
-            cell.predicted[pid] = np.empty(len(prep))
-        naive_predicted = np.empty(len(prep))
-        splits = plan.splits()
-        for j, (train_idx, test_idx) in enumerate(splits):
+        actual[pid] = prep.design.target_bg  # a fold rebuild keeps the targets
+        for report in reports:
+            report.predicted[pid] = np.empty(len(prep))
+        for j, (train_idx, test_idx) in enumerate(plan.splits()):
             if fold_local:
                 # the records the training rows read: each row's own and its target's
                 train_starts = starts[train_idx]
@@ -388,13 +401,9 @@ def evaluate_group(
             # every entry gets these two designs, so fitted parts cached on
             # train.shared are shared within the fold
             train, test = design[train_idx], design[test_idx]
-            naive = NaivePredictor()
-            naive.fit(train)
-            naive_predicted[test_idx] = naive.predict(test)
-
-            for cell in cells:
-                name = cell.entry.name
-                model = cell.entry.build(
+            for entry, report in zip(entries, reports):
+                name = entry.name
+                model = entry.build(
                     cfg, seed=derive_seed(seed, dataset.spec.id, name, pid, j)
                 )
                 model.fit(train)
@@ -409,56 +418,18 @@ def evaluate_group(
                         f"{dataset.spec.id}, patient {pid}, fold {j}: predictions must "
                         f"be finite and > 0"
                     )
-                cell.predicted[pid][test_idx] = fold
-                cell.fallbacks += getattr(model, "fallback_count", 0)
+                report.predicted[pid][test_idx] = fold
+                report.metadata["slot_fallbacks"] += getattr(model, "fallback_count", 0)
                 pipeline = getattr(model, "pipeline", None)
                 if pipeline is not None and (
                     pipeline.pca_skipped
                     or (pipeline.pca is not None and pipeline.pca.rank_deficient)
                 ):
-                    cell.pca_flags += 1
+                    report.metadata["pca_flags"] += 1
 
-        naive_per_patient[pid] = compute_metrics(naive_predicted, actual, penalty)
-        for cell in cells:
-            cell.per_patient[pid] = compute_metrics(cell.predicted[pid], actual, penalty)
-        if audit:
-            all_naive_predicted[pid] = naive_predicted
-            all_actual[pid] = actual
-            fold_splits[pid] = splits
-
-    naive_cohort = {
-        m: cohort_mean([naive_per_patient[p][m] for p in naive_per_patient])
-        for m in METRICS
-    }
-    reports = []
-    for cell in cells:
-        cohort = {
-            m: cohort_mean([cell.per_patient[p][m] for p in cell.per_patient])
-            for m in METRICS
-        }
-        reports.append(EvalReport(
-            model=cell.entry.name,
-            variant=dataset.spec.id,
-            k=k,
-            per_patient=cell.per_patient,
-            naive_per_patient=naive_per_patient,
-            cohort=cohort,
-            naive_cohort=naive_cohort,
-            improvement={
-                m: percent_improvement(naive_cohort[m], cohort[m]) for m in METRICS
-            },
-            excluded_patients=tuple(excluded),
-            metadata={
-                "fold_local_stats": fold_local_stats,
-                "slot_fallbacks": cell.fallbacks,
-                "pca_flags": cell.pca_flags,
-                "seed": seed,
-            },
-            predicted=cell.predicted if audit else None,
-            naive_predicted=all_naive_predicted if audit else None,
-            actual=all_actual if audit else None,
-            fold_splits=fold_splits if audit else None,
-        ))
+        for report in reports:
+            report.per_patient[pid] = compute_metrics(report.predicted[pid], actual[pid],
+                                                      penalty)
     return reports
 
 
@@ -480,9 +451,8 @@ def results_long_csv(reports: Sequence[EvalReport], metrics: Sequence[str] = MET
     return "\n".join(lines) + "\n"
 
 
-def _table(
-    reports: Sequence[EvalReport], metric: str, value_of
-) -> str:
+def _table(reports: Sequence[EvalReport], value_of) -> str:
+    """Rows = variants, columns = models; ``value_of(report)`` fills a cell."""
     variants = sorted({r.variant for r in reports})
     models = sorted({r.model for r in reports})
     by_key = {(r.variant, r.model): r for r in reports}
@@ -491,16 +461,20 @@ def _table(
         cells = []
         for m in models:
             r = by_key.get((v, m))
-            cells.append("" if r is None else repr(value_of(r, metric)))
+            cells.append("" if r is None else repr(value_of(r)))
         lines.append(v + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def wide_csv(reports: Sequence[EvalReport], metric: str) -> str:
     """Cohort losses, rows = variants, columns = models (heatmap-ready)."""
-    return _table(reports, metric, lambda r, m: r.cohort[m])
+    return _table(reports, lambda r: r.cohort[metric])
 
 
 def improvement_csv(reports: Sequence[EvalReport], metric: str) -> str:
-    """Percent improvement over the naive baseline, same shape as wide_csv."""
-    return _table(reports, metric, lambda r, m: r.improvement[m])
+    """Percent improvement over the same variant's ``naive`` cell (NaN
+    without one), same shape as wide_csv."""
+    naive = {r.variant: r.cohort for r in reports if r.model == "naive"}
+    return _table(reports, lambda r: (
+        improvements(naive[r.variant], r.cohort)[metric] if r.variant in naive
+        else float("nan")))

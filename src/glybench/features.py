@@ -188,17 +188,6 @@ def event_columns(
     return cols
 
 
-def compute_iob(h: PatientHistory, i: int) -> float:
-    """Units of insulin still active at record ``i`` from earlier boluses.
-
-    Contributions are additive over all strictly-earlier records with a
-    positive bolus inside the trailing five-hour window; the record's own
-    bolus does not count.
-    """
-    a = RecordArrays.of(PatientHistory(h.patient_id, h.records[: i + 1]))
-    return float(_insulin_on_board(a, a.bolus)[i])
-
-
 class DowMode(Enum):
     Omit = "Omit"
     Integer = "Integer"

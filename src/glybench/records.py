@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -226,14 +226,19 @@ def parse_record(line_no: int, line: str) -> tuple[str, DiaryRecord]:
             time = dt.time.fromisoformat(time_s)
         except ValueError:
             raise SchemaError(line_no, "time", f"bad time {time_s!r}") from None
+        if time.tzinfo is not None:
+            # a time with an offset does not compare with one without
+            raise SchemaError(line_no, "time", f"time {time_s!r} has a UTC offset; "
+                                               f"diary times are local")
     ev = None
     if ev_s:
         try:
             ev = ExerciseLevel[ev_s]
         except KeyError:
             try:
-                ev = ExerciseLevel(int(float(ev_s)))
-            except (KeyError, ValueError, OverflowError):
+                # by value, so a numeric code must be whole: 4 and 4.0, not 4.5
+                ev = ExerciseLevel(float(ev_s))
+            except ValueError:
                 raise SchemaError(
                     line_no, "ev", f"unknown exercise level {ev_s!r}"
                 ) from None

@@ -2,7 +2,7 @@
 
 This is the straightforward per-record loop that the array assembly in
 ``glybench.features.build_feature_rows`` (behind ``prepare_patient``,
-the fold-local ``rebuild_rows`` and ``compute_iob``'s event arithmetic)
+the fold-local ``rebuild_rows`` and ``event_columns``'s insulin on board)
 must reproduce bit for bit. Elapsed times come from
 ``timedelta.total_seconds()``, insulin on board is summed bolus by
 bolus, most recent first, gaps are filled record by record, and each

@@ -27,12 +27,13 @@ from glybench.evaluation import (
     evaluate,
     evaluate_group,
     g_metric,
+    improvements,
     l1,
     rl1,
     rmse,
     sharing_groups,
 )
-from glybench.features import IOB_KNOTS, compute_iob, iob_fraction
+from glybench.features import IOB_KNOTS, RecordArrays, event_columns, iob_fraction
 from glybench.ingest import clean_cohort, parse_diary_csv
 from glybench.models import builtin_registry, weighted_log_mean
 from glybench.models.gpr import GprCore, rbf_kernel
@@ -151,7 +152,8 @@ def test_criterion_4_iob_curve(single_day):
         assert iob_fraction(hours * 60.0) == pytest.approx(frac, abs=1e-9)
     values = [iob_fraction(float(m)) for m in range(0, 301)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-    anchor = compute_iob(single_day, 1)  # 10.4 units, 103 minutes earlier
+    arrays = RecordArrays.of(single_day)
+    anchor = event_columns(arrays, arrays.cho, arrays.bolus)["iob"][1]  # 10.4 u, 103 min earlier
     assert anchor == pytest.approx(7.90, abs=0.10)
     _ok(4, f"six knots to 1e-9, monotone on the minute grid, "
            f"10.4 u @ 103 min -> {anchor:.3f} (7.90 +/- 0.10)")
@@ -228,9 +230,9 @@ class _Spy:
 @pytest.fixture(scope="module")
 def library_grid(grid_cohort_csv):
     """Every grid cell evaluated in-process in ``run``'s groups of models
-    that share fitted parts, with an identity spy on every entry and
-    audited prediction pairs. Shared by the hygiene and identity-penalty
-    criteria."""
+    that share fitted parts, with an identity spy on every entry; each
+    report holds its prediction pairs. Shared by the hygiene and
+    identity-penalty criteria."""
     cleaned, _ = clean_cohort(parse_diary_csv(grid_cohort_csv.read_text()))
     registry = builtin_registry()
     cells = {}
@@ -251,8 +253,7 @@ def library_grid(grid_cohort_csv):
         groups = sharing_groups(spied)
         assert len(groups) < len(GRID_MODELS)  # the patient-wide GPs share a pass
         for group in groups:
-            for report in evaluate_group(dataset, group, k=GRID_K, seed=GRID_SEED,
-                                         audit=True):
+            for report in evaluate_group(dataset, group, k=GRID_K, seed=GRID_SEED):
                 cells[(vid, report.model)] = (report, spies[report.model], dataset)
     return cells
 
@@ -337,10 +338,10 @@ def test_criterion_8_signal_detection():
     cleaned, _ = clean_cohort(generate(zero_signal_config(5, 40, seed=80)))
     dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=GRID_MIN_RECORDS)
     worst_gap = 0.0
+    naive_l1 = evaluate(dataset, registry["naive"], k=GRID_K, seed=80).cohort["L1"]
     for name in GRID_MODELS:
         report = evaluate(dataset, registry[name], k=GRID_K, seed=80)
         model_l1 = report.cohort["L1"]
-        naive_l1 = report.naive_cohort["L1"]
         assert model_l1 <= naive_l1 * 1.05 + 1e-9, (
             f"{name} strayed from naive on the zero-signal preset"
         )
@@ -348,8 +349,9 @@ def test_criterion_8_signal_detection():
 
     cleaned, _ = clean_cohort(generate(high_signal_config(5, 40, seed=81)))
     dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=GRID_MIN_RECORDS)
+    naive = evaluate(dataset, registry["naive"], k=GRID_K, seed=81)
     report = evaluate(dataset, registry["gpr_be"], k=GRID_K, seed=81)
-    gain = report.improvement["L1"]
+    gain = improvements(naive.cohort, report.cohort)["L1"]
     assert gain >= 10.0
     _ok(8, f"zero-signal: all {len(GRID_MODELS)} models within 5% of naive "
            f"(largest absolute gap {worst_gap:.2e}); high-signal: the "

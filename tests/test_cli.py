@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from glybench.cli import main, summarize_results
 from glybench.evaluation import METRICS, evaluate_group
 from glybench.features import RecordArrays
 from glybench.ingest import parse_diary_csv
+from glybench.records import ExerciseLevel
 
 
 def sha(path):
@@ -443,6 +446,81 @@ def test_a_record_without_a_time_fails_run_naming_it(cohort_csv, tmp_path, capsy
     assert not out.exists()
 
 
+def _edited(cohort_csv, tmp_path, column, value):
+    """The cohort with ``column`` of line 8 set to ``value``."""
+    lines = cohort_csv.read_text().splitlines()
+    fields = lines[7].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[7] = ",".join(fields)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _inspect_and_run(cohort, tmp_path, capsys) -> list[tuple[int, str]]:
+    """The exit status and stderr of ``inspect`` and of ``run`` on a cohort."""
+    capsys.readouterr()
+    done = []
+    for args in (["inspect", "--input", str(cohort)],
+                 ["run", "--input", str(cohort), "--out", str(tmp_path / "results"),
+                  "--variants", "D_a6", "--models", "naive", "--k", "5",
+                  "--min-records", "20"]):
+        status = main(args)
+        done.append((status, capsys.readouterr().err))
+    return done
+
+
+@pytest.mark.parametrize("value", ["09:30:00+01:00", "09:30:00Z"])
+def test_a_time_with_a_utc_offset_fails_inspect_and_run(cohort_csv, tmp_path, capsys,
+                                                        value):
+    bad = _edited(cohort_csv, tmp_path, "time", value)
+    for status, err in _inspect_and_run(bad, tmp_path, capsys):
+        assert status == 2
+        assert f"line 8, column 'time': time {value!r} has a UTC offset" in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("value", ["4.5", "2.9"])
+def test_a_fractional_exercise_code_fails_inspect_and_run(cohort_csv, tmp_path, capsys,
+                                                          value):
+    bad = _edited(cohort_csv, tmp_path, "ev", value)
+    for status, err in _inspect_and_run(bad, tmp_path, capsys):
+        assert status == 2
+        assert f"line 8, column 'ev': unknown exercise level {value!r}" in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("value", ["4", "4.0", "Normal"])
+def test_a_whole_or_named_exercise_code_is_accepted(cohort_csv, tmp_path, capsys, value):
+    good = _edited(cohort_csv, tmp_path, "ev", value)
+    pid, meal, date = good.read_text().splitlines()[7].split(",")[:3]
+    [record] = [r for r in parse_diary_csv(good.read_text())[pid].records
+                if (r.meal.name, str(r.date)) == (meal, date)]
+    assert record.ev is ExerciseLevel.Normal
+    assert [status for status, _ in _inspect_and_run(good, tmp_path, capsys)] == [0, 0]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o007], ids=oct)
+def test_written_files_follow_the_umask(tmp_path, umask):
+    cohort, summary = tmp_path / "c.csv", tmp_path / "summary.csv"
+    inspected, results = tmp_path / "inspect", tmp_path / "results"
+    inspected.mkdir()
+    old = os.umask(umask)
+    try:
+        assert main(["synth", "--seed", "5", "--out", str(cohort)]) == 0
+        assert main(["inspect", "--input", str(cohort), "--out", str(inspected)]) == 0
+        assert main(["run", "--input", str(cohort), "--out", str(results),
+                     "--variants", "D_a6", "--models", "naive", "--k", "5",
+                     "--min-records", "20"]) == 0
+        assert main(["report", str(results), "--out", str(summary)]) == 0
+    finally:
+        os.umask(old)
+    written = [cohort, summary, *inspected.iterdir(), *results.iterdir()]
+    assert len(written) > 10
+    assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == \
+        {p.name: oct(0o666 & ~umask) for p in written}
+
+
 def test_records_become_arrays_once_per_patient_per_command(cohort_csv, tmp_path,
                                                              monkeypatch):
     converted = []
@@ -689,6 +767,42 @@ def test_summarize_results_hand_fixture():
     assert row["best_error"] == pytest.approx(3.0)
     assert row["naive_error"] == pytest.approx(4.0)
     assert row["percent_improvement"] == pytest.approx(25.0)
+
+
+def test_report_on_a_results_file_missing_one_metric_value_exits_2(tmp_path, capsys):
+    # every cell of a run's results has every metric; a cell without one is no result
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results_long.csv").write_text(
+        "model,variant,metric,patient,value\n"
+        "naive,D_a6,L1,p1,4.0\n"
+        "ridge,D_a6,L1,p1,3.5\n"
+        "ridge,D_a6,rL1,p1,0.5\n"
+    )
+    assert main(["report", str(results)]) == 2
+    assert "results file has no rL1 value for naive on D_a6, patient p1" in \
+        capsys.readouterr().err
+
+
+def test_report_without_a_naive_cell_on_the_best_variant_reads_nan(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results_long.csv").write_text(
+        "model,variant,metric,patient,value\n"
+        "naive,D_a6,L1,p1,4.0\n"
+        "ridge,D_a6,L1,p1,3.5\n"
+        "ridge,D_e6,L1,p1,3.0\n"
+    )
+    [row] = summarize_results((results / "results_long.csv").read_text())
+    assert (row["best_model"], row["best_variant"], row["naive_error"]) == \
+        ("ridge", "D_e6", None)
+    assert math.isnan(row["percent_improvement"])
+    capsys.readouterr()
+    assert main(["report", str(results), "--out", str(tmp_path / "summary.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == \
+        ["L1", "-", "3.0000", "nan", "ridge", "D_e6"]
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1] == \
+        "L1,,3.0,nan,ridge,D_e6"
 
 
 def test_summarize_naive_only_run_improves_zero():

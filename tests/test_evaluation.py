@@ -20,6 +20,7 @@ from glybench.evaluation import (
     evaluate,
     g_metric,
     improvement_csv,
+    improvements,
     l1,
     percent_improvement,
     results_long_csv,
@@ -293,10 +294,28 @@ def dataset():
 
 
 def test_model_equal_to_naive_improves_zero(dataset):
-    report = evaluate(dataset, builtin_registry()["naive"], k=5, seed=0)
+    naive = evaluate(dataset, builtin_registry()["naive"], k=5, seed=0)
+    again = evaluate(dataset, builtin_registry()["naive"], k=5, seed=0)
+    assert again.cohort == naive.cohort
+    assert improvements(naive.cohort, again.cohort) == {m: 0.0 for m in METRICS}
     for metric in METRICS:
-        assert report.cohort[metric] == report.naive_cohort[metric]
-        assert report.improvement[metric] == 0.0
+        assert improvement_csv([naive], metric) == "variant,naive\nD_a6,0.0\n"
+
+
+def test_improvements_compare_each_cohort_score_with_the_naive_cell(dataset):
+    registry = builtin_registry()
+    naive = evaluate(dataset, registry["naive"], k=5, seed=0)
+    ridge = evaluate(dataset, registry["ridge"], k=5, seed=0)
+    gains = improvements(naive.cohort, ridge.cohort)
+    assert list(gains) == list(METRICS)
+    for metric in METRICS:
+        mean = float(np.mean([ridge.per_patient[p][metric] for p in sorted(ridge.per_patient)]))
+        assert ridge.cohort[metric] == mean
+        assert gains[metric] == percent_improvement(naive.cohort[metric], mean)
+        row = improvement_csv([ridge, naive], metric).splitlines()[1]
+        assert row == f"D_a6,0.0,{gains[metric]!r}"
+    # without a naive cell on the variant, an improvement is not defined
+    assert improvement_csv([ridge], "L1") == "variant,ridge\nD_a6,nan\n"
 
 
 def test_evaluate_is_deterministic(dataset):
@@ -304,24 +323,28 @@ def test_evaluate_is_deterministic(dataset):
     b = evaluate(dataset, builtin_registry()["rf4"], k=5, seed=9)
     assert a.per_patient == b.per_patient
     assert a.cohort == b.cohort
-    assert a.improvement == b.improvement
+    assert all(a.predicted[pid].tobytes() == b.predicted[pid].tobytes()
+               for pid in a.predicted)
 
 
 def test_evaluate_micro_average_pools_pairs(dataset):
-    report = evaluate(dataset, builtin_registry()["naive"], k=5, seed=0, audit=True)
-    for pid, predicted in report.predicted.items():
-        actual = report.actual[pid]
-        assert predicted.shape == actual.shape == (len(dataset.per_patient[pid]),)
-        assert report.per_patient[pid]["L1"] == l1(predicted, actual)
-        assert report.naive_per_patient[pid]["L1"] == l1(report.naive_predicted[pid], actual)
+    registry = builtin_registry()
+    for name in ("naive", "ridge"):
+        report = evaluate(dataset, registry[name], k=5, seed=0)
+        for pid, predicted in report.predicted.items():
+            actual = report.actual[pid]
+            assert predicted.shape == actual.shape == (len(dataset.per_patient[pid]),)
+            assert report.per_patient[pid]["L1"] == l1(predicted, actual)
 
 
 def test_evaluate_fold_splits_never_overlap(dataset):
-    report = evaluate(dataset, builtin_registry()["ridge"], k=5, seed=0, audit=True)
-    for pid, splits in report.fold_splits.items():
+    report = evaluate(dataset, builtin_registry()["ridge"], k=5, seed=0)
+    assert sorted(report.folds) == sorted(report.per_patient)
+    for pid, plan in report.folds.items():
         n = len(dataset.per_patient[pid])
+        assert (plan.n, plan.k) == (n, 5)
         covered = []
-        for train_idx, test_idx in splits:
+        for train_idx, test_idx in plan.splits():
             assert not set(train_idx) & set(test_idx)
             covered.extend(test_idx)
         assert sorted(covered) == list(range(n))
@@ -371,15 +394,15 @@ def test_evaluate_cells_equal_those_on_the_oracle_rebuild(variant, model, monkey
     entry = builtin_registry()[model]
     spec = spec_by_id(variant)
     ds = materialize(cleaned, spec, min_records=20)
-    report = evaluate(ds, entry, k=5, seed=3, audit=True)
+    report = evaluate(ds, entry, k=5, seed=3)
     assert all(p.needs_fold_means for p in ds.per_patient.values())
 
     history = {id(prep): clean(raw[pid])[0] for pid, prep in ds.per_patient.items()}
     cfg = ds.feature_config
     monkeypatch.setattr(evaluation, "rebuild_rows", lambda prep, visible: (
         feature_oracle.rebuild_rows(history[id(prep)], spec, cfg, visible)))
-    expected = evaluate(ds, entry, k=5, seed=3, audit=True)
-    for field in ("predicted", "naive_predicted", "actual"):
+    expected = evaluate(ds, entry, k=5, seed=3)
+    for field in ("predicted", "actual"):
         ours, theirs = getattr(report, field), getattr(expected, field)
         assert ours.keys() == theirs.keys()
         assert all(ours[pid].tobytes() == theirs[pid].tobytes() for pid in ours)
@@ -525,12 +548,12 @@ def test_evaluate_counts_a_fold_with_too_few_rows_for_pca(model, wrap):
 # ---------------------------------------------------------------------------
 
 def _assert_reports_equal(a, b):
-    """Equal float for float: metrics, metadata and the audit arrays."""
-    for name in ("model", "variant", "k", "per_patient", "naive_per_patient", "cohort",
-                 "naive_cohort", "improvement", "excluded_patients", "metadata",
-                 "fold_splits"):
+    """Equal float for float: metrics, metadata, fold plans and the
+    prediction and target arrays."""
+    for name in ("model", "variant", "k", "per_patient", "cohort", "excluded_patients",
+                 "metadata", "folds"):
         assert getattr(a, name) == getattr(b, name), name
-    for name in ("predicted", "naive_predicted", "actual"):
+    for name in ("predicted", "actual"):
         arrays_a, arrays_b = getattr(a, name), getattr(b, name)
         assert list(arrays_a) == list(arrays_b), name
         for pid in arrays_a:
@@ -545,9 +568,8 @@ def test_evaluate_group_equals_evaluate_per_entry(variant):
     assert sorted(len(g) for g in groups) == [1, 1, 1, 1, 2, 2]
     reports = 0
     for group in groups:
-        for entry, report in zip(group, evaluation.evaluate_group(ds, group, k=5, seed=7,
-                                                                  audit=True)):
-            _assert_reports_equal(report, evaluate(ds, entry, k=5, seed=7, audit=True))
+        for entry, report in zip(group, evaluation.evaluate_group(ds, group, k=5, seed=7)):
+            _assert_reports_equal(report, evaluate(ds, entry, k=5, seed=7))
             reports += 1
     assert reports == len(builtin_registry())
 

@@ -19,7 +19,7 @@ from glybench.features import (
     Vectorizer,
     build_feature_rows,
     cohort_static_defaults,
-    compute_iob,
+    event_columns,
     from_log,
     iob_fraction,
     pca_apply,
@@ -31,6 +31,12 @@ from glybench.records import ExerciseLevel, MealSlot, StaticInfo
 
 import feature_oracle
 from conftest import history, history_steps, rec, timed_history
+
+
+def iob_of(h) -> np.ndarray:
+    """Insulin on board at every record of ``h``, from the feature columns."""
+    a = RecordArrays.of(h)
+    return event_columns(a, a.cho, a.bolus)["iob"]
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +98,11 @@ def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
 
 def test_compute_iob_single_bolus_103_minutes(single_day):
     # 10.4 units injected 103 minutes earlier
-    assert compute_iob(single_day, 1) == pytest.approx(7.90, abs=0.10)
+    assert iob_of(single_day)[1] == pytest.approx(7.90, abs=0.10)
 
 
 def test_compute_iob_no_prior_bolus(single_day):
-    assert compute_iob(single_day, 0) == 0.0
+    assert iob_of(single_day)[0] == 0.0
 
 
 def test_compute_iob_ignores_boluses_older_than_window():
@@ -107,7 +113,7 @@ def test_compute_iob_ignores_boluses_older_than_window():
             rec("2016-01-01", "14:30:00", MealSlot.AfterLunch, bg=6.0, bolus=0.0),
         ],
     )
-    assert compute_iob(h, 1) == 0.0  # 390 minutes
+    assert iob_of(h)[1] == 0.0  # 390 minutes
 
 
 def test_compute_iob_is_additive():
@@ -120,7 +126,7 @@ def test_compute_iob_is_additive():
         ],
     )
     expected = 4.0 * iob_fraction(120.0) + 2.0 * iob_fraction(60.0)
-    assert compute_iob(h, 2) == pytest.approx(expected, abs=1e-12)
+    assert iob_of(h)[2] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +207,9 @@ def test_feature_rows_iob_matches_compute_iob():
     h = _four_records()
     cfg = FeatureConfig()
     iob = col(design_of(h, cfg), cfg, "iob")
+    assert len(iob) == len(h) - 1
     for i, value in enumerate(iob):
-        assert value == pytest.approx(compute_iob(h, i))
+        assert value == pytest.approx(iob_of(h)[i])
 
 
 def test_missing_exercise_and_basal_read_as_normal_and_zero():
@@ -233,8 +240,9 @@ def test_feature_rows_and_iob_equal_the_per_record_oracle(steps, cfg, static):
     assert got.x.tobytes() == want.x.tobytes()
     assert got.target_bg.tobytes() == want.target_bg.tobytes()
     assert np.array_equal(got.index, want.index)
+    iob = iob_of(h)
     for i in range(len(h)):
-        assert np.float64(compute_iob(h, i)).tobytes() == \
+        assert np.float64(iob[i]).tobytes() == \
             np.float64(feature_oracle.compute_iob(h, i)).tobytes()
 
 
@@ -251,8 +259,8 @@ def test_iob_counts_a_bolus_exactly_five_hours_back():
             rec("2016-01-01", "08:00:00", MealSlot.BeforeLunch, bg=6.0, bolus=0.0),
         ],
     )
-    assert compute_iob(h, 3) == 8.0 * iob_fraction(300.0)
-    assert compute_iob(h, 4) == 8.0 * iob_fraction(300.0)
+    assert iob_of(h)[3] == 8.0 * iob_fraction(300.0)
+    assert iob_of(h)[4] == 8.0 * iob_fraction(300.0)
 
 
 # ---------------------------------------------------------------------------

@@ -224,10 +224,10 @@ def test_rf4_cells_equal_the_oracle_forest():
     def oracle_factory(cfg, with_stacked, seed):
         return oracle.OracleForestPredictor(cfg, max_depth=4, n_trees=100, seed=seed)
 
-    ours = evaluate(dataset, entry, k=5, seed=11, audit=True)
+    ours = evaluate(dataset, entry, k=5, seed=11)
     theirs = evaluate(dataset, dataclasses.replace(entry, factory=oracle_factory),
-                      k=5, seed=11, audit=True)
-    for field in ("predicted", "naive_predicted", "actual"):
+                      k=5, seed=11)
+    for field in ("predicted", "actual"):
         mine, oracle_arrays = getattr(ours, field), getattr(theirs, field)
         assert mine.keys() == oracle_arrays.keys()
         assert all(mine[pid].tobytes() == oracle_arrays[pid].tobytes() for pid in mine)
@@ -244,7 +244,7 @@ from glybench.variants import materialize, spec_by_id
 
 cleaned, _ = clean_cohort(generate(default_config(patients=2, days=40, seed=2026)))
 dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
-report = evaluate(dataset, builtin_registry()["rf4"], k=10, seed=2026, audit=True)
+report = evaluate(dataset, builtin_registry()["rf4"], k=10, seed=2026)
 text = repr(sorted((pid, values.tolist()) for pid, values in report.predicted.items()))
 print(hashlib.sha256(text.encode()).hexdigest())
 """

@@ -11,6 +11,7 @@ shows up here rather than in a later benchmark run.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -122,5 +123,29 @@ def test_compare_runs_finds_one_source_tree_identical_to_itself(tmp_path):
     lines = done.stdout.splitlines()
     files = [line for line in lines if not line.startswith("==")]
     assert "results_long.csv: identical" in files
+    assert "summary.csv: identical" in files
+    assert "report stdout: identical" in files
     assert all(line.endswith(": identical") for line in files), done.stdout
     assert lines[-1] == "== tiny, change: --jobs 1 -> --jobs 2: identical"
+
+
+def test_compare_runs_shows_a_changed_improvement_in_percentage_points():
+    spec = importlib.util.spec_from_file_location("compare_runs",
+                                                  ROOT / "tools" / "compare_runs.py")
+    tool = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tool  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(tool)
+    finally:
+        del sys.modules[spec.name]
+    wide = "variant,ridge\nD_a6,{}\n"
+    for name in ("improvement_L1.csv", "wide_L1.csv"):
+        lines = tool.diff_file(name, wide.format("7.25"), wide.format("7.2500000000001"))
+        assert lines[0] == f"{name}: 1 of 1 rows changed, largest relative difference 1.4e-14"
+        assert lines[1].endswith("(relative 1.4e-14, 1e-13 pp)" if name.startswith("impr")
+                                 else "(relative 1.4e-14)")
+    summary = "metric,naive_error,best_error,percent_improvement\nL1,3.0,2.0,{}\n"
+    [_, row] = tool.diff_file("summary.csv", summary.format("33.3"), summary.format("33.4"))
+    assert row == "  metric=L1: percent_improvement: 33.3 -> 33.4 (relative 0.003, 0.1 pp)"
+    assert tool.diff_printed("report stdout", "a\nb\n", "a\nc\n") == [
+        "report stdout: differs (2 lines -> 2 lines)", "  - b", "  + c"]

@@ -4,13 +4,19 @@
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the
 ``glybench`` package (a checkout's ``src/``). For each cohort, each side
-synthesizes the cohort and runs the grid with ``--jobs 1`` and
-``--jobs 2``, each command in a fresh process. For every output file the
-tool prints ``identical``, or the changed rows with their key cells
-(``model, variant, metric, patient`` in ``results_long.csv``) and the
-largest relative difference of a changed number (the ``MAX_ROWS`` rows
-that changed most are listed). A last line per cohort
-compares the change's ``--jobs 2`` outputs with its ``--jobs 1`` ones.
+synthesizes the cohort, runs the grid with ``--jobs 1`` and
+``--jobs 2`` and runs ``report --out summary.csv`` on each results
+directory, each command in a fresh process. For every output file
+(``summary.csv`` among them) the tool prints ``identical``, or the
+changed rows with their key cells (``model, variant, metric, patient``
+in ``results_long.csv``) and the largest relative difference of a
+changed number (the ``MAX_ROWS`` rows that changed most are listed). A
+percent improvement (an ``improvement_*`` cell, or ``summary.csv``'s
+``percent_improvement``) loses leading digits to the subtraction, so a
+changed one also shows its absolute difference in percentage points.
+``report``'s printed table is compared line by line. A last line per
+cohort compares the change's ``--jobs 2`` outputs with its ``--jobs 1``
+ones.
 
 Cohorts:
 
@@ -85,8 +91,8 @@ def python(src: Path, what: str, *args: str) -> str:
     return done.stdout
 
 
-def glybench(src: Path, *args: str) -> None:
-    python(src, f"glybench {args[0]}", "-m", "glybench.cli", *args)
+def glybench(src: Path, *args: str) -> str:
+    return python(src, f"glybench {args[0]}", "-m", "glybench.cli", *args)
 
 
 def registry_models(src: Path) -> list[str]:
@@ -97,8 +103,10 @@ def registry_models(src: Path) -> list[str]:
 
 
 def run_side(src: Path, cohort: Cohort, work: Path) -> tuple[Path, dict[int, Path]]:
-    """Synthesize the cohort and run it once per jobs count: the cohort
-    CSV and the output directories by jobs count."""
+    """Synthesize the cohort, run it once per jobs count and report on
+    each run: the cohort CSV and the output directories by jobs count.
+    ``report`` writes ``summary.csv`` into the run's directory, and its
+    printed table goes to ``<directory>-report.txt`` beside it."""
     work.mkdir(parents=True)
     config = work / "synth.json"
     config.write_text(json.dumps(
@@ -116,7 +124,14 @@ def run_side(src: Path, cohort: Cohort, work: Path) -> tuple[Path, dict[int, Pat
         outs[jobs] = work / f"jobs{jobs}"
         glybench(src, "run", "--input", str(csv_path), "--out", str(outs[jobs]), *grid,
                  "--jobs", str(jobs))
+        printed = glybench(src, "report", str(outs[jobs]),
+                           "--out", str(outs[jobs] / "summary.csv"))
+        _printed_report(outs[jobs]).write_text(printed)
     return csv_path, outs
+
+
+def _printed_report(out: Path) -> Path:
+    return out.with_name(f"{out.name}-report.txt")
 
 
 def _number(text: str):
@@ -153,6 +168,11 @@ def _rows(name: str, text: str) -> tuple[list[str], list[list[str]]]:
     return (table[0], table[1:]) if table else ([], [])
 
 
+def _in_points(name: str, column: str) -> bool:
+    """Whether a cell holds a percent improvement."""
+    return name.startswith("improvement_") or column == "percent_improvement"
+
+
 def diff_file(name: str, a: str, b: str) -> list[str]:
     """The report lines of one file: ``identical``, or how many rows
     changed and the ``MAX_ROWS`` that changed most."""
@@ -177,7 +197,8 @@ def diff_file(name: str, a: str, b: str) -> list[str]:
             if nx is not None and ny is not None:
                 rel = _relative(nx, ny)
                 largest = max(largest, rel)
-                cells.append(f"{h}: {x} -> {y} (relative {rel:.2g})")
+                points = f", {abs(nx - ny):.2g} pp" if _in_points(name, h) else ""
+                cells.append(f"{h}: {x} -> {y} (relative {rel:.2g}{points})")
             else:
                 largest = float("inf")
                 cells.append(f"{h}: {x!r} -> {y!r}")
@@ -191,18 +212,33 @@ def diff_file(name: str, a: str, b: str) -> list[str]:
     return lines
 
 
+def diff_printed(name: str, a: str, b: str) -> list[str]:
+    """The report lines of printed text: ``identical``, or the lines that
+    differ, old then new."""
+    if a == b:
+        return [f"{name}: identical"]
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    lines = [f"{name}: differs ({len(lines_a)} lines -> {len(lines_b)} lines)"]
+    for i in range(max(len(lines_a), len(lines_b))):
+        old = lines_a[i] if i < len(lines_a) else ""
+        new = lines_b[i] if i < len(lines_b) else ""
+        if old != new:
+            lines += [f"  - {old}", f"  + {new}"]
+    return lines
+
+
 def diff_dirs(a: Path, b: Path) -> tuple[bool, list[str]]:
+    """Every output file of two runs, then the tables ``report`` printed."""
     names_a = {p.name for p in a.iterdir()}
     names_b = {p.name for p in b.iterdir()}
     lines = [f"{name}: only in {side}" for side, names in ((a, names_a - names_b),
                                                            (b, names_b - names_a))
              for name in sorted(names)]
-    same = not lines
     for name in sorted(names_a & names_b):
-        file_lines = diff_file(name, (a / name).read_text(), (b / name).read_text())
-        same = same and file_lines == [f"{name}: identical"]
-        lines.extend(file_lines)
-    return same, lines
+        lines.extend(diff_file(name, (a / name).read_text(), (b / name).read_text()))
+    lines.extend(diff_printed("report stdout", _printed_report(a).read_text(),
+                              _printed_report(b).read_text()))
+    return all(line.endswith(": identical") for line in lines), lines
 
 
 def compare(parent: Path, change: Path, cohorts: list[str], work: Path) -> bool:
