@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,6 +117,8 @@ def _ep_counts_csv(cleaned) -> tuple[dict[str, tuple[int, int]], str]:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if args.out and not os.path.isdir(args.out):
+        raise CliError(f"output directory does not exist: {args.out}")
     raw = _load_cohort(args.input)
     cleaned, reports = clean_cohort(raw)
     counts, ep_csv = _ep_counts_csv(cleaned)
@@ -123,8 +126,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     for pid, (total, ep) in counts.items():
         print(f"{pid:<10}{len(raw[pid]):>8}{total:>8}{ep:>6}")
     if args.out:
-        if not os.path.isdir(args.out):
-            raise CliError(f"output directory does not exist: {args.out}")
         _write_atomic(os.path.join(args.out, "ep_counts.csv"), ep_csv)
         _write_atomic(os.path.join(args.out, "cleaning.csv"), cleaning_csv(reports))
         _write_atomic(os.path.join(args.out, "variants.csv"), variant_table_csv())
@@ -359,15 +360,39 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
     those tables bit for bit. The winner is the lowest cohort loss (ties
     break on model then variant name), and improvement is relative to
     naive on the winning variant (NaN without a naive cell there).
+
+    A row that ``run`` cannot have written (a wrong field count, an
+    unknown metric, a value that is not a finite error >= 0, or a
+    repeated (model, variant, metric, patient) key) raises a
+    ``CliError`` naming its line.
     """
-    lines = [ln for ln in long_csv.splitlines() if ln.strip()]
-    if not lines or lines[0] != LONG_CSV_HEADER:
+    lines = [(number, ln) for number, ln in enumerate(long_csv.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != LONG_CSV_HEADER:
         raise CliError("results file is not a long-form results CSV")
     per_patient: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
-    for ln in lines[1:]:
-        model, variant, metric, patient, value = ln.split(",")
-        per_patient.setdefault((model, variant), {}).setdefault(patient, {})[metric] = (
-            float(value))
+    line_of: dict[tuple[str, str, str, str], int] = {}
+    for number, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 5:
+            raise CliError(f"results file line {number}: expected 5 fields, got {len(fields)}")
+        model, variant, metric, patient, text = fields
+        if metric not in METRICS:
+            raise CliError(f"results file line {number}: unknown metric {metric!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise CliError(f"results file line {number}: value {text!r} is not a number") \
+                from None
+        if not (math.isfinite(value) and value >= 0.0):
+            raise CliError(f"results file line {number}: value {text} is not a finite "
+                           f"error >= 0")
+        key = (model, variant, metric, patient)
+        if key in line_of:
+            raise CliError(f"results file line {number}: repeats line {line_of[key]} "
+                           f"({model}, {variant}, {metric}, {patient})")
+        line_of[key] = number
+        per_patient.setdefault((model, variant), {}).setdefault(patient, {})[metric] = value
     seen = {metric for values in per_patient.values()
             for scores in values.values() for metric in scores}
     metrics = [metric for metric in METRICS if metric in seen]

@@ -131,6 +131,17 @@ def test_inspect_writes_reports(cohort_csv, tmp_path, capsys):
     assert (out / "models.csv").exists()
 
 
+def test_inspect_with_a_missing_out_directory_exits_2_before_any_work(
+        cohort_csv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for cohort in (cohort_csv, tmp_path / "no_such_cohort.csv"):
+        assert main(["inspect", "--input", str(cohort), "--out", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory does not exist: {missing}\n"
+    assert not missing.exists()
+
+
 def _run_small_grid(cohort_csv, out_dir, seed="3"):
     return main(
         [
@@ -782,6 +793,36 @@ def test_report_on_a_results_file_missing_one_metric_value_exits_2(tmp_path, cap
     assert main(["report", str(results)]) == 2
     assert "results file has no rL1 value for naive on D_a6, patient p1" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ridge,D_a6,L1,p1", "expected 5 fields, got 4"),
+    ("ridge,D_a6,L1,p1,3.0,x", "expected 5 fields, got 6"),
+    ("naive,D_a6,L1,p1,9.0", "repeats line 2 (naive, D_a6, L1, p1)"),
+    ("ridge,D_a6,L1,p1,nan", "value nan is not a finite error >= 0"),
+    ("ridge,D_a6,L1,p1,inf", "value inf is not a finite error >= 0"),
+    ("ridge,D_a6,L1,p1,-2.0", "value -2.0 is not a finite error >= 0"),
+    ("ridge,D_a6,L1,p1,abc", "value 'abc' is not a number"),
+    ("ridge,D_a6,XX,p1,3.0", "unknown metric 'XX'"),
+], ids=["4 fields", "6 fields", "repeat", "nan", "inf", "negative", "text", "metric"])
+def test_report_names_the_bad_line_of_the_results_file(tmp_path, capsys, row, message):
+    # a blank line counts: the number is the line of the file
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results_long.csv").write_text(
+        f"model,variant,metric,patient,value\nnaive,D_a6,L1,p1,1.0\n\n{row}\n")
+    assert main(["report", str(results), "--out", str(tmp_path / "summary.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: results file line 4: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_report_accepts_a_zero_error():
+    [row] = summarize_results("model,variant,metric,patient,value\n"
+                              "naive,D_a6,L1,p1,0.0\nridge,D_a6,L1,p1,0.0\n")
+    assert (row["best_model"], row["best_error"], row["percent_improvement"]) == \
+        ("naive", 0.0, 0.0)
 
 
 def test_report_without_a_naive_cell_on_the_best_variant_reads_nan(tmp_path, capsys):

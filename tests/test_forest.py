@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from glybench.evaluation import evaluate
 from glybench.features import FeatureConfig
 from glybench.ingest import clean_cohort
 from glybench.models import RandomForestPredictor, builtin_registry
+from glybench.models import forest
 from glybench.models.forest import TreeArrays, grow_trees
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, spec_by_id
@@ -210,6 +212,67 @@ def test_midpoint_rounding_onto_the_upper_value_matches_the_oracle():
     y = np.array([1.0, 1.0, 3.0, 3.0])
     trees = grow_trees(x, y, np.arange(4)[None, :], 3)
     _assert_same_tree(oracle.grow(x, y, 0, 3), trees, trees.roots[0])
+
+
+def _assert_equal_to_the_oracle(x, y, samples, max_depth):
+    trees = grow_trees(x, y, samples, max_depth)
+    expected = [oracle.grow(x[s], y[s], 0, max_depth) for s in samples]
+    for root, tree in zip(trees.roots, expected):
+        _assert_same_tree(tree, trees, root)
+
+
+@pytest.mark.parametrize("distinct, dtype", [(255, np.uint8), (256, np.uint8),
+                                             (257, np.uint16)])
+def test_rank_dtype_boundary_equals_the_oracle(distinct, dtype):
+    # split validity reads dense ranks, whose dtype widens past 256 values
+    rng = np.random.default_rng(distinct)
+    n = 300
+    values = rng.permutation(np.linspace(-3.0, 9.0, distinct))
+    x = np.column_stack([values[np.arange(n) % distinct],
+                         np.full(n, 4.0),
+                         rng.permutation(values)[rng.integers(0, distinct, n)]])
+    assert len(np.unique(x[:, 0])) == distinct
+    assert forest._dense_ranks(x).dtype == dtype
+    y = rng.integers(0, 6, size=n) * 0.5 + x[:, 0] / 4.0
+    samples = np.vstack([np.arange(n), rng.integers(0, n, size=(3, n))])
+    _assert_equal_to_the_oracle(x, y, samples, 4)
+    # a constant column 0 stays in the search; a constant column 1 leaves it
+    _assert_equal_to_the_oracle(x[:, [1, 0, 2]], y, samples, 4)
+
+
+@pytest.mark.parametrize("cells", [1 << 8, 1 << 12, 1 << 16, 1 << 22])
+def test_trees_do_not_depend_on_the_block_size(cells, monkeypatch):
+    rng = np.random.default_rng(17)
+    shapes = [(int(rng.integers(2, 250)), int(rng.integers(1, 15)), int(rng.integers(1, 40)))
+              for _ in range(10)]
+    fixtures = []
+    for n, f, n_trees in shapes:
+        x = rng.integers(0, int(rng.integers(2, 60)), size=(n, f)) * 0.25
+        y = rng.normal(size=n).round(1)
+        fixtures.append((x, y, rng.integers(0, n, size=(n_trees, n))))
+    reference = [grow_trees(x, y, s, 4) for x, y, s in fixtures]
+    monkeypatch.setattr(forest, "_BLOCK_CELLS", cells)
+    for (x, y, s), expected in zip(fixtures, reference):
+        trees = grow_trees(x, y, s, 4)
+        for name in ("feature", "threshold", "left", "right", "value", "depth", "roots"):
+            mine, theirs = getattr(trees, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+def test_grow_trees_working_memory_at_the_grid_shape():
+    # rf4 at the grid's shape: 200 rows x 14 columns, 100 trees, depth 4;
+    # its per-block buffers set the peak memory of a grid run
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 14))
+    y = rng.normal(size=200)
+    samples = rng.integers(0, 200, size=(100, 200))
+    tracemalloc.start()
+    try:
+        grow_trees(x, y, samples, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0e6
 
 
 def _small_grid_dataset():

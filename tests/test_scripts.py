@@ -129,7 +129,7 @@ def test_compare_runs_finds_one_source_tree_identical_to_itself(tmp_path):
     assert lines[-1] == "== tiny, change: --jobs 1 -> --jobs 2: identical"
 
 
-def test_compare_runs_shows_a_changed_improvement_in_percentage_points():
+def _compare_runs_module():
     spec = importlib.util.spec_from_file_location("compare_runs",
                                                   ROOT / "tools" / "compare_runs.py")
     tool = importlib.util.module_from_spec(spec)
@@ -138,6 +138,34 @@ def test_compare_runs_shows_a_changed_improvement_in_percentage_points():
         spec.loader.exec_module(tool)
     finally:
         del sys.modules[spec.name]
+    return tool
+
+
+def test_compare_runs_rejects_a_repeated_cohort(tmp_path):
+    src = str(ROOT / "src")
+    done = _run([str(ROOT / "tools" / "compare_runs.py"), src, src, "--cohorts", "tiny,tiny"],
+                cwd=tmp_path)
+    assert done.returncode == 2
+    assert "error: repeated cohorts ['tiny']" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_compare_runs_reads_the_peak_rss_of_a_command():
+    tool = _compare_runs_module()
+    stdout, peak_mb = tool.spawn(ROOT / "src", "python", "-c",
+                                 "b = b'x' * (32 << 20); print(len(b))")
+    assert stdout == f"{32 << 20}\n"
+    assert peak_mb >= 32.0
+    assert tool.peak_line("grid", 2, 71.29, 66.66) == \
+        "== grid, --jobs 2: run peak RSS 71.3 MB -> 66.7 MB"
+    with pytest.raises(tool.CommandFailed, match="exited 3: boom"):
+        tool.spawn(ROOT / "src", "python", "-c",
+                   "import sys; sys.stderr.write('boom'); sys.exit(3)")
+
+
+def test_compare_runs_shows_a_changed_improvement_in_percentage_points():
+    tool = _compare_runs_module()
     wide = "variant,ridge\nD_a6,{}\n"
     for name in ("improvement_L1.csv", "wide_L1.csv"):
         lines = tool.diff_file(name, wide.format("7.25"), wide.format("7.2500000000001"))

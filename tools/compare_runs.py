@@ -14,7 +14,10 @@ changed number (the ``MAX_ROWS`` rows that changed most are listed). A
 percent improvement (an ``improvement_*`` cell, or ``summary.csv``'s
 ``percent_improvement``) loses leading digits to the subtraction, so a
 changed one also shows its absolute difference in percentage points.
-``report``'s printed table is compared line by line. A last line per
+``report``'s printed table is compared line by line. Next comes each
+side's peak resident memory of ``run`` per jobs count, as ``os.wait4``
+reports it (the largest of the process and its reaped workers, as
+``bench/run.py`` reads it); it is shown, not compared. A last line per
 cohort compares the change's ``--jobs 2`` outputs with its ``--jobs 1``
 ones.
 
@@ -34,7 +37,8 @@ own tree, so a side that adds a model or a default variant shows up as a
 changed layout rather than being left out.
 
 The exit status is 0 when every file is identical, 1 when any differs,
-and 2 when a command fails.
+and 2 when a command fails or the arguments are wrong (an unknown or
+repeated cohort).
 """
 
 from __future__ import annotations
@@ -78,17 +82,28 @@ class CommandFailed(Exception):
     pass
 
 
-def python(src: Path, what: str, *args: str) -> str:
-    """Run Python on ``args`` with ``src`` first on the import path; its
-    stdout. A failure is reported as ``what`` failing."""
+def spawn(src: Path, what: str, *args: str) -> tuple[str, float]:
+    """Run Python on ``args`` with ``src`` first on the import path: its
+    stdout and its peak RSS in MB. A failure is reported as ``what``
+    failing."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        tail = " | ".join(done.stderr.strip().splitlines()[-3:])
-        raise CommandFailed(f"{what} ({src}) exited {done.returncode}: {tail}")
-    return done.stdout
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if proc.returncode != 0:
+        tail = " | ".join(stderr.strip().splitlines()[-3:])
+        raise CommandFailed(f"{what} ({src}) exited {proc.returncode}: {tail}")
+    return stdout, usage.ru_maxrss / 1024.0
+
+
+def python(src: Path, what: str, *args: str) -> str:
+    return spawn(src, what, *args)[0]
 
 
 def glybench(src: Path, *args: str) -> str:
@@ -102,11 +117,13 @@ def registry_models(src: Path) -> list[str]:
     return names.strip().split(",")
 
 
-def run_side(src: Path, cohort: Cohort, work: Path) -> tuple[Path, dict[int, Path]]:
+def run_side(src: Path, cohort: Cohort,
+             work: Path) -> tuple[Path, dict[int, Path], dict[int, float]]:
     """Synthesize the cohort, run it once per jobs count and report on
-    each run: the cohort CSV and the output directories by jobs count.
-    ``report`` writes ``summary.csv`` into the run's directory, and its
-    printed table goes to ``<directory>-report.txt`` beside it."""
+    each run: the cohort CSV, and the output directories and ``run``'s
+    peak RSS in MB by jobs count. ``report`` writes ``summary.csv`` into
+    the run's directory, and its printed table goes to
+    ``<directory>-report.txt`` beside it."""
     work.mkdir(parents=True)
     config = work / "synth.json"
     config.write_text(json.dumps(
@@ -119,15 +136,20 @@ def run_side(src: Path, cohort: Cohort, work: Path) -> tuple[Path, dict[int, Pat
             "--min-records", str(MIN_RECORDS), "--seed", str(cohort.seed)]
     if cohort.variants:
         grid += ["--variants", ",".join(cohort.variants)]
-    outs = {}
+    outs, peaks = {}, {}
     for jobs in JOBS:
         outs[jobs] = work / f"jobs{jobs}"
-        glybench(src, "run", "--input", str(csv_path), "--out", str(outs[jobs]), *grid,
-                 "--jobs", str(jobs))
+        _, peaks[jobs] = spawn(src, "glybench run", "-m", "glybench.cli", "run",
+                               "--input", str(csv_path), "--out", str(outs[jobs]), *grid,
+                               "--jobs", str(jobs))
         printed = glybench(src, "report", str(outs[jobs]),
                            "--out", str(outs[jobs] / "summary.csv"))
         _printed_report(outs[jobs]).write_text(printed)
-    return csv_path, outs
+    return csv_path, outs, peaks
+
+
+def peak_line(name: str, jobs: int, parent_mb: float, change_mb: float) -> str:
+    return f"== {name}, --jobs {jobs}: run peak RSS {parent_mb:.1f} MB -> {change_mb:.1f} MB"
 
 
 def _printed_report(out: Path) -> Path:
@@ -245,8 +267,8 @@ def compare(parent: Path, change: Path, cohorts: list[str], work: Path) -> bool:
     same = True
     for name in cohorts:
         cohort = COHORTS[name]
-        parent_csv, parent_out = run_side(parent, cohort, work / name / "parent")
-        change_csv, change_out = run_side(change, cohort, work / name / "change")
+        parent_csv, parent_out, parent_peak = run_side(parent, cohort, work / name / "parent")
+        change_csv, change_out, change_peak = run_side(change, cohort, work / name / "change")
         lines = diff_file("cohort.csv", parent_csv.read_text(), change_csv.read_text())
         same = same and len(lines) == 1 and lines[0].endswith(": identical")
         print(f"== {name}, synth: parent -> change")
@@ -256,6 +278,8 @@ def compare(parent: Path, change: Path, cohorts: list[str], work: Path) -> bool:
             same = same and ok
             print(f"== {name}, --jobs {jobs}: parent -> change")
             print("\n".join(lines))
+        for jobs in JOBS:
+            print(peak_line(name, jobs, parent_peak[jobs], change_peak[jobs]))
         ok, lines = diff_dirs(change_out[JOBS[0]], change_out[JOBS[-1]])
         same = same and ok
         print(f"== {name}, change: --jobs {JOBS[0]} -> --jobs {JOBS[-1]}: "
@@ -276,6 +300,9 @@ def main(argv: list[str]) -> int:
     unknown = [c for c in cohorts if c not in COHORTS]
     if unknown or not cohorts:
         parser.error(f"unknown cohorts {unknown}; choose from {', '.join(COHORTS)}")
+    repeated = sorted({c for c in cohorts if cohorts.count(c) > 1})
+    if repeated:
+        parser.error(f"repeated cohorts {repeated}; name each cohort once")
     for src in (args.parent_src, args.change_src):
         if not (src / "glybench" / "__init__.py").is_file():
             parser.error(f"{src} holds no glybench package")
