@@ -37,7 +37,7 @@ from .features import (
     DowMode,
     FeatureConfig,
     IOB_KNOTS,
-    PcaConfig,
+    PCA_COMPONENTS,
     build_feature_rows,
     from_log,
     iob_fraction,
@@ -77,8 +77,8 @@ __all__ = [
     "METRICS",
     "MealSlot",
     "MissingPolicy",
+    "PCA_COMPONENTS",
     "PatientHistory",
-    "PcaConfig",
     "PenaltyTable",
     "StaticInfo",
     "SynthConfig",

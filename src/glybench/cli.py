@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from . import __version__, evaluation
 from .ep import EP_COUNTS_CSV_HEADER, ep_counts
 from .evaluation import (
+    DEFAULT_K,
     LONG_CSV_HEADER,
     METRICS,
     EvalReport,
@@ -38,7 +39,7 @@ from .ingest import cleaning_csv, clean_cohort, parse_diary_csv
 from .models import builtin_registry, registry_csv
 from .records import encode_diary_csv
 from .synth import PRESETS, config_from_json, generate
-from .variants import materialize, spec_by_id, variant_table_csv
+from .variants import DEFAULT_MIN_RECORDS, materialize, spec_by_id, variant_table_csv
 
 LONG_CSV_NAME = "results_long.csv"
 
@@ -159,10 +160,9 @@ def _grid_config(args: argparse.Namespace) -> dict:
         cfg["models"] = [m for chunk in args.models for m in chunk.split(",") if m]
     cfg.setdefault("variants", list(DEFAULT_GRID_VARIANTS))
     cfg.setdefault("models", list(DEFAULT_GRID_MODELS))
-    cfg.setdefault("k", 10)
-    cfg.setdefault("min_records", 100)
+    cfg.setdefault("k", DEFAULT_K)
+    cfg.setdefault("min_records", DEFAULT_MIN_RECORDS)
     cfg.setdefault("seed", 0)
-    cfg.setdefault("fold_local_stats", True)
     if "jobs" not in cfg:
         env = os.environ.get("GLYBENCH_JOBS", "1")
         try:
@@ -176,7 +176,7 @@ def _grid_config(args: argparse.Namespace) -> dict:
 
 
 GRID_CONFIG_KEYS = ("input", "out", "synth", "seed", "k", "min_records", "penalty_table",
-                    "jobs", "variants", "models", "fold_local_stats")
+                    "jobs", "variants", "models")
 
 
 def _check_grid_config(cfg: dict) -> None:
@@ -197,8 +197,6 @@ def _check_grid_config(cfg: dict) -> None:
             minimum is not None and value < minimum
         ):
             raise bad(key, "an integer" + ("" if minimum is None else f" >= {minimum}"))
-    if not isinstance(cfg["fold_local_stats"], bool):
-        raise bad("fold_local_stats", "true or false")
     for key in ("variants", "models"):
         if not isinstance(cfg[key], list) or not all(isinstance(v, str) for v in cfg[key]):
             raise bad(key, "a list of strings")
@@ -210,7 +208,7 @@ def _check_grid_config(cfg: dict) -> None:
 
 
 def _evaluate_group(task) -> list[tuple[tuple[str, str], EvalReport]]:
-    dataset, model_names, k, seed, weights, fold_local = task
+    dataset, model_names, k, seed, weights = task
     registry = builtin_registry()
     reports = evaluate_group(
         dataset,
@@ -218,7 +216,6 @@ def _evaluate_group(task) -> list[tuple[tuple[str, str], EvalReport]]:
         k=k,
         seed=seed,
         penalty=PenaltyTable(weights),
-        fold_local_stats=fold_local,
     )
     return [((dataset.spec.id, report.model), report) for report in reports]
 
@@ -281,7 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     groups = [[entry.name for entry in group]
               for group in sharing_groups([registry[name] for name in model_names])]
     tasks = [
-        (dataset, names, cfg["k"], cfg["seed"], penalty_weights, cfg["fold_local_stats"])
+        (dataset, names, cfg["k"], cfg["seed"], penalty_weights)
         for dataset in datasets
         for names in groups
     ]
@@ -319,7 +316,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "min_records": cfg["min_records"],
         "variants": [s.id for s in specs],
         "models": model_names,
-        "fold_local_stats": cfg["fold_local_stats"],
         "penalty_table": penalty_weights,
         "excluded_patients": {
             d.spec.id: list(d.excluded_patients) for d in datasets

@@ -9,9 +9,8 @@ would be comfortable predicting it from the diary alone:
    entries for both the record's meal slot and the preceding one, so the
    slot-to-slot transition has recent precedent.
 
-The eight-day window is literal calendar days by default; set
-``window_recorded_dates`` to count back over the patient's eight most
-recent recorded dates instead. :func:`failed_rules` decides every record
+The window is the eight calendar days before the record's date, so a
+day without records does not qualify. :func:`failed_rules` decides every record
 at once, as masks over the meal, date and glucose arrays of
 ``features.RecordArrays``; :func:`ep_counts` reads a patient's cleaned
 arrays, and :func:`is_expert_predictable` decides one record of a
@@ -40,9 +39,7 @@ class EpDecision:
     failed_rules: frozenset[str] = field(default_factory=frozenset)
 
 
-def failed_rules(
-    meal: np.ndarray, day: np.ndarray, bg: np.ndarray, window_recorded_dates: bool = False
-) -> dict[str, np.ndarray]:
+def failed_rules(meal: np.ndarray, day: np.ndarray, bg: np.ndarray) -> dict[str, np.ndarray]:
     """For each rule, the mask of the records that fail it.
 
     ``meal`` holds slot ordinals, ``day`` date ordinals (0 for an undated
@@ -60,14 +57,10 @@ def failed_rules(
     coverage = np.zeros(len(dates) + 1, dtype=np.int64)
     np.bitwise_or.at(coverage, on_date, np.left_shift(1, meal[dated]))
     padded = np.append(dates, np.iinfo(np.int64).max)
-    end = np.searchsorted(dates, day)
     qualifying = np.zeros(len(meal), dtype=np.intp)
     for back in range(1, 9):
-        if window_recorded_dates:
-            at = np.maximum(end - back, -1)
-        else:
-            at = np.searchsorted(dates, day - back)
-            at[padded[at] != day - back] = -1
+        at = np.searchsorted(dates, day - back)
+        at[padded[at] != day - back] = -1
         qualifying += (coverage[at] & both) == both
     six_of_eight = ~dated | (qualifying < 6)
     six_of_eight[:1] = False
@@ -83,9 +76,7 @@ def predictable(masks: dict[str, np.ndarray]) -> np.ndarray:
     return ~np.logical_or.reduce(list(masks.values()))
 
 
-def is_expert_predictable(
-    h: PatientHistory, i: int, window_recorded_dates: bool = False
-) -> EpDecision:
+def is_expert_predictable(h: PatientHistory, i: int) -> EpDecision:
     """Decide whether the glucose at record ``i`` is expert predictable.
 
     Reads records ``0..i`` only, so the decision is free of look-ahead.
@@ -97,16 +88,15 @@ def is_expert_predictable(
         np.array([0 if r.date is None else r.date.toordinal() for r in records],
                  dtype=np.int64),
         np.array([r.bg for r in records], dtype=float),
-        window_recorded_dates,
     )
     failed = frozenset(rule for rule, mask in masks.items() if mask[i])
     return EpDecision(not failed, failed)
 
 
-def ep_counts(a: RecordArrays, window_recorded_dates: bool = False) -> tuple[int, int]:
+def ep_counts(a: RecordArrays) -> tuple[int, int]:
     """(total records, records whose glucose is expert predictable) of a
     patient's cleaned arrays."""
-    masks = failed_rules(a.meal, a.day, a.bg, window_recorded_dates)
+    masks = failed_rules(a.meal, a.day, a.bg)
     return len(a), int(np.count_nonzero(predictable(masks)))
 
 

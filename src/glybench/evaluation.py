@@ -39,6 +39,8 @@ from .variants import VariantDataset, rebuild_rows
 
 METRICS = ("L1", "rL1", "RMSE", "gMAD", "gMARD", "gRMSE")
 
+DEFAULT_K = 10
+
 
 # ---------------------------------------------------------------------------
 # Fold plans
@@ -62,7 +64,7 @@ class FoldPlan:
         return [(self.train_indices(j), self.test_indices(j)) for j in range(self.k)]
 
 
-def contiguous_kfold(n: int, k: int = 10) -> FoldPlan:
+def contiguous_kfold(n: int, k: int = DEFAULT_K) -> FoldPlan:
     """Split n time-ordered rows into k contiguous folds.
 
     Fold sizes differ by at most one; the earliest folds absorb the
@@ -94,15 +96,15 @@ def _errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
 
 
 def l1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return float(np.mean(np.abs(_errors(predicted, actual))))
+    return _weighted(_errors(predicted, actual), 1.0, actual, "MAD")
 
 
 def rl1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return float(np.mean(np.abs(_errors(predicted, actual)) / actual))
+    return _weighted(_errors(predicted, actual), 1.0, actual, "MARD")
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return float(math.sqrt(np.mean(_errors(predicted, actual) ** 2)))
+    return _weighted(_errors(predicted, actual), 1.0, actual, "RMSE")
 
 
 def clarke_zone(ref_mgdl, pred_mgdl) -> np.ndarray:
@@ -189,7 +191,8 @@ class PenaltyTable:
         return PenaltyTable({str(k): float(v) for k, v in data.items()})
 
 
-def _weighted(err: np.ndarray, w: np.ndarray, actual: np.ndarray, base: str) -> float:
+def _weighted(err: np.ndarray, w: np.ndarray | float, actual: np.ndarray, base: str) -> float:
+    """MAD, MARD or RMSE of ``w * err``; a weight of 1.0 is exact."""
     if base == "MAD":
         return float(np.mean(w * np.abs(err)))
     if base == "MARD":
@@ -211,17 +214,20 @@ def g_metric(
     return _weighted(_errors(predicted, actual), penalty.weight(actual, predicted), actual, base)
 
 
+# each plain metric and the base its penalty-weighted variant weights
+_BASES = (("L1", "MAD"), ("rL1", "MARD"), ("RMSE", "RMSE"))
+
+
 def compute_metrics(
     predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable
 ) -> dict[str, float]:
-    """Every metric of :data:`METRICS`; the points' zones are classified once."""
+    """Every metric of :data:`METRICS`; the errors are taken and the
+    points' zones classified once."""
     err = _errors(predicted, actual)
     w = penalty.weight(actual, predicted)
     return {
-        "L1": l1(predicted, actual),
-        "rL1": rl1(predicted, actual),
-        "RMSE": rmse(predicted, actual),
-        **{f"g{base}": _weighted(err, w, actual, base) for base in ("MAD", "MARD", "RMSE")},
+        **{name: _weighted(err, 1.0, actual, base) for name, base in _BASES},
+        **{f"g{base}": _weighted(err, w, actual, base) for _, base in _BASES},
     }
 
 
@@ -272,14 +278,15 @@ def improvements(
 class EvalReport:
     """What one (model, variant) cell measured, per patient and in row
     order: the patient's fold plan, predictions and actual glucose, and
-    the metrics over them."""
+    the metrics over them. ``metadata`` holds the cell's counters over
+    every fit: ``slot_fallbacks`` and ``pca_flags``."""
 
     model: str
     variant: str
     k: int
     per_patient: dict[str, dict[str, float]]
     excluded_patients: tuple[str, ...]
-    metadata: dict[str, object]
+    metadata: dict[str, int]
     predicted: dict[str, np.ndarray]
     actual: dict[str, np.ndarray]
     folds: dict[str, FoldPlan]
@@ -315,36 +322,36 @@ def sharing_groups(
 def evaluate(
     dataset: VariantDataset,
     entry: ModelRegistryEntry,
-    k: int = 10,
+    k: int = DEFAULT_K,
     seed: int = 0,
     penalty: Optional[PenaltyTable] = None,
-    fold_local_stats: bool = True,
 ) -> EvalReport:
     """Contiguous k-fold evaluation of one model on one dataset variant."""
-    return evaluate_group(dataset, [entry], k=k, seed=seed, penalty=penalty,
-                          fold_local_stats=fold_local_stats)[0]
+    return evaluate_group(dataset, [entry], k=k, seed=seed, penalty=penalty)[0]
 
 
 def evaluate_group(
     dataset: VariantDataset,
     entries: Sequence[ModelRegistryEntry],
-    k: int = 10,
+    k: int = DEFAULT_K,
     seed: int = 0,
     penalty: Optional[PenaltyTable] = None,
-    fold_local_stats: bool = True,
 ) -> list[EvalReport]:
     """Contiguous k-fold evaluation of models on one dataset variant, one
     report per entry, in one pass over patients and folds.
 
     Per training fold, imputation means are recomputed from the records
-    the training rows touch (unless ``fold_local_stats`` is off), and
-    each model refits its own standardization/PCA on the training rows,
-    so no test-fold information reaches the fit. Patients with fewer
-    than k rows are excluded and reported. Each fold's train and test
-    designs are built once and handed to every entry. The entries must
-    agree on ``stacking``; a stacking group fits one ridge stacker per
-    patient. The reports hold only what each cell measured: the baseline
-    is the ``naive`` entry's own cell (see :func:`improvements`).
+    the training rows touch, and each model refits its own
+    standardization/PCA on the training rows, so no test-fold
+    information reaches the fit. Only a patient with mean-policy gaps
+    (``PreparedPatient.needs_fold_means``) has a design the means can
+    change; any other patient's folds slice its materialized design.
+    Patients with fewer than k rows are excluded and reported. Each
+    fold's train and test designs are built once and handed to every
+    entry. The entries must agree on ``stacking``; a stacking group fits
+    one ridge stacker per patient. The reports hold only what each cell
+    measured: the baseline is the ``naive`` entry's own cell (see
+    :func:`improvements`).
     """
     if len({entry.stacking for entry in entries}) != 1:
         raise ValueError("evaluate_group needs one or more entries that agree on stacking")
@@ -363,8 +370,7 @@ def evaluate_group(
     reports = [
         EvalReport(model=entry.name, variant=dataset.spec.id, k=k, per_patient={},
                    excluded_patients=excluded,
-                   metadata={"fold_local_stats": fold_local_stats, "slot_fallbacks": 0,
-                             "pca_flags": 0, "seed": seed},
+                   metadata={"slot_fallbacks": 0, "pca_flags": 0},
                    predicted={}, actual=actual, folds=folds)
         for entry in entries
     ]
@@ -373,7 +379,6 @@ def evaluate_group(
             continue
         prep = dataset.per_patient[pid]
         plan = folds[pid] = contiguous_kfold(len(prep), k)
-        fold_local = fold_local_stats and prep.needs_fold_means
         starts = np.array(prep.row_starts, dtype=np.intp)
 
         stacker = None
@@ -383,7 +388,7 @@ def evaluate_group(
                 stacker_entry.build(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
                 others,
             )
-        if not fold_local:
+        if not prep.needs_fold_means:
             design = prep.design
             if stacker is not None:
                 design = attach_stacked(stacker, design)
@@ -392,7 +397,7 @@ def evaluate_group(
         for report in reports:
             report.predicted[pid] = np.empty(len(prep))
         for j, (train_idx, test_idx) in enumerate(plan.splits()):
-            if fold_local:
+            if prep.needs_fold_means:
                 # the records the training rows read: each row's own and its target's
                 train_starts = starts[train_idx]
                 design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))

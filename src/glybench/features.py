@@ -206,18 +206,15 @@ def from_log(pred: float) -> float:
 
 
 @dataclass(frozen=True)
-class PcaConfig:
-    components: int = 4
-
-
-@dataclass(frozen=True)
 class FeatureConfig:
-    """Which optional features a dataset variant carries."""
+    """Which optional features a dataset variant carries. With ``pca`` a
+    model projects its standardized features onto
+    :data:`PCA_COMPONENTS` principal components."""
 
     dow_mode: DowMode = DowMode.Integer
     include_basal: bool = True
     include_static: bool = False
-    pca: Optional[PcaConfig] = None
+    pca: bool = False
     static_defaults: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
 
@@ -382,7 +379,10 @@ class PcaModel:
     rank_deficient: bool
 
 
-def pca_fit(rows: np.ndarray, components: int = 4) -> PcaModel:
+PCA_COMPONENTS = 4
+
+
+def pca_fit(rows: np.ndarray, components: int = PCA_COMPONENTS) -> PcaModel:
     """Top eigenvectors of the column-centered covariance.
 
     Requires at least ``components + 1`` rows and ``components`` columns.

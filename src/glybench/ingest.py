@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .features import RecordArrays
 from .records import (
+    DIARY_CSV_HEADER,
     DiaryRecord,
     PatientHistory,
     SchemaError,
@@ -46,20 +47,17 @@ class CleaningReport:
 CLEANING_CSV_HEADER = "patient_id,dropped_missing_bg,dropped_missing_date,clamped_low_bg"
 
 
-def parse_diary_csv(data: bytes | str) -> dict[str, PatientHistory]:
+def parse_diary_csv(text: str) -> dict[str, PatientHistory]:
     """Parse raw diary CSV into per-patient histories sorted by timestamp.
 
     Raises :class:`SchemaError` naming line number and column on any
     malformed row. Records lacking a date sort first for their patient
     (cleaning removes them anyway).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = text.splitlines()
     if not lines:
         return {}
-    if lines[0].strip() != (
-        "patient_id,meal,date,time,bg,cho,bolus,basal,ev,pv"
-    ):
+    if lines[0].strip() != DIARY_CSV_HEADER:
         raise SchemaError(1, "header", f"unexpected header {lines[0]!r}")
     grouped: dict[str, list[DiaryRecord]] = {}
     for n, line in enumerate(lines[1:], start=2):

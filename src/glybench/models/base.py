@@ -16,7 +16,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from ..features import Design, FeatureConfig, PcaModel, from_log, pca_apply, pca_fit
+from ..features import PCA_COMPONENTS, Design, FeatureConfig, PcaModel, from_log, pca_apply, pca_fit
 
 
 class Predictor(Protocol):
@@ -48,10 +48,10 @@ class FeaturePipeline:
         scale[scale == 0.0] = 1.0
         self.scale = scale
         z = (x - self.mean) / self.scale
-        if self.cfg.pca is not None:
-            k = self.cfg.pca.components
+        if self.cfg.pca:
+            k = PCA_COMPONENTS
             if z.shape[0] >= k + 1 and z.shape[1] >= k:
-                self.pca = pca_fit(z, components=k)
+                self.pca = pca_fit(z)
                 z = pca_apply(self.pca, z)
             else:
                 self.pca_skipped = True  # too few rows to estimate components

@@ -14,7 +14,7 @@ other patients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from ..features import FeatureConfig
 from .base import Predictor
@@ -91,11 +91,9 @@ def builtin_registry() -> dict[str, ModelRegistryEntry]:
 REGISTRY_CSV_HEADER = "name,symbol,algorithm,confidence_weighting,stacking"
 
 
-def registry_csv(registry: Mapping[str, ModelRegistryEntry] | None = None) -> str:
-    reg = registry if registry is not None else builtin_registry()
+def registry_csv() -> str:
     lines = [REGISTRY_CSV_HEADER]
-    for name in reg:
-        e = reg[name]
+    for e in builtin_registry().values():
         lines.append(
             f"{e.name},{e.symbol},{e.algorithm},"
             f"{int(e.confidence_weighting)},{int(e.stacking)}"

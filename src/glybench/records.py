@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 MGDL_PER_MMOLL = 18.016
 
-_CSV_HEADER = "patient_id,meal,date,time,bg,cho,bolus,basal,ev,pv"
+DIARY_CSV_HEADER = "patient_id,meal,date,time,bg,cho,bolus,basal,ev,pv"
 
 
 class MealSlot(Enum):
@@ -170,7 +170,7 @@ def encode_record(patient_id: str, r: DiaryRecord) -> str:
 def encode_diary_csv(cohort: Mapping[str, PatientHistory]) -> str:
     """Serialize a cohort to the canonical raw-diary CSV form."""
     out = io.StringIO()
-    out.write(_CSV_HEADER + "\n")
+    out.write(DIARY_CSV_HEADER + "\n")
     for pid in sorted(cohort):
         for r in cohort[pid].records:
             out.write(encode_record(pid, r) + "\n")

@@ -20,7 +20,7 @@ design with means from training-fold records only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .features import (
     Design,
     DowMode,
     FeatureConfig,
-    PcaConfig,
     RecordArrays,
     build_feature_rows,
     cohort_static_defaults,
@@ -49,7 +48,7 @@ class VariantSpec:
     dow_mode: DowMode = DowMode.Integer
     include_basal: bool = True
     include_static: bool = False
-    pca: Optional[PcaConfig] = None
+    pca: bool = False
     cho: MissingPolicy = MissingPolicy.ImputeMean
     bolus: MissingPolicy = MissingPolicy.ImputeMean
 
@@ -73,7 +72,7 @@ class VariantSpec:
                 str(dow),
                 str(int(self.include_basal)),
                 str(int(self.include_static)),
-                str(int(self.pca is not None)),
+                str(int(self.pca)),
                 self.cho.value,
                 self.bolus.value,
             ]
@@ -88,7 +87,6 @@ VARIANT_CSV_HEADER = (
 
 def _half(ep: bool) -> list[VariantSpec]:
     prefix = "D_e" if ep else "D_a"
-    pca4 = PcaConfig(components=4)
     mean, zero, out = (
         MissingPolicy.ImputeMean,
         MissingPolicy.ImputeZero,
@@ -105,9 +103,7 @@ def _half(ep: bool) -> list[VariantSpec]:
         VariantSpec(f"{prefix}8", ep, dow_mode=DowMode.Omit, include_basal=False),
         VariantSpec(f"{prefix}10", ep, cho=zero, bolus=zero),
         VariantSpec(f"{prefix}11", ep, cho=mean, bolus=out),
-        VariantSpec(
-            f"{prefix}12", ep, dow_mode=DowMode.Omit, include_basal=False, pca=pca4
-        ),
+        VariantSpec(f"{prefix}12", ep, dow_mode=DowMode.Omit, include_basal=False, pca=True),
     ]
     return rows
 
@@ -125,9 +121,8 @@ def spec_by_id(variant_id: str) -> VariantSpec:
     raise KeyError(f"unknown variant id {variant_id!r}")
 
 
-def variant_table_csv(specs: Sequence[VariantSpec] | None = None) -> str:
-    specs = list(specs) if specs is not None else builtin_specs()
-    return "\n".join([VARIANT_CSV_HEADER] + [s.csv_row() for s in specs]) + "\n"
+def variant_table_csv() -> str:
+    return "\n".join([VARIANT_CSV_HEADER] + [s.csv_row() for s in builtin_specs()]) + "\n"
 
 
 # ---------------------------------------------------------------------------

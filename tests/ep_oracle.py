@@ -21,16 +21,11 @@ from glybench.ep import (
 from glybench.records import MealSlot, PatientHistory
 
 
-def window_dates(h: PatientHistory, before: dt.date, recorded_dates: bool) -> list[dt.date]:
-    if not recorded_dates:
-        return [before - dt.timedelta(days=d) for d in range(1, 9)]
-    seen = sorted({r.date for r in h.records if r.date is not None and r.date < before})
-    return seen[-8:]
+def window_dates(before: dt.date) -> list[dt.date]:
+    return [before - dt.timedelta(days=d) for d in range(1, 9)]
 
 
-def is_expert_predictable(
-    h: PatientHistory, i: int, window_recorded_dates: bool = False
-) -> EpDecision:
+def is_expert_predictable(h: PatientHistory, i: int) -> EpDecision:
     failed: set[str] = set()
     if i == 0:
         return EpDecision(False, frozenset({PREV_MEAL_MISSING}))
@@ -45,7 +40,7 @@ def is_expert_predictable(
     if current.date is None:
         failed.add(SIX_OF_EIGHT)
     else:
-        days = window_dates(h, current.date, window_recorded_dates)
+        days = window_dates(current.date)
         coverage: dict[dt.date, set[MealSlot]] = {d: set() for d in days}
         for r in h.records:
             if r.date in coverage and r.meal in slot_pair:

@@ -388,8 +388,8 @@ def test_run_grid_config_file_with_flag_overrides(cohort_csv, tmp_path):
         ({"min_records": -1}, [], None, "'min_records'"),
         ({"min_records": 2.5}, [], None, "'min_records'"),
         ({"seed": "abc"}, [], None, "'seed'"),
-        ({"fold_local_stats": "no"}, [], None, "'fold_local_stats'"),
-        ({"fold_local_stats": 1}, [], None, "'fold_local_stats'"),
+        ({"fold_local_stats": True}, [], None, "'fold_local_stats'"),
+        ({"fold_local_stats": False}, [], None, "'fold_local_stats'"),
         ({}, ["--jobs", "-4"], None, "'jobs'"),
         ({"jobs": False}, [], None, "'jobs'"),
         ({}, [], "0", "'jobs'"),

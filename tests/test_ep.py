@@ -3,7 +3,6 @@ from __future__ import annotations
 import datetime as dt
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,7 +89,8 @@ def test_decision_ignores_future_records():
 
 def test_window_is_calendar_days_by_default_and_flippable():
     # both-slot days exist but only every second calendar day: 4 of the last
-    # 8 calendar days qualify, while the last 8 *recorded* dates all do.
+    # 8 calendar days qualify, while the last 8 *recorded* dates all do, so
+    # a window over recorded dates would pass the target record.
     records = []
     base = dt.date(2016, 5, 1)
     for d in range(0, 16, 2):
@@ -102,12 +102,9 @@ def test_window_is_calendar_days_by_default_and_flippable():
     records.append(rec(target, "12:00:00", MealSlot.BeforeLunch, bg=5.8))
     h = history("gap", records)
     i = len(records) - 1
-    assert not is_expert_predictable(h, i).predictable
-    assert is_expert_predictable(h, i, window_recorded_dates=True).predictable
-    arrays = RecordArrays.of(h)
-    assert ep_counts(arrays) == (len(records), 0)
-    assert ep_counts(arrays, window_recorded_dates=True) == _oracle_counts(h, True)
-    assert ep_counts(arrays, window_recorded_dates=True)[1] > 0
+    assert is_expert_predictable(h, i).failed_rules == {SIX_OF_EIGHT}
+    _assert_matches_oracle(h)
+    assert ep_counts(RecordArrays.of(h)) == _oracle_counts(h) == (len(records), 0)
 
 
 def test_ep_counts_bounded_by_total():
@@ -117,36 +114,31 @@ def test_ep_counts_bounded_by_total():
     assert 0 <= ep <= total
 
 
-def _oracle_decisions(h: PatientHistory, window_recorded_dates: bool) -> list:
-    return [ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
-            for i in range(len(h.records))]
+def _oracle_decisions(h: PatientHistory) -> list:
+    return [ep_oracle.is_expert_predictable(h, i) for i in range(len(h.records))]
 
 
-def _oracle_counts(h: PatientHistory, window_recorded_dates: bool) -> tuple[int, int]:
-    expected = _oracle_decisions(h, window_recorded_dates)
+def _oracle_counts(h: PatientHistory) -> tuple[int, int]:
+    expected = _oracle_decisions(h)
     return len(expected), sum(d.predictable for d in expected)
 
 
-def _assert_matches_oracle(h: PatientHistory, window_recorded_dates: bool) -> None:
+def _assert_matches_oracle(h: PatientHistory) -> None:
     records = h.records
-    expected = _oracle_decisions(h, window_recorded_dates)
+    expected = _oracle_decisions(h)
     masks = failed_rules(
         np.array([r.meal.value for r in records], dtype=np.intp),
         np.array([0 if r.date is None else r.date.toordinal() for r in records],
                  dtype=np.int64),
         np.array([np.nan if r.bg is None else r.bg for r in records]),
-        window_recorded_dates,
     )
     assert masks.keys() == {PREV_HYPO, PREV_MEAL_MISSING, SIX_OF_EIGHT}
     for rule, mask in masks.items():
         assert mask.dtype == bool
         assert mask.tolist() == [rule in d.failed_rules for d in expected], rule
     # a decision reads records 0..i only: the oracle over that prefix
-    assert [
-        is_expert_predictable(h, i, window_recorded_dates) for i in range(len(records))
-    ] == [
-        ep_oracle.is_expert_predictable(history(h.patient_id, records[: i + 1]), i,
-                                        window_recorded_dates)
+    assert [is_expert_predictable(h, i) for i in range(len(records))] == [
+        ep_oracle.is_expert_predictable(history(h.patient_id, records[: i + 1]), i)
         for i in range(len(records))
     ]
 
@@ -169,13 +161,13 @@ _ep_records = st.lists(_ep_record, max_size=80) | st.lists(_ep_record, min_size=
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ep_records, st.booleans())
-def test_ep_decisions_equal_the_quadratic_oracle(records, window_recorded_dates):
-    _assert_matches_oracle(history("ep", records), window_recorded_dates)
+@given(_ep_records)
+def test_ep_decisions_equal_the_quadratic_oracle(records):
+    _assert_matches_oracle(history("ep", records))
 
 
 # dated, timed records in time order, as cleaning lays them out; days
-# with no records make the two window modes differ
+# with no records leave holes in the calendar window
 _timed_ep_entry = st.tuples(
     st.integers(0, 11), st.integers(0, 24 * 60 - 1), st.sampled_from([0, 1, 2, 7]),
     st.sampled_from([None, 3.9, 4.0, 6.5]),
@@ -185,23 +177,20 @@ _timed_ep_entry = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_timed_ep_entry, max_size=80)
        | st.lists(_timed_ep_entry, min_size=40, max_size=80),
-       st.sets(st.integers(0, 11), max_size=4), st.booleans())
-def test_ep_counts_equal_the_oracle_on_dated_timed_histories(entries, empty_days,
-                                                             window_recorded_dates):
+       st.sets(st.integers(0, 11), max_size=4))
+def test_ep_counts_equal_the_oracle_on_dated_timed_histories(entries, empty_days):
     h = history("ep", [
         DiaryRecord(meal=MealSlot(slot), date=dt.date(2016, 5, 1) + dt.timedelta(days=day),
                     time=dt.time(minute // 60, minute % 60), bg=bg)
         for day, minute, slot, bg in sorted(entries, key=lambda e: e[:2])
         if day not in empty_days
     ])
-    assert ep_counts(RecordArrays.of(h), window_recorded_dates) == _oracle_counts(
-        h, window_recorded_dates)
+    assert ep_counts(RecordArrays.of(h)) == _oracle_counts(h)
 
 
-@pytest.mark.parametrize("window_recorded_dates", [False, True])
-def test_undated_records_add_no_window_date(window_recorded_dates):
+def test_undated_records_add_no_window_date():
     # five dates cover both slots; undated records of both slots must not
-    # make a sixth, not even among the eight most recent recorded dates
+    # make a sixth
     records = [rec("", "", slot, bg=6.0) for slot in (MealSlot.AfterBreakfast,
                                                      MealSlot.BeforeLunch)]
     for d in range(3, 8):
@@ -211,26 +200,21 @@ def test_undated_records_add_no_window_date(window_recorded_dates):
     records.append(rec("2016-05-09", "09:30:00", MealSlot.AfterBreakfast, bg=6.0))
     records.append(rec("2016-05-09", "12:00:00", MealSlot.BeforeLunch, bg=5.8))
     h = history("undated", records)
-    _assert_matches_oracle(h, window_recorded_dates)
-    decision = is_expert_predictable(h, len(records) - 1, window_recorded_dates)
+    _assert_matches_oracle(h)
+    decision = is_expert_predictable(h, len(records) - 1)
     assert decision.failed_rules == {SIX_OF_EIGHT}
 
 
-@pytest.mark.parametrize("window_recorded_dates", [False, True])
-def test_ep_decisions_equal_the_oracle_on_a_synthetic_cohort(window_recorded_dates):
+def test_ep_decisions_equal_the_oracle_on_a_synthetic_cohort():
     raw = generate(default_config(patients=2, days=30, seed=5))
     cleaned, _ = clean_cohort(raw)
     for pid, arrays in cleaned.items():
         h, _ = clean(raw[pid])
-        _assert_matches_oracle(h, window_recorded_dates)
-        assert ep_counts(arrays, window_recorded_dates) == _oracle_counts(
-            h, window_recorded_dates)
+        _assert_matches_oracle(h)
+        assert ep_counts(arrays) == _oracle_counts(h)
         # cleaned records are in time order, so no later record is in a
         # window: the decision equals the oracle's over the whole history
-        assert [
-            is_expert_predictable(h, i, window_recorded_dates) for i in range(len(h))
-        ] == [
-            ep_oracle.is_expert_predictable(h, i, window_recorded_dates)
-            for i in range(len(h))
+        assert [is_expert_predictable(h, i) for i in range(len(h))] == [
+            ep_oracle.is_expert_predictable(h, i) for i in range(len(h))
         ]
     assert 0 < sum(ep_counts(arrays)[1] for arrays in cleaned.values())

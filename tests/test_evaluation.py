@@ -28,11 +28,12 @@ from glybench.evaluation import (
     rmse,
     wide_csv,
 )
+from glybench.features import PCA_COMPONENTS
 from glybench.ingest import clean, clean_cohort
 from glybench.models import builtin_registry
 from glybench.records import MGDL_PER_MMOLL, MealSlot
 from glybench.synth import default_config, generate
-from glybench.variants import materialize, rebuild_rows, spec_by_id
+from glybench.variants import materialize, prepare_patient, rebuild_rows, spec_by_id
 
 import feature_oracle
 import metric_oracle
@@ -513,18 +514,29 @@ def _forwarded(entry):
 def test_evaluate_counts_slot_fallbacks_of_a_slot_seen_in_one_fold_only(dataset, wrap):
     pid = sorted(dataset.per_patient)[0]
     prep = dataset.per_patient[pid]
+    assert prep.needs_fold_means
     k = 5
     _, test_idx = contiguous_kfold(len(prep), k).splits()[0]
-    x = prep.design.x.copy()
-    assert not np.any(x[:, 0] == MealSlot.DuringNight.value)
-    x[test_idx, 0] = MealSlot.DuringNight.value  # a slot no other fold trains on
-    design = dataclasses.replace(prep.design, x=x)
-    ds = dataclasses.replace(dataset, per_patient={
-        pid: dataclasses.replace(prep, design=design)})
+    a = prep.arrays
+    assert not np.any(a.meal == MealSlot.DuringNight.value)
+    meal = a.meal.copy()
+    # a slot no other fold trains on: the records whose state feeds fold 0
+    meal[np.array(prep.row_starts)[test_idx]] = MealSlot.DuringNight.value
     entry = builtin_registry()["gpr_be"]
-    report = evaluate(ds, _forwarded(entry) if wrap else entry, k=k, seed=0,
-                      fold_local_stats=False)
-    assert report.metadata["slot_fallbacks"] == len(test_idx) > 0
+    # without gaps the materialized design serves every fold; with
+    # mean-policy gaps each fold rebuilds it
+    for gaps in (False, True):
+        arrays = dataclasses.replace(a, meal=meal)
+        if not gaps:
+            arrays = dataclasses.replace(arrays, cho_gap=np.zeros_like(a.cho_gap),
+                                         bolus_gap=np.zeros_like(a.bolus_gap))
+        changed = prepare_patient(arrays, dataset.spec, dataset.feature_config)
+        assert changed.needs_fold_means is gaps
+        assert changed.row_starts == prep.row_starts
+        assert np.all(changed.design.meal[test_idx] == MealSlot.DuringNight.value)
+        ds = dataclasses.replace(dataset, per_patient={pid: changed})
+        report = evaluate(ds, _forwarded(entry) if wrap else entry, k=k, seed=0)
+        assert report.metadata["slot_fallbacks"] == len(test_idx) > 0
 
 
 @pytest.mark.parametrize("wrap", [False, True])
@@ -534,7 +546,7 @@ def test_evaluate_counts_a_fold_with_too_few_rows_for_pca(model, wrap):
     ds = materialize(cleaned, spec_by_id("D_a12"), min_records=5)
     pid = sorted(ds.per_patient)[0]
     prep = ds.per_patient[pid]
-    assert ds.feature_config.pca.components == 4
+    assert ds.feature_config.pca and PCA_COMPONENTS == 4
     ds.per_patient[pid] = dataclasses.replace(
         prep, row_starts=prep.row_starts[:5], design=prep.design[:5])
     entry = builtin_registry()[model]

@@ -14,7 +14,7 @@ from glybench.features import (
     DowMode,
     FeatureConfig,
     IOB_KNOTS,
-    PcaConfig,
+    PCA_COMPONENTS,
     RecordArrays,
     Vectorizer,
     build_feature_rows,
@@ -340,6 +340,9 @@ def test_pca_components_are_orthonormal():
     model = pca_fit(x, components=4)
     gram = model.components @ model.components.T
     assert np.allclose(gram, np.eye(4), atol=1e-9)
+    # the paper's width is the default
+    assert PCA_COMPONENTS == 4
+    assert pca_fit(x).components.tobytes() == model.components.tobytes()
 
 
 def test_pca_matches_svd_oracle_up_to_sign():

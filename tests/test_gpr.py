@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from glybench.features import FeatureConfig, PcaConfig
+from glybench.features import FeatureConfig
 from glybench.models import (
     GprCore,
     GprPredictor,
@@ -216,7 +216,7 @@ def test_ensemble_groups_by_the_raw_meal_column_under_pca():
     rows = _slot_rows(rng, MealSlot.BeforeBreakfast, 8, 6.0) + _slot_rows(
         rng, MealSlot.BeforeBed, 8, 10.0
     )
-    ens = WeightedGprEnsemble(FeatureConfig(pca=PcaConfig(components=4)))
+    ens = WeightedGprEnsemble(FeatureConfig(pca=True))
     ens.fit(design(rows))
     assert ens.pipeline.pca is not None
     assert set(ens.core_m) == {MealSlot.BeforeBreakfast, MealSlot.BeforeBed}

@@ -177,3 +177,24 @@ def test_compare_runs_shows_a_changed_improvement_in_percentage_points():
     assert row == "  metric=L1: percent_improvement: 33.3 -> 33.4 (relative 0.003, 0.1 pp)"
     assert tool.diff_printed("report stdout", "a\nb\n", "a\nc\n") == [
         "report stdout: differs (2 lines -> 2 lines)", "  - b", "  + c"]
+
+
+def test_compare_runs_names_the_keys_a_json_output_lost_and_gained():
+    tool = _compare_runs_module()
+    meta = {"k": 10, "fold_local_stats": True, "models": ["naive", "ridge"],
+            "pca_flags": {"D_a6/naive": 0, "D_a6/ridge": 0}}
+    fewer = {key: value for key, value in meta.items() if key != "fold_local_stats"}
+    assert tool.diff_file("run_meta.json", json.dumps(meta), json.dumps(fewer)) == [
+        "run_meta.json: keys lost: fold_local_stats; keys gained: none",
+        "run_meta.json: the 5 common keys are identical"]
+    # the common keys are still compared row by row
+    changed = dict(fewer, k=5, models=["naive"], seed=3)
+    assert tool.diff_file("run_meta.json", json.dumps(meta), json.dumps(changed)) == [
+        "run_meta.json: keys lost: fold_local_stats, models[1]; keys gained: seed",
+        "run_meta.json: 1 of 4 rows changed, largest relative difference 0.5",
+        "  key=k: value: 10 -> 5 (relative 0.5)"]
+    many = {f"cell{i}": i for i in range(tool.MAX_ROWS + 2)}
+    assert tool.diff_file("run_meta.json", json.dumps(many), "{}") == [
+        f"run_meta.json: keys lost: {', '.join(list(many)[:tool.MAX_ROWS])} and 2 more"
+        "; keys gained: none",
+        "run_meta.json: the 0 common keys are identical"]

@@ -10,7 +10,10 @@ directory, each command in a fresh process. For every output file
 (``summary.csv`` among them) the tool prints ``identical``, or the
 changed rows with their key cells (``model, variant, metric, patient``
 in ``results_long.csv``) and the largest relative difference of a
-changed number (the ``MAX_ROWS`` rows that changed most are listed). A
+changed number (the ``MAX_ROWS`` rows that changed most are listed).
+``run_meta.json`` is compared as rows of (key path, value); when the
+key paths differ, the tool names the keys lost and gained, then
+compares the common keys row by row. A
 percent improvement (an ``improvement_*`` cell, or ``summary.csv``'s
 ``percent_improvement``) loses leading digits to the subtraction, so a
 changed one also shows its absolute difference in percentage points.
@@ -195,13 +198,29 @@ def _in_points(name: str, column: str) -> bool:
     return name.startswith("improvement_") or column == "percent_improvement"
 
 
+def _listed(keys: list[str]) -> str:
+    shown = ", ".join(keys[:MAX_ROWS]) or "none"
+    return shown + (f" and {len(keys) - MAX_ROWS} more" if len(keys) > MAX_ROWS else "")
+
+
 def diff_file(name: str, a: str, b: str) -> list[str]:
     """The report lines of one file: ``identical``, or how many rows
-    changed and the ``MAX_ROWS`` that changed most."""
+    changed and the ``MAX_ROWS`` that changed most. A JSON file whose key
+    paths differ first names the keys lost and gained, then compares the
+    common keys."""
     if a == b:
         return [f"{name}: identical"]
     head_a, rows_a = _rows(name, a)
     head_b, rows_b = _rows(name, b)
+    lines = []
+    if name.endswith(".json"):
+        keys_a, keys_b = {row[0] for row in rows_a}, {row[0] for row in rows_b}
+        lost = [row[0] for row in rows_a if row[0] not in keys_b]
+        gained = [row[0] for row in rows_b if row[0] not in keys_a]
+        if lost or gained:
+            lines.append(f"{name}: keys lost: {_listed(lost)}; keys gained: {_listed(gained)}")
+            rows_a = [row for row in rows_a if row[0] in keys_b]
+            rows_b = [row for row in rows_b if row[0] in keys_a]
     if head_a != head_b or len(rows_a) != len(rows_b):
         return [f"{name}: differs in layout ({len(rows_a)} rows -> {len(rows_b)} rows, "
                 f"header {'equal' if head_a == head_b else 'changed'})"]
@@ -225,9 +244,11 @@ def diff_file(name: str, a: str, b: str) -> list[str]:
                 largest = float("inf")
                 cells.append(f"{h}: {x!r} -> {y!r}")
         changed.append((largest, f"  {key}: " + "; ".join(cells)))
+    if not changed:
+        return lines + [f"{name}: the {len(rows_a)} common keys are identical"]
     changed.sort(key=lambda c: -c[0])  # stable: ties keep file order
-    lines = [f"{name}: {len(changed)} of {len(rows_a)} rows changed, largest relative "
-             f"difference {changed[0][0]:.2g}"]
+    lines.append(f"{name}: {len(changed)} of {len(rows_a)} rows changed, largest relative "
+                 f"difference {changed[0][0]:.2g}")
     lines.extend(line for _, line in changed[:MAX_ROWS])
     if len(changed) > MAX_ROWS:
         lines.append(f"  ... and {len(changed) - MAX_ROWS} more")
