@@ -17,7 +17,7 @@
 # and the cohort averages over patients.
 
 # %%
-from glybench import evaluate, generate, high_signal_config, materialize, spec_by_id
+from glybench import evaluate_grid, generate, high_signal_config, materialize, spec_by_id
 from glybench import zero_signal_config
 from glybench.evaluation import improvements
 from glybench.ingest import clean_cohort
@@ -31,10 +31,12 @@ def run(label, cfg, variant="D_a6"):
     cleaned, _ = clean_cohort(generate(cfg))
     dataset = materialize(cleaned, spec_by_id(variant), min_records=20)
     print(f"--- {label} cohort, variant {variant}")
-    # the baseline is a cell like any other, under the same fold plan
-    naive = evaluate(dataset, registry["naive"], k=10, seed=0).cohort
+    # one grid call, as `glybench run` makes; the baseline is a cell like
+    # any other, under the same fold plan
+    cells = evaluate_grid([dataset], [registry[name] for name in MODELS], k=10, seed=0)
+    naive = cells[variant, "naive"].cohort
     for name in MODELS:
-        cohort = evaluate(dataset, registry[name], k=10, seed=0).cohort
+        cohort = cells[variant, name].cohort
         print(f"{name:22s} L1 {cohort['L1']:6.3f}  "
               f"rL1 {cohort['rL1']:6.3f}  "
               f"improvement vs naive {improvements(naive, cohort)['L1']:+6.1f}%")

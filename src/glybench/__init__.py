@@ -55,6 +55,7 @@ from .evaluation import (
     PenaltyTable,
     contiguous_kfold,
     evaluate,
+    evaluate_grid,
     g_metric,
     l1,
     rl1,
@@ -93,6 +94,7 @@ __all__ = [
     "default_config",
     "ep_counts",
     "evaluate",
+    "evaluate_grid",
     "from_log",
     "g_metric",
     "generate",

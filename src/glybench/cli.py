@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -28,11 +27,10 @@ from .evaluation import (
     PenaltyTable,
     cohort_scores,
     evaluate,  # noqa: F401 -- not called here; bench/traced.py times cli.evaluate
-    evaluate_group,
+    evaluate_grid,
     improvement_csv,
     improvements,
     results_long_csv,
-    sharing_groups,
     wide_csv,
 )
 from .ingest import cleaning_csv, clean_cohort, parse_diary_csv
@@ -207,19 +205,6 @@ def _check_grid_config(cfg: dict) -> None:
             raise bad(key, "a path string")
 
 
-def _evaluate_group(task) -> list[tuple[tuple[str, str], EvalReport]]:
-    dataset, model_names, k, seed, weights = task
-    registry = builtin_registry()
-    reports = evaluate_group(
-        dataset,
-        [registry[name] for name in model_names],
-        k=k,
-        seed=seed,
-        penalty=PenaltyTable(weights),
-    )
-    return [((dataset.spec.id, report.model), report) for report in reports]
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _grid_config(args)
 
@@ -237,9 +222,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         except KeyError:
             raise CliError(f"unknown variant id {vid!r}") from None
 
-    penalty_weights = dict(PenaltyTable().weights)
+    penalty = PenaltyTable()
     if cfg.get("penalty_table"):
-        penalty_weights = dict(PenaltyTable.from_json(_read(cfg["penalty_table"])).weights)
+        penalty = PenaltyTable.from_json(_read(cfg["penalty_table"]))
 
     if cfg.get("input"):
         raw = _load_cohort(cfg["input"])
@@ -265,6 +250,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{len(cleaned)} patient(s) were excluded there, so those cells "
             f"would be empty"
         )
+    static = [d.spec.id for d in datasets if d.spec.include_static
+              and all(prep.arrays.static is None for prep in d.per_patient.values())]
+    if static:
+        raise CliError(
+            f"variant(s) {', '.join(static)} use patient characteristics, but no "
+            f"retained patient has any: the diary CSV has no columns for them "
+            f"(see README, Data format)"
+        )
     stacking = [name for name in model_names if registry[name].stacking]
     lone = [d.spec.id for d in datasets if len(d.per_patient) < 2]
     if stacking and lone:
@@ -274,26 +267,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"which keep fewer than two patients at --min-records {cfg['min_records']}"
         )
 
-    # one task per (variant, group of models that share fitted parts)
-    groups = [[entry.name for entry in group]
-              for group in sharing_groups([registry[name] for name in model_names])]
-    tasks = [
-        (dataset, names, cfg["k"], cfg["seed"], penalty_weights)
-        for dataset in datasets
-        for names in groups
-    ]
-    jobs = cfg["jobs"]
-    results: dict[tuple[str, str], EvalReport] = {}
-    if jobs == 1:
-        for task in tasks:
-            results.update(_evaluate_group(task))
-    else:
-        # a pool forks all its workers up front: start no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for cells in pool.map(_evaluate_group, tasks):
-                results.update(cells)
-
-    reports = [results[key] for key in sorted(results)]
+    results = evaluate_grid(datasets, [registry[name] for name in model_names], cfg["k"],
+                            cfg["seed"], penalty, jobs=cfg["jobs"])
+    reports = list(results.values())
+    # every patient no cell scored: under --min-records, or with fewer than k rows
+    excluded = {d.spec.id: set(d.excluded_patients) for d in datasets}
+    for (vid, _), report in results.items():
+        excluded[vid].update(report.excluded_patients)
 
     # made after every cell is evaluated, so a failing cell leaves none behind
     os.makedirs(out_dir, exist_ok=True)
@@ -316,12 +296,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "min_records": cfg["min_records"],
         "variants": [s.id for s in specs],
         "models": model_names,
-        "penalty_table": penalty_weights,
-        "excluded_patients": {
-            d.spec.id: list(d.excluded_patients) for d in datasets
-        },
+        "penalty_table": dict(penalty.weights),
+        "excluded_patients": {vid: sorted(pids) for vid, pids in excluded.items()},
         **{
-            name: {f"{v}/{m}": results[v, m].metadata[name] for v, m in sorted(results)}
+            name: {f"{v}/{m}": report.metadata[name] for (v, m), report in results.items()}
             for name in ("pca_flags", "slot_fallbacks")
         },
     }

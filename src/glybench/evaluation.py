@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -436,6 +436,34 @@ def evaluate_group(
             report.per_patient[pid] = compute_metrics(report.predicted[pid], actual[pid],
                                                       penalty)
     return reports
+
+
+def evaluate_grid(
+    datasets: Sequence[VariantDataset],
+    entries: Sequence[ModelRegistryEntry],
+    k: int = DEFAULT_K,
+    seed: int = 0,
+    penalty: Optional[PenaltyTable] = None,
+    jobs: int = 1,
+) -> dict[tuple[str, str], EvalReport]:
+    """Every (variant, model) cell of ``datasets`` x ``entries``, keyed
+    ``(variant id, model name)`` in sorted order. Each (dataset,
+    :func:`sharing_groups` group) is one :func:`evaluate_group` task;
+    ``jobs`` > 1 runs the tasks in a pool of ``min(jobs, tasks)``
+    processes. No task reads another's results, so every ``jobs`` gives
+    the same bits.
+    """
+    groups = sharing_groups(entries)
+    tasks = [(dataset, group) for dataset in datasets for group in groups]
+    task = partial(evaluate_group, k=k, seed=seed, penalty=penalty)
+    if jobs == 1 or not tasks:
+        done = [task(*t) for t in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial grid needs no pool
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            done = list(pool.map(task, *zip(*tasks)))
+    cells = {(r.variant, r.model): r for reports in done for r in reports}
+    return {key: cells[key] for key in sorted(cells)}
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,19 @@ import time
 import numpy as np
 import pytest
 
+from glybench import evaluation
 from glybench.cli import main
 from glybench.ep import PREV_HYPO, SIX_OF_EIGHT, is_expert_predictable
 from glybench.evaluation import (
     METRICS,
     PenaltyTable,
     evaluate,
-    evaluate_group,
+    evaluate_grid,
     g_metric,
     improvements,
     l1,
     rl1,
     rmse,
-    sharing_groups,
 )
 from glybench.features import IOB_KNOTS, RecordArrays, event_columns, iob_fraction
 from glybench.ingest import clean_cohort, parse_diary_csv
@@ -229,32 +229,43 @@ class _Spy:
 
 @pytest.fixture(scope="module")
 def library_grid(grid_cohort_csv):
-    """Every grid cell evaluated in-process in ``run``'s groups of models
-    that share fitted parts, with an identity spy on every entry; each
+    """Every grid cell evaluated in-process by ``evaluate_grid``, the grid
+    function ``run`` calls, with an identity spy on every entry; each
     report holds its prediction pairs. Shared by the hygiene and
     identity-penalty criteria."""
     cleaned, _ = clean_cohort(parse_diary_csv(grid_cohort_csv.read_text()))
     registry = builtin_registry()
+    groups = []
+    evaluate_group = evaluation.evaluate_group
+
+    def spied_group(dataset, entries, **kwargs):
+        groups.append((dataset.spec.id, [entry.name for entry in entries]))
+        return evaluate_group(dataset, entries, **kwargs)
+
     cells = {}
-    for vid in GRID_VARIANTS:
-        dataset = materialize(cleaned, spec_by_id(vid), min_records=GRID_MIN_RECORDS)
-        spies: dict[str, list[_Spy]] = {name: [] for name in GRID_MODELS}
-        spied = []
-        for name in GRID_MODELS:
-            entry = registry[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "evaluate_group", spied_group)
+        for vid in GRID_VARIANTS:
+            dataset = materialize(cleaned, spec_by_id(vid), min_records=GRID_MIN_RECORDS)
+            spies: dict[str, list[_Spy]] = {name: [] for name in GRID_MODELS}
+            spied = []
+            for name in GRID_MODELS:
+                entry = registry[name]
 
-            def spied_factory(cfg, with_stacked, seed, _inner=entry.factory,
-                              _spies=spies[name]):
-                spy = _Spy(_inner(cfg, with_stacked, seed))
-                _spies.append(spy)
-                return spy
+                def spied_factory(cfg, with_stacked, seed, _inner=entry.factory,
+                                  _spies=spies[name]):
+                    spy = _Spy(_inner(cfg, with_stacked, seed))
+                    _spies.append(spy)
+                    return spy
 
-            spied.append(dataclasses.replace(entry, factory=spied_factory))
-        groups = sharing_groups(spied)
-        assert len(groups) < len(GRID_MODELS)  # the patient-wide GPs share a pass
-        for group in groups:
-            for report in evaluate_group(dataset, group, k=GRID_K, seed=GRID_SEED):
-                cells[(vid, report.model)] = (report, spies[report.model], dataset)
+                spied.append(dataclasses.replace(entry, factory=spied_factory))
+            grid = evaluate_grid([dataset], spied, k=GRID_K, seed=GRID_SEED)
+            assert list(grid) == sorted((vid, name) for name in GRID_MODELS)
+            for (_, name), report in grid.items():
+                cells[(vid, name)] = (report, spies[name], dataset)
+            variant_groups = [names for v, names in groups if v == vid]
+            assert len(variant_groups) < len(GRID_MODELS)  # the patient-wide GPs share a pass
+            assert sorted(sum(variant_groups, [])) == sorted(GRID_MODELS)
     return cells
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import stat
 import numpy as np
 import pytest
 
-from glybench import cli
+from glybench import cli, evaluation
 from glybench.cli import main, summarize_results
 from glybench.evaluation import METRICS, evaluate_group
 from glybench.features import RecordArrays
@@ -191,7 +192,8 @@ def test_run_unknown_variant_exits_2(cohort_csv, tmp_path, capsys):
 
 
 def _spy_on_evaluate_group(monkeypatch) -> list:
-    """Make ``run`` evaluate in-process and collect every report it makes."""
+    """Collect every report ``run`` makes through ``evaluate_grid``'s
+    ``evaluate_group`` calls (``run`` evaluates in-process at ``--jobs 1``)."""
     reports = []
 
     def spy(*args, **kwargs):
@@ -199,7 +201,7 @@ def _spy_on_evaluate_group(monkeypatch) -> list:
         reports.extend(group)
         return group
 
-    monkeypatch.setattr(cli, "evaluate_group", spy)
+    monkeypatch.setattr(evaluation, "evaluate_group", spy)
     return reports
 
 
@@ -233,7 +235,7 @@ def test_run_evaluates_each_cell_once_in_groups_that_share_fitted_parts(
         groups.append((dataset.spec.id, [e.name for e in entries]))
         return evaluate_group(dataset, entries, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_group", spy)
+    monkeypatch.setattr(evaluation, "evaluate_group", spy)
     assert main(["run", "--input", str(cohort_csv), "--out", str(tmp_path / "r"),
                  "--variants", "D_e2,D_a6", "--models",
                  "gpr_be_AllPat_AllMeals,ridge,gpr_be,gpr_AllPat_AllMeals,"
@@ -258,10 +260,11 @@ def test_run_starts_no_more_workers_than_tasks(cohort_csv, tmp_path, monkeypatch
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # evaluate_grid imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     base = ["run", "--input", str(cohort_csv), "--variants", "D_a6,D_e6",
             "--models", "naive,ridge", "--k", "5", "--min-records", "20"]
     assert main(base + ["--out", str(tmp_path / "wide"), "--jobs", "64"]) == 0
@@ -663,6 +666,47 @@ def test_run_exits_2_when_one_variant_keeps_no_patient(tmp_path, capsys):
     assert "nan" not in (out / "wide_L1.csv").read_text()
 
 
+def test_run_meta_lists_a_patient_with_fewer_than_k_rows_as_excluded(tmp_path):
+    cohort = _two_patient_cohort(tmp_path)
+    header, *rows = cohort.read_text().splitlines()
+    short = [row for row in rows if row.startswith("P02,")][:8]
+    cohort.write_text("\n".join([header, *(r for r in rows if r.startswith("P01,")), *short])
+                      + "\n")
+    out = tmp_path / "results"
+    # P02 keeps 7 rows: enough for --min-records 5, too few for 10 folds
+    assert main(["run", "--input", str(cohort), "--out", str(out), "--variants", "D_a6",
+                 "--models", "naive,ridge", "--k", "10", "--min-records", "5"]) == 0
+    lines = (out / "results_long.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[3] for line in lines} == {"P01"}
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["excluded_patients"] == {"D_a6": ["P02"]}
+
+
+def test_run_refuses_a_static_variant_on_a_cohort_without_characteristics(tmp_path, capsys):
+    cohort = _two_patient_cohort(tmp_path)
+    out = tmp_path / "results"
+    code = main(["run", "--input", str(cohort), "--out", str(out),
+                 "--variants", "D_a6,D_a5", "--models", "naive", "--k", "5",
+                 "--min-records", "20"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "variant(s) D_a5 use patient characteristics" in err
+    assert "Data format" in err
+    assert not out.exists()
+
+    # a synthetic cohort that run generates itself keeps its characteristics
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "synth": {"preset": "default", "patients": 2, "days": 20, "seed": 3},
+        "out": str(out), "variants": ["D_a5", "D_e5"], "models": ["naive", "ridge"],
+        "k": 5, "min_records": 20,
+    }))
+    assert main(["run", "--config", str(config)]) == 0
+    wide = (out / "wide_L1.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in wide] == ["variant", "D_a5", "D_e5"]
+    assert "nan" not in "".join(wide)
+
+
 def test_run_exits_2_before_writing_when_stacking_has_one_patient(tmp_path, capsys):
     synth = tmp_path / "synth.json"
     synth.write_text('{"preset": "default", "patients": 1, "days": 20}')
@@ -692,7 +736,7 @@ def test_run_with_out_at_a_file_exits_2_before_evaluating(tmp_path, capsys, monk
     out = tmp_path / "results"
     out.write_text("keep me\n")
     evaluated = []
-    monkeypatch.setattr(cli, "evaluate_group", lambda *a, **kw: evaluated.append(a))
+    monkeypatch.setattr(evaluation, "evaluate_group", lambda *a, **kw: evaluated.append(a))
     code = main(["run", "--input", str(cohort), "--out", str(out),
                  "--variants", "D_a6", "--models", "naive", "--k", "5",
                  "--min-records", "20", "--jobs", "1"])

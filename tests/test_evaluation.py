@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -593,6 +598,83 @@ def test_evaluate_group_refuses_entries_that_disagree_on_stacking(dataset):
                                             registry["gpr_be_AllPat_AllMeals"]], k=5)
     with pytest.raises(ValueError, match="agree on stacking"):
         evaluation.evaluate_group(dataset, [], k=5)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_evaluate_grid_equals_evaluate_per_cell(jobs):
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    datasets = [materialize(cleaned, spec_by_id(v), min_records=20) for v in ("D_e2", "D_a6")]
+    registry = builtin_registry()
+    names = ["gpr_be", "ridge", "gpr_AllPat_AllMeals", "naive", "gpr_IndPat_AllMeals"]
+    grid = evaluation.evaluate_grid(datasets, [registry[n] for n in names], k=5, seed=7,
+                                    jobs=jobs)
+    assert list(grid) == sorted((d.spec.id, n) for d in datasets for n in names)
+    by_id = {d.spec.id: d for d in datasets}
+    for (variant, name), report in grid.items():
+        _assert_reports_equal(report, evaluate(by_id[variant], registry[name], k=5, seed=7))
+    assert evaluation.evaluate_grid([], [registry[n] for n in names], jobs=jobs) == {}
+
+
+_GRID_PREDICTIONS = """
+import json
+import numpy as np
+from glybench import FeatureConfig, evaluate_grid, materialize, spec_by_id
+from glybench.features import Design
+from glybench.ingest import clean_cohort
+from glybench.models import builtin_registry
+from glybench.synth import default_config, generate
+
+registry = builtin_registry()
+cleaned, _ = clean_cohort(generate(default_config(patients=2, days=40, seed=2026)))
+dataset = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
+grid = evaluate_grid([dataset], list(registry.values()), k=5, seed=2026)
+out = {model: {pid: values.tolist() for pid, values in report.predicted.items()}
+       for (_, model), report in grid.items()}
+
+# No two KNN distances of the grid come within a rounding of each other,
+# so a distance that went through BLAS would not show there. Here KNN10U
+# meets near-ties: one row beside each query, then pairs mirrored about
+# it, so the 10th and 11th nearest rows are the two rows of one pair.
+rng = np.random.default_rng(0)
+centres = rng.normal(scale=3.0, size=(8, 14))
+offsets = rng.normal(size=(8, 30, 14))
+x = np.concatenate([np.concatenate([c + 0.01 * v[:1], c + v, c - v])
+                    for c, v in zip(centres, offsets)])
+knn = registry["KNN10U"].build(FeatureConfig())
+knn.fit(Design(x, rng.uniform(4.0, 12.0, size=len(x)), np.arange(len(x))))
+ties = knn.predict(Design(centres, np.full(len(centres), 6.0), np.arange(len(centres))))
+out["KNN10U"]["mirrored pairs"] = ties.tolist()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS core types named are x86-64 ones")
+def test_only_the_models_that_go_through_blas_depend_on_the_blas_kernel():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def predictions(extra_env: dict[str, str]) -> dict[str, dict[str, list[float]]]:
+        env = dict(os.environ, **extra_env)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run([sys.executable, "-c", _GRID_PREDICTIONS],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    native = predictions({})
+    prescott = predictions({"OPENBLAS_CORETYPE": "Prescott"})
+    assert list(native) == list(prescott) == sorted(builtin_registry())
+    for model in native:
+        assert native[model].keys() == prescott[model].keys()
+        for pid, values in native[model].items():
+            if model in ("naive", "KNN10U", "rf4"):
+                assert values == prescott[model][pid], (model, pid)
+            else:
+                # ridge, the GPs and the stacked column: last bits only
+                assert np.allclose(values, prescott[model][pid], rtol=1e-12, atol=0), \
+                    (model, pid)
 
 
 def _count_factorizations(monkeypatch) -> list[np.ndarray]:

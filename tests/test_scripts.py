@@ -129,6 +129,22 @@ def test_compare_runs_finds_one_source_tree_identical_to_itself(tmp_path):
     assert lines[-1] == "== tiny, change: --jobs 1 -> --jobs 2: identical"
 
 
+def test_compare_runs_runs_only_the_change_side_under_change_env(tmp_path):
+    src = str(ROOT / "src")
+    done = _run([str(ROOT / "tools" / "compare_runs.py"), src, src, "--cohorts", "tiny",
+                 "--change-env", "OPENBLAS_CORETYPE=Prescott"], cwd=tmp_path)
+    # 1 where the kernel moves the last bits of ridge or a GP, 0 where it does not
+    assert done.returncode in (0, 1), done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "== the change side runs with OPENBLAS_CORETYPE=Prescott"
+    assert "cohort.csv: identical" in lines
+    assert lines[-1] == "== tiny, change: --jobs 1 -> --jobs 2: identical"
+    done = _run([str(ROOT / "tools" / "compare_runs.py"), src, src, "--cohorts", "tiny",
+                 "--change-env", "OPENBLAS_CORETYPE"], cwd=tmp_path)
+    assert done.returncode == 2
+    assert "--change-env takes NAME=VALUE, got 'OPENBLAS_CORETYPE'" in done.stderr
+
+
 def _compare_runs_module():
     spec = importlib.util.spec_from_file_location("compare_runs",
                                                   ROOT / "tools" / "compare_runs.py")

@@ -1,6 +1,7 @@
 """Compare the outputs of `glybench run` between two source trees.
 
     python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC [--cohorts acceptance,grid,long_diary]
+        [--change-env NAME=VALUE ...]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the
 ``glybench`` package (a checkout's ``src/``). For each cohort, each side
@@ -23,6 +24,11 @@ reports it (the largest of the process and its reaped workers, as
 ``bench/run.py`` reads it); it is shown, not compared. A last line per
 cohort compares the change's ``--jobs 2`` outputs with its ``--jobs 1``
 ones.
+
+``--change-env NAME=VALUE`` (repeatable) sets an environment variable
+for the change side's commands only, and the first line of output names
+it. With the same tree on both sides, ``--change-env
+OPENBLAS_CORETYPE=Prescott`` compares one tree across BLAS kernels.
 
 Cohorts:
 
@@ -85,11 +91,12 @@ class CommandFailed(Exception):
     pass
 
 
-def spawn(src: Path, what: str, *args: str) -> tuple[str, float]:
-    """Run Python on ``args`` with ``src`` first on the import path: its
-    stdout and its peak RSS in MB. A failure is reported as ``what``
-    failing."""
-    env = dict(os.environ)
+def spawn(src: Path, what: str, *args: str,
+          extra_env: dict[str, str] | None = None) -> tuple[str, float]:
+    """Run Python on ``args`` with ``src`` first on the import path and
+    ``extra_env`` added to the environment: its stdout and its peak RSS in
+    MB. A failure is reported as ``what`` failing."""
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -105,23 +112,24 @@ def spawn(src: Path, what: str, *args: str) -> tuple[str, float]:
     return stdout, usage.ru_maxrss / 1024.0
 
 
-def python(src: Path, what: str, *args: str) -> str:
-    return spawn(src, what, *args)[0]
+def python(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = None) -> str:
+    return spawn(src, what, *args, extra_env=extra_env)[0]
 
 
-def glybench(src: Path, *args: str) -> str:
-    return python(src, f"glybench {args[0]}", "-m", "glybench.cli", *args)
+def glybench(src: Path, *args: str, extra_env: dict[str, str] | None = None) -> str:
+    return python(src, f"glybench {args[0]}", "-m", "glybench.cli", *args,
+                  extra_env=extra_env)
 
 
-def registry_models(src: Path) -> list[str]:
+def registry_models(src: Path, extra_env: dict[str, str] | None = None) -> list[str]:
     names = python(src, "the registry", "-c",
                    "from glybench.models.registry import builtin_registry; "
-                   "print(','.join(builtin_registry()))")
+                   "print(','.join(builtin_registry()))", extra_env=extra_env)
     return names.strip().split(",")
 
 
-def run_side(src: Path, cohort: Cohort,
-             work: Path) -> tuple[Path, dict[int, Path], dict[int, float]]:
+def run_side(src: Path, cohort: Cohort, work: Path, extra_env: dict[str, str] | None = None
+             ) -> tuple[Path, dict[int, Path], dict[int, float]]:
     """Synthesize the cohort, run it once per jobs count and report on
     each run: the cohort CSV, and the output directories and ``run``'s
     peak RSS in MB by jobs count. ``report`` writes ``summary.csv`` into
@@ -133,8 +141,8 @@ def run_side(src: Path, cohort: Cohort,
         {"preset": "default", "patients": cohort.patients, "days": cohort.days}))
     csv_path = work / "cohort.csv"
     glybench(src, "synth", "--config", str(config), "--seed", str(cohort.seed),
-             "--out", str(csv_path))
-    models = cohort.models or registry_models(src)
+             "--out", str(csv_path), extra_env=extra_env)
+    models = cohort.models or registry_models(src, extra_env)
     grid = ["--models", ",".join(models), "--k", str(cohort.k),
             "--min-records", str(MIN_RECORDS), "--seed", str(cohort.seed)]
     if cohort.variants:
@@ -144,9 +152,9 @@ def run_side(src: Path, cohort: Cohort,
         outs[jobs] = work / f"jobs{jobs}"
         _, peaks[jobs] = spawn(src, "glybench run", "-m", "glybench.cli", "run",
                                "--input", str(csv_path), "--out", str(outs[jobs]), *grid,
-                               "--jobs", str(jobs))
+                               "--jobs", str(jobs), extra_env=extra_env)
         printed = glybench(src, "report", str(outs[jobs]),
-                           "--out", str(outs[jobs] / "summary.csv"))
+                           "--out", str(outs[jobs] / "summary.csv"), extra_env=extra_env)
         _printed_report(outs[jobs]).write_text(printed)
     return csv_path, outs, peaks
 
@@ -284,12 +292,14 @@ def diff_dirs(a: Path, b: Path) -> tuple[bool, list[str]]:
     return all(line.endswith(": identical") for line in lines), lines
 
 
-def compare(parent: Path, change: Path, cohorts: list[str], work: Path) -> bool:
+def compare(parent: Path, change: Path, cohorts: list[str], work: Path,
+            change_env: dict[str, str] | None = None) -> bool:
     same = True
     for name in cohorts:
         cohort = COHORTS[name]
         parent_csv, parent_out, parent_peak = run_side(parent, cohort, work / name / "parent")
-        change_csv, change_out, change_peak = run_side(change, cohort, work / name / "change")
+        change_csv, change_out, change_peak = run_side(change, cohort, work / name / "change",
+                                                       change_env)
         lines = diff_file("cohort.csv", parent_csv.read_text(), change_csv.read_text())
         same = same and len(lines) == 1 and lines[0].endswith(": identical")
         print(f"== {name}, synth: parent -> change")
@@ -316,7 +326,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--cohorts", default="acceptance,grid,long_diary",
                         help=f"comma-separated, of {', '.join(COHORTS)}")
+    parser.add_argument("--change-env", action="append", default=[], metavar="NAME=VALUE",
+                        help="an environment variable for the change side only (repeatable)")
     args = parser.parse_args(argv)
+    change_env = {}
+    for item in args.change_env:
+        name, sep, value = item.partition("=")
+        if not sep or not name:
+            parser.error(f"--change-env takes NAME=VALUE, got {item!r}")
+        change_env[name] = value
     cohorts = [c for c in args.cohorts.split(",") if c]
     unknown = [c for c in cohorts if c not in COHORTS]
     if unknown or not cohorts:
@@ -327,10 +345,13 @@ def main(argv: list[str]) -> int:
     for src in (args.parent_src, args.change_src):
         if not (src / "glybench" / "__init__.py").is_file():
             parser.error(f"{src} holds no glybench package")
+    if change_env:
+        print("== the change side runs with "
+              + " ".join(f"{name}={value}" for name, value in change_env.items()))
     with tempfile.TemporaryDirectory(prefix="compare_runs_") as work:
         try:
             same = compare(args.parent_src.resolve(), args.change_src.resolve(), cohorts,
-                           Path(work))
+                           Path(work), change_env)
         except CommandFailed as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
