@@ -13,8 +13,8 @@ import os as _os
 # Every matrix here is small (hundreds of rows); oversubscribed BLAS
 # thread pools slow these solves by orders of magnitude on small
 # machines. Only applies when the variables are not already set and
-# numpy has not been imported yet. Use the CLI --jobs flag (or
-# GLYBENCH_JOBS) for process-level parallelism instead.
+# numpy has not been imported yet. Use `run --jobs` for process-level
+# parallelism instead.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 

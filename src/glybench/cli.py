@@ -21,6 +21,7 @@ from . import __version__, evaluation
 from .ep import EP_COUNTS_CSV_HEADER, ep_counts
 from .evaluation import (
     DEFAULT_K,
+    DEFAULT_ZONE_WEIGHTS,
     LONG_CSV_HEADER,
     METRICS,
     EvalReport,
@@ -143,72 +144,21 @@ DEFAULT_GRID_MODELS = (
 )
 
 
-def _grid_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if args.config:
-        cfg = json.loads(_read(args.config))
-        if not isinstance(cfg, dict):
-            raise CliError("grid config must be a JSON object")
-    for key in ("input", "out", "seed", "k", "min_records", "penalty_table", "jobs"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    if args.variants:
-        cfg["variants"] = [v for chunk in args.variants for v in chunk.split(",") if v]
-    if args.models:
-        cfg["models"] = [m for chunk in args.models for m in chunk.split(",") if m]
-    cfg.setdefault("variants", list(DEFAULT_GRID_VARIANTS))
-    cfg.setdefault("models", list(DEFAULT_GRID_MODELS))
-    cfg.setdefault("k", DEFAULT_K)
-    cfg.setdefault("min_records", DEFAULT_MIN_RECORDS)
-    cfg.setdefault("seed", 0)
-    if "jobs" not in cfg:
-        env = os.environ.get("GLYBENCH_JOBS", "1")
-        try:
-            cfg["jobs"] = int(env)
-        except ValueError:
-            raise CliError(f"GLYBENCH_JOBS must be an integer >= 1, got {env!r}") from None
-    if "out" not in cfg:
-        raise CliError("no output directory: pass --out or set 'out' in the config")
-    _check_grid_config(cfg)
-    return cfg
-
-
-GRID_CONFIG_KEYS = ("input", "out", "synth", "seed", "k", "min_records", "penalty_table",
-                    "jobs", "variants", "models")
-
-
-def _check_grid_config(cfg: dict) -> None:
-    """Reject an unknown key, or a grid value of the wrong type or range,
-    naming the key."""
-    def bad(key: str, need: str) -> CliError:
-        return CliError(f"config key '{key}' must be {need}, got {cfg[key]!r}")
-
-    for key in cfg:
-        if key not in GRID_CONFIG_KEYS:
-            raise CliError(f"unknown config key {key!r}; known keys: "
-                           f"{', '.join(GRID_CONFIG_KEYS)}")
-
-    for key, minimum in (("k", 2), ("min_records", 0), ("seed", None), ("jobs", 1)):
-        value = cfg[key]
-        # bool is an int subclass; a JSON true is not a count
-        if isinstance(value, bool) or not isinstance(value, int) or (
-            minimum is not None and value < minimum
-        ):
-            raise bad(key, "an integer" + ("" if minimum is None else f" >= {minimum}"))
-    for key in ("variants", "models"):
-        if not isinstance(cfg[key], list) or not all(isinstance(v, str) for v in cfg[key]):
-            raise bad(key, "a list of strings")
-    if not cfg["variants"]:
-        raise bad("variants", "a non-empty list of variant ids")
-    for key in ("input", "out", "penalty_table"):
-        if cfg.get(key) is not None and not isinstance(cfg[key], str):
-            raise bad(key, "a path string")
+def _names(chunks: Sequence[str], flag: str, what: str) -> list[str]:
+    """The distinct names a comma- or space-separated flag gives, in order."""
+    names = list(dict.fromkeys(name for chunk in chunks for name in chunk.split(",") if name))
+    if not names:
+        raise CliError(f"{flag} is empty: name at least one {what}")
+    return names
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _grid_config(args)
-
-    model_names = list(dict.fromkeys(cfg["models"]))
+    for flag, value, minimum in (("--k", args.k, 2), ("--min-records", args.min_records, 0),
+                                 ("--jobs", args.jobs, 1)):
+        if value < minimum:
+            raise CliError(f"{flag} must be an integer >= {minimum}, got {value}")
+    variant_ids = _names(args.variants, "--variants", "variant id")
+    model_names = _names(args.models, "--models", "model name")
     if "naive" not in model_names:
         model_names.append("naive")  # reports are baseline-relative
     registry = builtin_registry()
@@ -216,37 +166,35 @@ def cmd_run(args: argparse.Namespace) -> int:
         if name not in registry:
             raise CliError(f"unknown model name {name!r}")
     specs = []
-    for vid in dict.fromkeys(cfg["variants"]):
+    for vid in variant_ids:
         try:
             specs.append(spec_by_id(vid))
         except KeyError:
             raise CliError(f"unknown variant id {vid!r}") from None
 
     penalty = PenaltyTable()
-    if cfg.get("penalty_table"):
-        penalty = PenaltyTable.from_json(_read(cfg["penalty_table"]))
+    if args.penalty_table:
+        penalty = PenaltyTable.from_json(_read(args.penalty_table))
 
-    if cfg.get("input"):
-        raw = _load_cohort(cfg["input"])
-    elif cfg.get("synth"):
-        raw = generate(config_from_json(json.dumps(cfg["synth"])))
+    if args.input:
+        raw = _load_cohort(args.input)
     else:
-        raise CliError("no cohort: pass --input or set 'input'/'synth' in the config")
+        raw = generate(config_from_json(_read(args.synth)))
 
-    out_dir = cfg["out"]
+    out_dir = args.out
     _require_parent_dir(out_dir)
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise CliError(f"output path is not a directory: {out_dir}")
 
     cleaned, cleaning_reports = clean_cohort(raw)
-    datasets = [materialize(cleaned, spec, min_records=cfg["min_records"])
+    datasets = [materialize(cleaned, spec, min_records=args.min_records)
                 for spec in specs]
     empty = [d.spec.id for d in datasets
-             if not any(len(rows) >= cfg["k"] for rows in d.per_patient.values())]
+             if not any(len(rows) >= args.k for rows in d.per_patient.values())]
     if empty:
         raise CliError(
-            f"no patient met --min-records {cfg['min_records']} (with at least "
-            f"k={cfg['k']} rows) in variant(s) {', '.join(empty)}: all "
+            f"no patient met --min-records {args.min_records} (with at least "
+            f"k={args.k} rows) in variant(s) {', '.join(empty)}: all "
             f"{len(cleaned)} patient(s) were excluded there, so those cells "
             f"would be empty"
         )
@@ -264,11 +212,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise CliError(
             f"stacking models need at least two retained patients: "
             f"{', '.join(stacking)} cannot run on variant(s) {', '.join(lone)}, "
-            f"which keep fewer than two patients at --min-records {cfg['min_records']}"
+            f"which keep fewer than two patients at --min-records {args.min_records}"
         )
 
-    results = evaluate_grid(datasets, [registry[name] for name in model_names], cfg["k"],
-                            cfg["seed"], penalty, jobs=cfg["jobs"])
+    results = evaluate_grid(datasets, [registry[name] for name in model_names], args.k,
+                            args.seed, penalty, jobs=args.jobs)
     reports = list(results.values())
     # every patient no cell scored: under --min-records, or with fewer than k rows
     excluded = {d.spec.id: set(d.excluded_patients) for d in datasets}
@@ -291,9 +239,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_atomic(os.path.join(out_dir, "cleaning.csv"), cleaning_csv(cleaning_reports))
     meta = {
         "version": __version__,
-        "seed": cfg["seed"],
-        "k": cfg["k"],
-        "min_records": cfg["min_records"],
+        "seed": args.seed,
+        "k": args.k,
+        "min_records": args.min_records,
         "variants": [s.id for s in specs],
         "models": model_names,
         "penalty_table": dict(penalty.weights),
@@ -397,16 +345,33 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
     return summary
 
 
+def _patients_per_variant(long_csv: str) -> dict[str, set[str]]:
+    """The patients each variant of a checked results CSV scored."""
+    patients: dict[str, set[str]] = {}
+    for line in long_csv.splitlines()[1:]:
+        if line.strip():
+            _model, variant, _metric, patient, _value = line.split(",")
+            patients.setdefault(variant, set()).add(patient)
+    return patients
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     path = os.path.join(args.results, LONG_CSV_NAME)
     if not os.path.exists(path):
         raise CliError(f"no {LONG_CSV_NAME} in {args.results}")
-    summary = summarize_results(_read(path))
+    long_csv = _read(path)
+    summary = summarize_results(long_csv)
     if not summary:
         raise CliError(
             f"{path} holds no per-patient results: no patient met the run's "
             f"--min-records, so every patient was excluded"
         )
+    patients = _patients_per_variant(long_csv)
+    if len({frozenset(pids) for pids in patients.values()}) > 1:
+        counts = ", ".join(f"{vid} {len(pids)}" for vid, pids in patients.items())
+        print(f"note: the variants scored different patients (patients per variant: "
+              f"{counts}), so their cohort scores are means over different patients",
+              file=sys.stderr)
     lines = [SUMMARY_CSV_HEADER]
     print(f"{'metric':<8}{'naive':>10}{'best':>10}{'improv%':>10}  "
           f"{'best model':<24}{'variant'}")
@@ -452,19 +417,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for ep_counts/cleaning/variants/models CSVs")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("run", help="run the model x variant grid")
-    p.add_argument("--config", help="grid config JSON file")
-    p.add_argument("--input", help="cohort CSV path")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: $GLYBENCH_JOBS or 1)")
-    p.add_argument("--variants", nargs="*", help="variant ids")
-    p.add_argument("--models", nargs="*", help="model names")
-    p.add_argument("--k", type=int, default=None, help="folds per patient")
-    p.add_argument("--min-records", dest="min_records", type=int, default=None)
+    p = sub.add_parser(
+        "run", help="run the model x variant grid",
+        description="Evaluate each model on each dataset variant of one cohort under "
+                    "contiguous k-fold cross-validation, next to the naive baseline, and "
+                    "write the result tables to --out. The cohort is a diary CSV "
+                    "(--input) or is generated from a synth config (--synth); only a "
+                    "generated cohort keeps the patient characteristics that D_a5 and "
+                    "D_e5 need.")
+    cohort = p.add_mutually_exclusive_group(required=True)
+    cohort.add_argument("--input", help="cohort CSV path")
+    cohort.add_argument("--synth", metavar="FILE",
+                        help="synth config JSON file, as `synth --config` reads it; its "
+                             "seed seeds the cohort, --seed the evaluation")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="evaluation seed (default: %(default)s)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes (default: %(default)s)")
+    p.add_argument("--variants", nargs="*", default=DEFAULT_GRID_VARIANTS,
+                   help=f"variant ids (default: {','.join(DEFAULT_GRID_VARIANTS)})")
+    p.add_argument("--models", nargs="*", default=DEFAULT_GRID_MODELS,
+                   help=f"model names; naive always runs "
+                        f"(default: {','.join(DEFAULT_GRID_MODELS)})")
+    p.add_argument("--k", type=int, default=DEFAULT_K,
+                   help="folds per patient (default: %(default)s)")
+    p.add_argument("--min-records", dest="min_records", type=int, default=DEFAULT_MIN_RECORDS,
+                   help="rows a patient needs in a variant to be kept (default: %(default)s)")
     p.add_argument("--penalty-table", dest="penalty_table",
-                   help="JSON file of zone -> weight")
+                   help=f"JSON file of zone -> weight "
+                        f"(default: {json.dumps(DEFAULT_ZONE_WEIGHTS)})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="summarize a results directory")

@@ -96,14 +96,12 @@ def test_synth_rejects_bad_config_before_writing(tmp_path, capsys, config, key):
 
 @pytest.mark.parametrize("config, key", BAD_SYNTH_CONFIGS)
 def test_run_rejects_bad_inline_synth_config_before_writing(tmp_path, capsys, config, key):
+    # the synth config that `run --synth` reads
     out = tmp_path / "results"
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({
-        "synth": {"preset": "default", "patients": 2, "days": 20, **config},
-        "out": str(out), "variants": ["D_a6"], "models": ["naive"], "k": 5,
-        "min_records": 20,
-    }))
-    assert main(["run", "--config", str(path)]) == 2
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"preset": "default", "patients": 2, "days": 20, **config}))
+    assert main(["run", "--synth", str(path), "--out", str(out), "--variants", "D_a6",
+                 "--models", "naive", "--k", "5", "--min-records", "20"]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -302,13 +300,6 @@ def test_run_parallel_jobs_match_sequential(cohort_csv, tmp_path):
     assert tree_hashes(seq) == tree_hashes(par)
 
 
-def test_jobs_env_var_fallback(cohort_csv, tmp_path, monkeypatch):
-    monkeypatch.setenv("GLYBENCH_JOBS", "2")
-    out = tmp_path / "envjobs"
-    assert _run_small_grid(cohort_csv, out) == 0
-    assert (out / "results_long.csv").exists()
-
-
 def test_run_custom_penalty_table(cohort_csv, tmp_path):
     table = tmp_path / "weights.json"
     table.write_text('{"A": 1, "B": 9, "C": 9, "D": 9, "E": 9}')
@@ -364,62 +355,96 @@ def test_run_rejects_non_finite_or_unknown_penalty_zones(
     assert message in capsys.readouterr().err
 
 
-def test_run_grid_config_file_with_flag_overrides(cohort_csv, tmp_path):
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "input": str(cohort_csv),
-                "variants": ["D_a6"],
-                "models": ["naive"],
-                "k": 5,
-                "min_records": 20,
-            }
-        )
-    )
-    out = tmp_path / "results"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "results_long.csv").exists()
+def _run_args(cohort_csv, out, *flags):
+    """``run`` on one small cell, ``flags`` after (and so over) its own."""
+    return ["run", "--input", str(cohort_csv), "--out", str(out), "--variants", "D_a6",
+            "--models", "naive", "--k", "5", "--min-records", "20", *flags]
 
 
 @pytest.mark.parametrize(
-    "config, flags, env, key",
+    "flags, message",
     [
-        ({"k": "5"}, [], None, "'k'"),
-        ({"k": True}, [], None, "'k'"),
-        ({}, ["--k", "1"], None, "'k'"),
-        ({"min_records": -1}, [], None, "'min_records'"),
-        ({"min_records": 2.5}, [], None, "'min_records'"),
-        ({"seed": "abc"}, [], None, "'seed'"),
-        ({"fold_local_stats": True}, [], None, "'fold_local_stats'"),
-        ({"fold_local_stats": False}, [], None, "'fold_local_stats'"),
-        ({}, ["--jobs", "-4"], None, "'jobs'"),
-        ({"jobs": False}, [], None, "'jobs'"),
-        ({}, [], "0", "'jobs'"),
-        ({}, [], "two", "GLYBENCH_JOBS"),
-        ({"variants": "D_a6"}, [], None, "'variants'"),
-        ({"models": ["naive", 3]}, [], None, "'models'"),
-        ({"out": 5}, [], None, "'out'"),
-        ({"variants": []}, [], None, "'variants'"),
-        ({}, ["--variants", ","], None, "'variants'"),
-        ({"min_record": 20}, [], None, "unknown config key 'min_record'"),
+        (["--k", "1"], "--k must be an integer >= 2, got 1"),
+        (["--min-records", "-1"], "--min-records must be an integer >= 0, got -1"),
+        (["--jobs", "-4"], "--jobs must be an integer >= 1, got -4"),
+        (["--variants", ","], "--variants is empty"),
     ],
+    ids=["k=1", "min-records=-1", "jobs=-4", "variants=,"],
 )
-def test_run_rejects_bad_grid_values_before_writing(
-    cohort_csv, tmp_path, capsys, monkeypatch, config, flags, env, key
-):
-    if env is None:
-        monkeypatch.delenv("GLYBENCH_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("GLYBENCH_JOBS", env)
+def test_run_rejects_bad_grid_values_before_writing(cohort_csv, tmp_path, capsys, flags,
+                                                     message):
     out = tmp_path / "results"
-    grid = {"input": str(cohort_csv), "out": str(out), "variants": ["D_a6"],
-            "models": ["naive"], "k": 5, "min_records": 20, **config}
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
-    assert main(["run", "--config", str(path), *flags]) == 2
-    assert key in capsys.readouterr().err
+    assert main(_run_args(cohort_csv, out, *flags)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--variants"], ["--models"], ["--models", ","],
+                                   ["--variants", ","]], ids=" ".join)
+def test_run_with_an_empty_name_list_exits_2_naming_the_flag(cohort_csv, tmp_path, capsys,
+                                                             flags):
+    out = tmp_path / "results"
+    assert main(_run_args(cohort_csv, out, *flags)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flags[0]} is empty")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--input", "COHORT", "--synth", "SYNTH", "--out", "OUT"],
+         "argument --synth: not allowed with argument --input"),
+        (["--out", "OUT"], "one of the arguments --input --synth is required"),
+        (["--input", "COHORT"], "the following arguments are required: --out"),
+        (["--input", "COHORT", "--out", "OUT", "--config", "SYNTH"],
+         "unrecognized arguments: --config"),
+    ],
+    ids=["input and synth", "no cohort", "no out", "config"],
+)
+def test_run_needs_one_cohort_and_an_out_directory(cohort_csv, tmp_path, capsys, flags,
+                                                   message):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 20}')
+    paths = {"COHORT": str(cohort_csv), "SYNTH": str(synth), "OUT": str(tmp_path / "r")}
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exited:
+        main(["run", *(paths.get(flag, flag) for flag in flags)])
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_run_help_shows_every_default(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--help"])
+    assert exited.value.code == 0
+    # argparse wraps a long default at any character, so compare without whitespace
+    printed = "".join(capsys.readouterr().out.split())
+    for help_text, default in (
+        ("evaluationseed", 0),
+        ("parallelworkerprocesses", 1),
+        ("variantids", ",".join(cli.DEFAULT_GRID_VARIANTS)),
+        ("naivealwaysruns", ",".join(cli.DEFAULT_GRID_MODELS)),
+        ("foldsperpatient", cli.DEFAULT_K),
+        ("tobekept", cli.DEFAULT_MIN_RECORDS),
+        ("zone->weight", "".join(json.dumps(evaluation.DEFAULT_ZONE_WEIGHTS).split())),
+    ):
+        assert f"{help_text}(default:{default})" in printed
+
+
+def test_run_synth_equals_synth_then_run_input(tmp_path):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 20, "seed": 3}')
+    cohort, generated, read = tmp_path / "c.csv", tmp_path / "generated", tmp_path / "read"
+    grid = ["--variants", "D_a6,D_e6", "--models", "naive,ridge", "--k", "5",
+            "--min-records", "20", "--seed", "1"]
+    assert main(["run", "--synth", str(synth), "--out", str(generated), *grid]) == 0
+    assert main(["synth", "--config", str(synth), "--out", str(cohort)]) == 0
+    assert main(["run", "--input", str(cohort), "--out", str(read), *grid]) == 0
+    assert len(tree_hashes(generated)) > 10
+    assert tree_hashes(generated) == tree_hashes(read)
 
 
 def test_non_finite_glucose_fails_inspect_and_run(cohort_csv, tmp_path, capsys):
@@ -553,22 +578,11 @@ def test_records_become_arrays_once_per_patient_per_command(cohort_csv, tmp_path
 
 
 def test_run_with_inline_synth_config(tmp_path):
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "synth": {"preset": "high_signal", "patients": 3, "days": 20,
-                          "seed": 4},
-                "variants": ["D_a6"],
-                "models": ["naive", "ridge"],
-                "k": 5,
-                "min_records": 20,
-                "seed": 4,
-                "out": str(tmp_path / "results"),
-            }
-        )
-    )
-    assert main(["run", "--config", str(cfg)]) == 0
+    cfg = tmp_path / "synth.json"
+    cfg.write_text('{"preset": "high_signal", "patients": 3, "days": 20, "seed": 4}')
+    assert main(["run", "--synth", str(cfg), "--out", str(tmp_path / "results"),
+                 "--variants", "D_a6", "--models", "naive,ridge", "--k", "5",
+                 "--min-records", "20", "--seed", "4"]) == 0
     assert (tmp_path / "results" / "wide_L1.csv").exists()
 
 
@@ -582,6 +596,34 @@ def test_report_summarizes_best_model(cohort_csv, tmp_path, capsys):
     summary = (tmp_path / "summary.csv").read_text().strip().splitlines()
     assert summary[0].startswith("metric,naive_error,best_error")
     assert len(summary) == 1 + len(METRICS)
+
+
+def test_report_notes_variants_that_scored_different_patients(tmp_path, capsys):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 3, "days": 20, "seed": 3}')
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", "--config", str(synth), "--out", str(cohort)]) == 0
+    printed = {}
+    # 70 rows keep all three patients in D_a6 but only P01 in the EP-filtered D_e6
+    for min_records in ("70", "60"):
+        out = tmp_path / f"results{min_records}"
+        assert main(["run", "--input", str(cohort), "--out", str(out),
+                     "--variants", "D_e6,D_a6", "--models", "naive,ridge", "--k", "5",
+                     "--min-records", min_records]) == 0
+        assert json.loads((out / "run_meta.json").read_text())["excluded_patients"] == (
+            {"D_a6": [], "D_e6": ["P02", "P03"]} if min_records == "70"
+            else {"D_a6": [], "D_e6": []})
+        capsys.readouterr()
+        assert main(["report", str(out), "--out", str(tmp_path / "summary.csv")]) == 0
+        printed[min_records] = capsys.readouterr()
+    assert printed["70"].err == (
+        "note: the variants scored different patients (patients per variant: D_a6 3, "
+        "D_e6 1), so their cohort scores are means over different patients\n")
+    assert printed["60"].err == ""
+    # the note goes to stderr only: the table is unchanged
+    assert printed["70"].out.splitlines()[0] == printed["60"].out.splitlines()[0]
+    assert "note" not in printed["70"].out
+    assert len(printed["70"].out.splitlines()) == 1 + len(METRICS)
 
 
 def test_report_on_missing_dir_exits_2(tmp_path, capsys):
@@ -695,13 +737,10 @@ def test_run_refuses_a_static_variant_on_a_cohort_without_characteristics(tmp_pa
     assert not out.exists()
 
     # a synthetic cohort that run generates itself keeps its characteristics
-    config = tmp_path / "grid.json"
-    config.write_text(json.dumps({
-        "synth": {"preset": "default", "patients": 2, "days": 20, "seed": 3},
-        "out": str(out), "variants": ["D_a5", "D_e5"], "models": ["naive", "ridge"],
-        "k": 5, "min_records": 20,
-    }))
-    assert main(["run", "--config", str(config)]) == 0
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 20, "seed": 3}')
+    assert main(["run", "--synth", str(synth), "--out", str(out), "--variants", "D_a5,D_e5",
+                 "--models", "naive,ridge", "--k", "5", "--min-records", "20"]) == 0
     wide = (out / "wide_L1.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in wide] == ["variant", "D_a5", "D_e5"]
     assert "nan" not in "".join(wide)
