@@ -37,8 +37,10 @@ MIN_LEAF = 2
 # layout (28 when a column has more than 256 distinct values): two row-id
 # buffers, a score buffer, the slots' ranks and two masks, shared by
 # phase (see _Scratch). Each block row adds its target and its ranks.
-# 1 << 14 lowers a grid run's peak memory by about 3.5 MB, but an rf4
-# fit takes about 40% longer.
+# At 1 << 14 ... 1 << 18 the 20 rf4 fits of a grid run take 0.82, 0.74,
+# 0.66, 0.64 and 0.75 CPU s (2-core x86-64, minimum of 7 interleaved
+# rounds), and one fit peaks at 3.1, 2.9, 5.1, 9.9 and 19.6 MB under
+# tracemalloc: past 1 << 16 the memory doubles and the time stops falling.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -87,8 +89,9 @@ def grow_trees(
     when its targets are all equal, or when no boundary between distinct
     sorted values leaves ``MIN_LEAF`` rows on each side. Otherwise it
     splits at the midpoint threshold that maximizes the children's
-    sum²/count (equivalently, minimizes their squared error); ties go
-    to the lowest (sorted position, feature) index.
+    sum²/count (equivalently, minimizes their squared error). Ties go to
+    the first sorted position where the maximum over features peaks, then
+    to the first feature there.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -339,21 +342,22 @@ def _search(
     """Best split of every node of one level: (found, feature, slot).
 
     ``slot`` is the last slot left of the best boundary in the feature's
-    sorted order. The right-hand sums live in the scratch storage named
-    ``spare``. Each node's prefix sums start from zero and run in its own
-    sorted order, so every score is exactly the one a search of that node
-    on its own computes.
+    sorted order: the node's first slot where the per-slot maximum over
+    features peaks, by the first feature there. The right-hand sums live
+    in the scratch storage named ``spare``. Each node's prefix sums start
+    from zero and run in its own sorted order, so every score is exactly
+    the one a search of that node on its own computes.
     """
     f = rows.shape[0]
     counts = layout.counts[layout.node]
     score = np.take(target, rows, out=scratch("score", rows.shape), mode="clip")
     y0 = score[0].copy()
     right = scratch(spare, rows.shape)
-    for start, m, w, nodes in layout.groups:
+    for start, m, w, _ in layout.groups:
         csum = score[:, start : start + m * w].reshape(f, m, w)
         np.cumsum(csum, axis=2, out=csum)
-        total = csum[:, np.arange(m), layout.counts[nodes] - 1]
-        np.subtract(total[:, :, None], csum, out=right[:, start : start + m * w].reshape(f, m, w))
+        # a node's last slot holds its total: padding adds the sentinel's 0.0
+        np.subtract(csum[:, :, -1:], csum, out=right[:, start : start + m * w].reshape(f, m, w))
     left_n = layout.pos + 1.0
     right_n = counts - left_n
     right_n[right_n < 1.0] = 1.0  # past a node's last row; keeps scores finite
@@ -377,27 +381,22 @@ def _search(
     score *= valid
     score -= np.logical_not(valid, out=scratch("mask1", rows.shape, bool))
 
-    # per node, the maximum at the lowest (slot, feature) flat index
-    k = len(layout.counts)
-    best = np.empty(k)
-    pos = np.empty(k, dtype=np.intp)
-    feat = np.empty(k, dtype=np.intp)
+    # per node, the maximum at the lowest (slot, feature) index: the first
+    # slot where the per-slot maximum peaks, then the first feature there
+    slot_best = score.max(axis=0)
+    pos = np.empty(len(layout.counts), dtype=np.intp)
     for start, m, w, nodes in layout.groups:
-        view = score[:, start : start + m * w].reshape(f, m, w)
-        first = view.argmax(axis=2)  # first slot of each feature's maximum
-        col_best = np.take_along_axis(view, first[:, :, None], axis=2)[:, :, 0]
-        node_best = col_best.max(axis=0)
-        first[col_best < node_best] = w
-        best[nodes] = node_best
-        pos[nodes] = first.min(axis=0)
-        feat[nodes] = (first == pos[nodes]).argmax(axis=0)
+        pos[nodes] = slot_best[start : start + m * w].reshape(m, w).argmax(axis=1)
+    at = layout.start + pos
+    best = slot_best[at]
+    feat = (score[:, at] == best).argmax(axis=0)
     found = best >= 0.0
 
     # a node whose targets are all equal is a leaf
     hi = np.maximum.reduceat(np.where(layout.real, y0, -np.inf), layout.sorted_start)
     lo = np.minimum.reduceat(np.where(layout.real, y0, np.inf), layout.sorted_start)
     found[layout.order] &= hi != lo
-    return found, feat, layout.start + pos
+    return found, feat, at
 
 
 def _leaf_means(y: np.ndarray, leaf_of: np.ndarray, leaf: np.ndarray) -> np.ndarray:

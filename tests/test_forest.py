@@ -150,7 +150,7 @@ def test_forest_needs_two_rows():
 
 @st.composite
 def tied_fixtures(draw):
-    """Few-valued columns, duplicate rows and repeated targets."""
+    """Few-valued columns, copied columns, duplicate rows and repeated targets."""
     n_base = draw(st.integers(1, 12))
     n_cols = draw(st.integers(1, 4))
     levels = draw(st.lists(st.integers(1, 4), min_size=n_cols, max_size=n_cols))
@@ -159,6 +159,10 @@ def tied_fixtures(draw):
          for _ in range(n_base)],
         dtype=float,
     )
+    # a copy of a column ties two features at every boundary, as identical
+    # columns of the grid's design do
+    copied = draw(st.lists(st.integers(0, n_cols - 1), max_size=2))
+    base_x = base_x[:, list(range(n_cols)) + copied]
     base_y = np.array(
         [draw(st.sampled_from([0.25, 1.0, 1.5, 2.0, 2.0 + 2.0**-40]))
          for _ in range(n_base)]

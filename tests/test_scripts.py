@@ -174,7 +174,8 @@ def test_compare_runs_reads_the_peak_rss_of_a_command():
     assert stdout == f"{32 << 20}\n"
     assert peak_mb >= 32.0
     assert tool.peak_line("grid", 2, 71.29, 66.66) == \
-        "== grid, --jobs 2: run peak RSS 71.3 MB -> 66.7 MB"
+        "== grid, --jobs 2: run peak RSS 71.3 MB -> 66.7 MB" \
+        " (one run per side, not compared; bench/run.py measures it)"
     with pytest.raises(tool.CommandFailed, match="exited 3: boom"):
         tool.spawn(ROOT / "src", "python", "-c",
                    "import sys; sys.stderr.write('boom'); sys.exit(3)")

@@ -21,7 +21,8 @@ changed one also shows its absolute difference in percentage points.
 ``report``'s printed table is compared line by line. Next comes each
 side's peak resident memory of ``run`` per jobs count, as ``os.wait4``
 reports it (the largest of the process and its reaped workers, as
-``bench/run.py`` reads it); it is shown, not compared. A last line per
+``bench/run.py`` reads it). That is one run per side, so it is shown,
+not compared; ``bench/run.py`` measures it over rounds. A last line per
 cohort compares the change's ``--jobs 2`` outputs with its ``--jobs 1``
 ones.
 
@@ -160,7 +161,8 @@ def run_side(src: Path, cohort: Cohort, work: Path, extra_env: dict[str, str] | 
 
 
 def peak_line(name: str, jobs: int, parent_mb: float, change_mb: float) -> str:
-    return f"== {name}, --jobs {jobs}: run peak RSS {parent_mb:.1f} MB -> {change_mb:.1f} MB"
+    return (f"== {name}, --jobs {jobs}: run peak RSS {parent_mb:.1f} MB -> {change_mb:.1f} MB"
+            " (one run per side, not compared; bench/run.py measures it)")
 
 
 def _printed_report(out: Path) -> Path:
