@@ -9,6 +9,7 @@ a message; success exits 0.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -152,7 +153,25 @@ def _names(chunks: Sequence[str], flag: str, what: str) -> list[str]:
     return names
 
 
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at its default, so every array over
+    128 KiB is mapped on allocation and unmapped when freed.
+
+    Left dynamic, glibc raises the threshold to the size of each mapped
+    block freed, and later kernel-sized arrays then come from the heap,
+    whose holes they fit or not by incidental layout: the peak RSS of one
+    ``run`` on the same cohort moved by 5 MB with the name of the directory
+    its input and output paths were in. Forked ``--jobs`` workers inherit
+    the setting.
+    """
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        if hasattr(libc, "mallopt"):
+            libc.mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    _pin_mmap_threshold()
     for flag, value, minimum in (("--k", args.k, 2), ("--min-records", args.min_records, 0),
                                  ("--jobs", args.jobs, 1)):
         if value < minimum:

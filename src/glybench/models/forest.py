@@ -92,6 +92,11 @@ def grow_trees(
     sum²/count (equivalently, minimizes their squared error). Ties go to
     the first sorted position where the maximum over features peaks, then
     to the first feature there.
+
+    The search reads only the columns' dense ranks and the targets, so a
+    column whose ranks equal an earlier column's scores the same at every
+    boundary and, by the tie rule, is never chosen: only the first column
+    of each group of equal rank columns is searched.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -99,13 +104,12 @@ def grow_trees(
     n_trees, n = samples.shape
     if n_trees == 0:
         raise ValueError("need at least one tree")
-    # a column constant over all rows never splits; column 0 always stays
-    # so that every search has a column to look at
-    searched = x.min(axis=0) < x.max(axis=0)
-    searched[0] = True
-    cols = np.flatnonzero(searched)
-    x = x[:, cols]
     rank = _dense_ranks(x)
+    cols = np.sort(np.unique(rank, axis=1, return_index=True)[1])
+    # a column constant over all rows (all ranks 0) never splits; column 0
+    # always stays so that every search has a column to look at
+    cols = cols[(cols == 0) | rank[:, cols].any(axis=0)]
+    x, rank = x[:, cols], rank[:, cols]
     per_block = max(1, _BLOCK_CELLS // (n * len(cols)))
 
     scratch = _Scratch()

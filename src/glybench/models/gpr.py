@@ -24,6 +24,7 @@ import numpy as np
 
 from ..features import Design, FeatureConfig
 from ..records import MealSlot
+from . import lapack
 from .base import LogLearner
 
 DEFAULT_NUGGET = 0.25
@@ -72,8 +73,6 @@ def _factor_training_kernel(z: np.ndarray, nugget: float) -> np.ndarray:
     at the same position of the matrix it factorizes, so U does too.
     The returned array is F-ordered; its lower triangle is scratch.
     """
-    from scipy.linalg import cho_factor  # lazily: it loads in 0.2 s
-
     n = len(z)
     s = np.sum(z**2, axis=1)
     t = np.matmul(2.0 * z, z.T)
@@ -86,8 +85,7 @@ def _factor_training_kernel(z: np.ndarray, nugget: float) -> np.ndarray:
         t[rows, rows] = t[rows, rows].T  # numpy copies an overlapping source first
         _rbf_in_place(t[rows, :end], s[rows, None], s[None, :end])
     t.flat[:: n + 1] += nugget
-    factor, _ = cho_factor(t.T, overwrite_a=True, check_finite=False)
-    return factor
+    return lapack.dpotrf(t.T, overwrite_a=True)
 
 
 class GprCore:
@@ -102,8 +100,6 @@ class GprCore:
         self._mean = 0.0
 
     def fit(self, z: np.ndarray, y: np.ndarray) -> None:
-        from scipy.linalg import cho_solve
-
         if len(y) == 0:
             raise ValueError("gpr needs at least one training row")
         z = np.atleast_2d(np.asarray(z, float))
@@ -114,7 +110,7 @@ class GprCore:
         self._z = z
         self._mean = self.prior_mean if self.prior_mean is not None else float(y.mean())
         self._factor = _factor_training_kernel(z, self.nugget)
-        self._alpha = cho_solve((self._factor, False), y - self._mean, check_finite=False)
+        self._alpha = lapack.dpotrs(self._factor, y - self._mean)
 
     def _cross_kernel(self, q: np.ndarray) -> np.ndarray:
         if self._z is None or self._alpha is None:
@@ -127,13 +123,10 @@ class GprCore:
 
     def posterior(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and standard deviations for a batch of queries."""
-        from scipy.linalg import solve_triangular
-
         k_star = self._cross_kernel(q)
         means = self._mean + k_star @ self._alpha
         # Alg. 2.1: v = U⁻ᵀ k*, var = 1 - vᵀv, solved over k*ᵀ in place
-        v = solve_triangular(self._factor, k_star.T, trans="T", overwrite_b=True,
-                             check_finite=False)
+        v = lapack.dtrtrs(self._factor, k_star.T, overwrite_b=True)
         var = 1.0 - np.sum(v * v, axis=0)
         return means, np.sqrt(np.maximum(var, 0.0))
 

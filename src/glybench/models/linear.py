@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ..features import Design, FeatureConfig
+from . import lapack
 from .base import LogLearner
 
 
@@ -50,11 +51,13 @@ class RidgePredictor(LogLearner):
         self.alpha = alpha
 
     def _fit(self, z: np.ndarray, y: np.ndarray, train: Design) -> None:
-        from scipy.linalg import cho_factor, cho_solve  # lazily: it loads in 0.2 s
-
         self.intercept = float(y.mean())
         gram = z.T @ z + self.alpha * np.eye(z.shape[1])
-        self.weights = cho_solve(cho_factor(gram), z.T @ (y - self.intercept))
+        rhs = z.T @ (y - self.intercept)
+        # the one finiteness check: LAPACK is called without scipy's scans
+        if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+            raise ValueError("ridge needs finite training inputs and targets")
+        self.weights = lapack.dpotrs(lapack.dpotrf(gram), rhs)
 
     def _predict(self, q: np.ndarray, test: Design) -> np.ndarray:
         return self.intercept + q @ self.weights

@@ -6,7 +6,11 @@ import hashlib
 import json
 import math
 import os
+import platform
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -940,3 +944,41 @@ def test_summarize_naive_only_run_improves_zero():
     rows = summarize_results(long_csv)
     assert rows[0]["best_model"] == "naive"
     assert rows[0]["percent_improvement"] == 0.0
+
+
+# After `COMMAND`, frees a 24 MiB array (mapped at glibc's default
+# threshold) and prints whether a 16 MiB one then lands on the brk heap.
+_HEAP_AFTER = """
+import contextlib
+import io
+import json
+import sys
+import numpy as np
+from glybench.cli import main
+
+command, cohort, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synth", "--preset", "default", "--seed", "5", "--out", cohort]) == 0
+    run = ["--variants", "D_a6", "--models", "ridge", "--k", "5", "--out", out]
+    assert main([command, "--input", cohort, *(run if command == "run" else [])]) == 0
+freed = np.ones(3 << 20)
+del freed
+address = np.ones(2 << 20).__array_interface__["data"][0]
+with open("/proc/self/maps") as maps:
+    heaps = [line.split()[0].split("-") for line in maps if line.rstrip().endswith("[heap]")]
+print(json.dumps(any(int(lo, 16) <= address < int(hi, 16) for lo, hi in heaps)))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc only")
+@pytest.mark.parametrize("command, on_heap", [("inspect", True), ("run", False)])
+def test_run_keeps_large_arrays_off_the_heap_after_a_large_free(tmp_path, command, on_heap):
+    # `inspect` leaves glibc's dynamic threshold as it is, the control
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", _HEAP_AFTER, command,
+                           str(tmp_path / "cohort.csv"), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) is on_heap

@@ -35,7 +35,7 @@ from glybench.evaluation import (
 )
 from glybench.features import PCA_COMPONENTS
 from glybench.ingest import clean, clean_cohort
-from glybench.models import builtin_registry
+from glybench.models import builtin_registry, lapack
 from glybench.records import MGDL_PER_MMOLL, MealSlot
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, prepare_patient, rebuild_rows, spec_by_id
@@ -678,16 +678,14 @@ def test_only_the_models_that_go_through_blas_depend_on_the_blas_kernel():
 
 
 def _count_factorizations(monkeypatch) -> list[np.ndarray]:
-    import scipy.linalg
-
     factorized = []
-    cho_factor = scipy.linalg.cho_factor
+    dpotrf = lapack.dpotrf
 
     def spy(a, *args, **kwargs):
         factorized.append(np.array(a))
-        return cho_factor(a, *args, **kwargs)
+        return dpotrf(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    monkeypatch.setattr(lapack, "dpotrf", spy)
     return factorized
 
 

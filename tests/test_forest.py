@@ -194,6 +194,22 @@ def test_level_wise_grower_equals_the_recursive_oracle(fixture):
     assert np.array_equal(ours, theirs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(tied_fixtures(), st.lists(st.tuples(st.integers(0, 5), st.booleans()),
+                                 min_size=1, max_size=4))
+def test_appended_copies_of_columns_leave_every_tree_field_byte_equal(fixture, picks):
+    # a copy, or an increasing map, of a column has that column's ranks
+    x, y, samples, max_depth = fixture
+    copies = [x[:, j % x.shape[1]] * (2.0 if scaled else 1.0) + (1.0 if scaled else 0.0)
+              for j, scaled in picks]
+    trees = grow_trees(x, y, samples, max_depth)
+    wider = grow_trees(np.column_stack([x, *copies]), y, samples, max_depth)
+    for field in dataclasses.fields(TreeArrays):
+        mine, theirs = getattr(wider, field.name), getattr(trees, field.name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+        assert mine.tobytes() == theirs.tobytes(), field.name
+
+
 def test_single_tree_equals_the_oracle_without_bootstrap():
     rng = np.random.default_rng(5)
     x = rng.integers(0, 3, size=(30, 3)).astype(float)

@@ -298,12 +298,10 @@ def test_one_solve_sigmas_match_the_two_solve_form(n, m):
 def test_a_fit_holds_one_kernel_sized_array():
     import tracemalloc
 
-    import scipy.linalg  # noqa: F401  (its import is not the fit's memory)
-
     n = 1000
     rng = np.random.default_rng(3)
     z, y = rng.normal(size=(n, 20)), rng.normal(size=n)
-    GprCore().fit(z[:10], y[:10])
+    GprCore().fit(z[:10], y[:10])  # loads LAPACK, which is not the fit's memory
     tracemalloc.start()
     try:
         GprCore().fit(z, y)

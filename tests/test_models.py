@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -92,6 +93,23 @@ def test_ridge_two_point_closed_form():
     assert len(varying) == 1
     assert varying[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert predict_one(m, frow(bg=4.0)) == pytest.approx(math.exp(0.5 + 1.0 / 3.0), abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("where", ["z", "y"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_ridge_refuses_non_finite_inputs(where, value):
+    data = design([frow(bg=4.0 + i, cho_prev=10.0 * i, target_bg=5.0 + i) for i in range(6)])
+    if where == "z":
+        x = data.x.copy()
+        x[2, 5] = value
+        data = dataclasses.replace(data, x=x)
+    else:
+        logs = data.log_target.copy()
+        logs[2] = value
+        data = dataclasses.replace(data, log_target=logs)
+    with pytest.raises(ValueError, match="finite"):
+        RidgePredictor(CFG).fit(data)
 
 
 def test_ridge_matches_dense_inverse_oracle():
@@ -304,9 +322,12 @@ def test_every_registry_model_refits_bit_identically():
 
 
 _SETUP_PATH = """
+import contextlib
+import io
 import json
 import sys
 import glybench
+from glybench.cli import main
 from glybench.ep import ep_counts
 from glybench.ingest import clean_cohort, parse_diary_csv
 from glybench.records import encode_diary_csv
@@ -317,18 +338,54 @@ text = encode_diary_csv(generate(default_config(patients=2, days=10, seed=1)))
 cleaned, _ = clean_cohort(parse_diary_csv(text))
 for vid in ("D_a6", "D_e12"):
     materialize(cleaned, spec_by_id(vid), min_records=1)
+with open(sys.argv[1], "w") as f:
+    f.write(text)
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(["inspect", "--input", sys.argv[1]])
 print(json.dumps({"ep_counts": [ep_counts(cleaned[pid]) for pid in sorted(cleaned)],
-                  "modules": sorted(sys.modules)}))
+                  "inspect": status, "modules": sorted(sys.modules)}))
+"""
+
+_RUN = """
+import contextlib
+import io
+import json
+import sys
+from glybench.cli import main
+from glybench.records import encode_diary_csv
+from glybench.synth import default_config, generate
+
+with open(sys.argv[1], "w") as f:
+    f.write(encode_diary_csv(generate(default_config(patients=2, days=20, seed=4))))
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(["run", "--input", sys.argv[1], "--out", sys.argv[2], "--variants", "D_a6",
+                   "--models", "ridge,gpr_be", "--k", "5", "--min-records", "20"])
+print(json.dumps({"run": status, "modules": sorted(sys.modules)}))
 """
 
 
-def test_the_set_up_path_does_not_load_scipy_linalg():
+def python_json(code: str, *args: str) -> dict:
+    """The JSON that ``code`` prints, run in a fresh process on this tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    done = subprocess.run([sys.executable, "-c", _SETUP_PATH], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_the_set_up_path_does_not_load_scipy_linalg(tmp_path):
+    # neither the set-up path nor `inspect` factorizes, so neither loads LAPACK
+    loaded = python_json(_SETUP_PATH, str(tmp_path / "cohort.csv"))
     assert len(loaded["ep_counts"]) == 2
+    assert loaded["inspect"] == 0
+    assert "scipy.linalg" not in loaded["modules"]
+    assert "scipy.linalg._flapack" not in loaded["modules"]
+
+
+def test_a_run_loads_scipy_lapack_without_the_scipy_linalg_package(tmp_path):
+    loaded = python_json(_RUN, str(tmp_path / "cohort.csv"), str(tmp_path / "out"))
+    assert loaded["run"] == 0
+    assert "scipy.linalg._flapack" in loaded["modules"]
     assert "scipy.linalg" not in loaded["modules"]

@@ -145,6 +145,17 @@ def test_compare_runs_runs_only_the_change_side_under_change_env(tmp_path):
     assert "--change-env takes NAME=VALUE, got 'OPENBLAS_CORETYPE'" in done.stderr
 
 
+def test_replay_forest_finds_one_forest_file_identical_to_itself(tmp_path):
+    forest = str(ROOT / "src" / "glybench" / "models" / "forest.py")
+    done = _run([str(ROOT / "tools" / "replay_forest.py"), forest, forest, "--rounds", "1"],
+                cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "== grid: 20 grow_trees calls captured"
+    assert lines[1] == "trees: identical"
+    assert [line.split(":")[0] for line in lines[2:]] == ["parent", "change"]
+
+
 def _compare_runs_module():
     spec = importlib.util.spec_from_file_location("compare_runs",
                                                   ROOT / "tools" / "compare_runs.py")

@@ -61,6 +61,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,6 +130,24 @@ def registry_models(src: Path, extra_env: dict[str, str] | None = None) -> list[
     return names.strip().split(",")
 
 
+def cohort_commands(cohort: Cohort, csv_path: Path, models: Sequence[str]
+                    ) -> tuple[list[str], list[str]]:
+    """The ``glybench synth`` arguments that write the cohort to
+    ``csv_path`` (from a config file written beside it), and the
+    ``glybench run`` arguments that run ``models`` on it; the caller adds
+    ``run``'s ``--out`` and ``--jobs``."""
+    config = csv_path.with_name("synth.json")
+    config.write_text(json.dumps(
+        {"preset": "default", "patients": cohort.patients, "days": cohort.days}))
+    synth = ["synth", "--config", str(config), "--seed", str(cohort.seed),
+             "--out", str(csv_path)]
+    run = ["run", "--input", str(csv_path), "--models", ",".join(models),
+           "--k", str(cohort.k), "--min-records", str(MIN_RECORDS), "--seed", str(cohort.seed)]
+    if cohort.variants:
+        run += ["--variants", ",".join(cohort.variants)]
+    return synth, run
+
+
 def run_side(src: Path, cohort: Cohort, work: Path, extra_env: dict[str, str] | None = None
              ) -> tuple[Path, dict[int, Path], dict[int, float]]:
     """Synthesize the cohort, run it once per jobs count and report on
@@ -137,23 +156,16 @@ def run_side(src: Path, cohort: Cohort, work: Path, extra_env: dict[str, str] | 
     the run's directory, and its printed table goes to
     ``<directory>-report.txt`` beside it."""
     work.mkdir(parents=True)
-    config = work / "synth.json"
-    config.write_text(json.dumps(
-        {"preset": "default", "patients": cohort.patients, "days": cohort.days}))
     csv_path = work / "cohort.csv"
-    glybench(src, "synth", "--config", str(config), "--seed", str(cohort.seed),
-             "--out", str(csv_path), extra_env=extra_env)
-    models = cohort.models or registry_models(src, extra_env)
-    grid = ["--models", ",".join(models), "--k", str(cohort.k),
-            "--min-records", str(MIN_RECORDS), "--seed", str(cohort.seed)]
-    if cohort.variants:
-        grid += ["--variants", ",".join(cohort.variants)]
+    synth, run = cohort_commands(cohort, csv_path,
+                                 cohort.models or registry_models(src, extra_env))
+    glybench(src, *synth, extra_env=extra_env)
     outs, peaks = {}, {}
     for jobs in JOBS:
         outs[jobs] = work / f"jobs{jobs}"
-        _, peaks[jobs] = spawn(src, "glybench run", "-m", "glybench.cli", "run",
-                               "--input", str(csv_path), "--out", str(outs[jobs]), *grid,
-                               "--jobs", str(jobs), extra_env=extra_env)
+        _, peaks[jobs] = spawn(src, "glybench run", "-m", "glybench.cli", *run,
+                               "--out", str(outs[jobs]), "--jobs", str(jobs),
+                               extra_env=extra_env)
         printed = glybench(src, "report", str(outs[jobs]),
                            "--out", str(outs[jobs] / "summary.csv"), extra_env=extra_env)
         _printed_report(outs[jobs]).write_text(printed)
