@@ -56,10 +56,6 @@ from .evaluation import (
     contiguous_kfold,
     evaluate,
     evaluate_grid,
-    g_metric,
-    l1,
-    rl1,
-    rmse,
 )
 from .synth import SynthConfig, default_config, generate, high_signal_config, zero_signal_config
 
@@ -96,18 +92,14 @@ __all__ = [
     "evaluate",
     "evaluate_grid",
     "from_log",
-    "g_metric",
     "generate",
     "high_signal_config",
     "iob_fraction",
     "is_expert_predictable",
-    "l1",
     "materialize",
     "parse_diary_csv",
     "pca_apply",
     "pca_fit",
-    "rl1",
-    "rmse",
     "spec_by_id",
     "to_log_target",
     "validate_history",

@@ -94,7 +94,10 @@ def _load_cohort(path: str):
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise CliError(f"--seed must be an integer >= 0, got {args.seed}")
-    cfg = config_from_json(_read(args.config)) if args.config else PRESETS[args.preset]()
+    if args.config:
+        cfg = config_from_json(_read(args.config))
+    else:
+        cfg = PRESETS[args.preset or "default"]()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     _require_parent_dir(args.out)
@@ -292,15 +295,12 @@ SUMMARY_CSV_HEADER = (
 )
 
 
-def summarize_results(long_csv: str) -> list[dict[str, object]]:
-    """Best (model, variant) per metric with the naive reference value.
+Results = dict[tuple[str, str], dict[str, dict[str, float]]]
 
-    The per-patient values of each (model, variant) are read in file
-    order and go through ``cohort_scores`` and ``improvements``, as the
-    ``wide_*`` and ``improvement_*`` tables do, so the figures equal
-    those tables bit for bit. The winner is the lowest cohort loss (ties
-    break on model then variant name), and improvement is relative to
-    naive on the winning variant (NaN without a naive cell there).
+
+def read_results(long_csv: str) -> Results:
+    """A results CSV as ``{(model, variant): {patient: {metric: value}}}``,
+    in file order.
 
     A row that ``run`` cannot have written (a wrong field count, an
     unknown metric, a value that is not a finite error >= 0, or a
@@ -311,7 +311,7 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
              if ln.strip()]
     if not lines or lines[0][1] != LONG_CSV_HEADER:
         raise CliError("results file is not a long-form results CSV")
-    per_patient: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
+    per_patient: Results = {}
     line_of: dict[tuple[str, str, str, str], int] = {}
     for number, ln in lines[1:]:
         fields = ln.split(",")
@@ -334,16 +334,31 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
                            f"({model}, {variant}, {metric}, {patient})")
         line_of[key] = number
         per_patient.setdefault((model, variant), {}).setdefault(patient, {})[metric] = value
-    seen = {metric for values in per_patient.values()
+    return per_patient
+
+
+def summarize_results(results: Results) -> list[dict[str, object]]:
+    """Best (model, variant) per metric of ``read_results``' mapping, with
+    the naive reference value.
+
+    The per-patient values of each (model, variant) go through
+    ``cohort_scores`` and ``improvements``, as the ``wide_*`` and
+    ``improvement_*`` tables do, so the figures equal those tables bit
+    for bit. The winner is the lowest cohort loss (ties break on model
+    then variant name), and improvement is relative to naive on the
+    winning variant (NaN without a naive cell there). A patient that
+    lacks a metric the results have elsewhere raises a ``CliError``.
+    """
+    seen = {metric for values in results.values()
             for scores in values.values() for metric in scores}
     metrics = [metric for metric in METRICS if metric in seen]
-    for (model, variant), values in per_patient.items():
+    for (model, variant), values in results.items():
         for patient, scores in values.items():
             missing = [metric for metric in metrics if metric not in scores]
             if missing:
                 raise CliError(f"results file has no {missing[0]} value for {model} "
                                f"on {variant}, patient {patient}")
-    cohorts = {key: cohort_scores(values, metrics) for key, values in per_patient.items()}
+    cohorts = {key: cohort_scores(values, metrics) for key, values in results.items()}
     summary = []
     for metric in metrics:
         best_model, best_variant = min(
@@ -364,28 +379,20 @@ def summarize_results(long_csv: str) -> list[dict[str, object]]:
     return summary
 
 
-def _patients_per_variant(long_csv: str) -> dict[str, set[str]]:
-    """The patients each variant of a checked results CSV scored."""
-    patients: dict[str, set[str]] = {}
-    for line in long_csv.splitlines()[1:]:
-        if line.strip():
-            _model, variant, _metric, patient, _value = line.split(",")
-            patients.setdefault(variant, set()).add(patient)
-    return patients
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     path = os.path.join(args.results, LONG_CSV_NAME)
     if not os.path.exists(path):
         raise CliError(f"no {LONG_CSV_NAME} in {args.results}")
-    long_csv = _read(path)
-    summary = summarize_results(long_csv)
+    results = read_results(_read(path))
+    summary = summarize_results(results)
     if not summary:
         raise CliError(
             f"{path} holds no per-patient results: no patient met the run's "
             f"--min-records, so every patient was excluded"
         )
-    patients = _patients_per_variant(long_csv)
+    patients: dict[str, set[str]] = {}
+    for (_model, variant), values in results.items():
+        patients.setdefault(variant, set()).update(values)
     if len({frozenset(pids) for pids in patients.values()}) > 1:
         counts = ", ".join(f"{vid} {len(pids)}" for vid, pids in patients.items())
         print(f"note: the variants scored different patients (patients per variant: "
@@ -425,8 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic diary cohort CSV")
-    p.add_argument("--config", help="synth config JSON file")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="default")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="synth config JSON file")
+    source.add_argument("--preset", choices=sorted(PRESETS),
+                        help="a built-in config (default: default)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth)

@@ -52,16 +52,11 @@ class FoldPlan:
     k: int
     bounds: tuple[tuple[int, int], ...]   # [start, stop) per fold
 
-    def test_indices(self, j: int) -> list[int]:
-        start, stop = self.bounds[j]
-        return list(range(start, stop))
-
-    def train_indices(self, j: int) -> list[int]:
-        start, stop = self.bounds[j]
-        return list(range(0, start)) + list(range(stop, self.n))
-
-    def splits(self) -> list[tuple[list[int], list[int]]]:
-        return [(self.train_indices(j), self.test_indices(j)) for j in range(self.k)]
+    def splits(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each fold's (train, test) row positions, as intp arrays."""
+        rows = np.arange(self.n, dtype=np.intp)
+        return [(np.concatenate([rows[:start], rows[stop:]]), rows[start:stop])
+                for start, stop in self.bounds]
 
 
 def contiguous_kfold(n: int, k: int = DEFAULT_K) -> FoldPlan:
@@ -87,25 +82,6 @@ def contiguous_kfold(n: int, k: int = DEFAULT_K) -> FoldPlan:
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-def _errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """``predicted - actual``, refusing empty input."""
-    if not len(actual):
-        raise ValueError("metrics need at least one prediction")
-    return predicted - actual
-
-
-def l1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return _weighted(_errors(predicted, actual), 1.0, actual, "MAD")
-
-
-def rl1(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return _weighted(_errors(predicted, actual), 1.0, actual, "MARD")
-
-
-def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
-    return _weighted(_errors(predicted, actual), 1.0, actual, "RMSE")
-
 
 def clarke_zone(ref_mgdl, pred_mgdl) -> np.ndarray:
     """Clinical-error zone of each (reference, predicted) point, in mg/dl.
@@ -191,44 +167,23 @@ class PenaltyTable:
         return PenaltyTable({str(k): float(v) for k, v in data.items()})
 
 
-def _weighted(err: np.ndarray, w: np.ndarray | float, actual: np.ndarray, base: str) -> float:
-    """MAD, MARD or RMSE of ``w * err``; a weight of 1.0 is exact."""
-    if base == "MAD":
-        return float(np.mean(w * np.abs(err)))
-    if base == "MARD":
-        return float(np.mean(w * np.abs(err) / actual))
-    if base == "RMSE":
-        return float(math.sqrt(np.mean((w * err) ** 2)))
-    raise ValueError(f"unknown base metric {base!r}")
-
-
-def g_metric(
-    predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable, base: str
-) -> float:
-    """Penalty-weighted variant of MAD, MARD or RMSE.
-
-    Each prediction's error is multiplied by its zone weight before
-    aggregation; for RMSE the weighted error is what gets squared. A unit
-    table reproduces the base metric bit-for-bit.
-    """
-    return _weighted(_errors(predicted, actual), penalty.weight(actual, predicted), actual, base)
-
-
-# each plain metric and the base its penalty-weighted variant weights
-_BASES = (("L1", "MAD"), ("rL1", "MARD"), ("RMSE", "RMSE"))
-
-
 def compute_metrics(
     predicted: np.ndarray, actual: np.ndarray, penalty: PenaltyTable
 ) -> dict[str, float]:
-    """Every metric of :data:`METRICS`; the errors are taken and the
-    points' zones classified once."""
-    err = _errors(predicted, actual)
-    w = penalty.weight(actual, predicted)
-    return {
-        **{name: _weighted(err, 1.0, actual, base) for name, base in _BASES},
-        **{f"g{base}": _weighted(err, w, actual, base) for _, base in _BASES},
-    }
+    """Every metric of :data:`METRICS`: MAD, MARD and RMSE of the errors
+    ``predicted - actual``, then the same three of each error multiplied
+    by its point's zone weight (for RMSE the weighted error is what gets
+    squared). The points' zones are classified once, and a unit table
+    reproduces the plain metrics bit for bit."""
+    if not len(actual):
+        raise ValueError("metrics need at least one prediction")
+    err = predicted - actual
+    values = []
+    for w in (1.0, penalty.weight(actual, predicted)):
+        values += [float(np.mean(w * np.abs(err))),
+                   float(np.mean(w * np.abs(err) / actual)),
+                   math.sqrt(np.mean((w * err) ** 2))]
+    return dict(zip(METRICS, values))
 
 
 def cohort_mean(values: Sequence[float]) -> float:
@@ -278,8 +233,9 @@ def improvements(
 class EvalReport:
     """What one (model, variant) cell measured, per patient and in row
     order: the patient's fold plan, predictions and actual glucose, and
-    the metrics over them. ``metadata`` holds the cell's counters over
-    every fit: ``slot_fallbacks`` and ``pca_flags``."""
+    the metrics over them. ``metadata`` holds the cell's counters, each
+    model's ``diagnostics()`` summed over every fit: ``slot_fallbacks``
+    and ``pca_flags`` in every cell."""
 
     model: str
     variant: str
@@ -343,14 +299,15 @@ def evaluate_group(
     Per training fold, imputation means are recomputed from the records
     the training rows touch, and each model refits its own
     standardization/PCA on the training rows, so no test-fold
-    information reaches the fit. Only a patient with mean-policy gaps
-    (``PreparedPatient.needs_fold_means``) has a design the means can
-    change; any other patient's folds slice its materialized design.
+    information reaches the fit (``rebuild_rows`` returns the
+    materialized design of a patient whose means cannot change it).
     Patients with fewer than k rows are excluded and reported. Each
     fold's train and test designs are built once and handed to every
-    entry. The entries must agree on ``stacking``; a stacking group fits
-    one ridge stacker per patient. The reports hold only what each cell
-    measured: the baseline is the ``naive`` entry's own cell (see
+    entry, and each fitted model's ``diagnostics()`` counters, if it
+    has that method, are summed into its report's ``metadata``. The
+    entries must agree on ``stacking``; a stacking group fits one ridge
+    stacker per patient. The reports hold only what each cell measured:
+    the baseline is the ``naive`` entry's own cell (see
     :func:`improvements`).
     """
     if len({entry.stacking for entry in entries}) != 1:
@@ -388,21 +345,15 @@ def evaluate_group(
                 stacker_entry.build(cfg, derive_seed(seed, "stack", dataset.spec.id, pid)),
                 others,
             )
-        if not prep.needs_fold_means:
-            design = prep.design
-            if stacker is not None:
-                design = attach_stacked(stacker, design)
-
         actual[pid] = prep.design.target_bg  # a fold rebuild keeps the targets
         for report in reports:
             report.predicted[pid] = np.empty(len(prep))
         for j, (train_idx, test_idx) in enumerate(plan.splits()):
-            if prep.needs_fold_means:
-                # the records the training rows read: each row's own and its target's
-                train_starts = starts[train_idx]
-                design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))
-                if stacker is not None:
-                    design = attach_stacked(stacker, design)
+            # the records the training rows read: each row's own and its target's
+            train_starts = starts[train_idx]
+            design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))
+            if stacker is not None:
+                design = attach_stacked(stacker, design)
             # every entry gets these two designs, so fitted parts cached on
             # train.shared are shared within the fold
             train, test = design[train_idx], design[test_idx]
@@ -424,13 +375,9 @@ def evaluate_group(
                         f"be finite and > 0"
                     )
                 report.predicted[pid][test_idx] = fold
-                report.metadata["slot_fallbacks"] += getattr(model, "fallback_count", 0)
-                pipeline = getattr(model, "pipeline", None)
-                if pipeline is not None and (
-                    pipeline.pca_skipped
-                    or (pipeline.pca is not None and pipeline.pca.rank_deficient)
-                ):
-                    report.metadata["pca_flags"] += 1
+                # a model without diagnostics() reports no counters
+                for key, count in getattr(model, "diagnostics", dict)().items():
+                    report.metadata[key] = report.metadata.get(key, 0) + count
 
         for report in reports:
             report.per_patient[pid] = compute_metrics(report.predicted[pid], actual[pid],

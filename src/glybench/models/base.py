@@ -94,3 +94,11 @@ class LogLearner:
         if not self._fitted:
             raise ValueError("predictor not fitted")
         return from_log_array(self._predict(self.pipeline.transform(test.x), test))
+
+    def diagnostics(self) -> dict[str, int]:
+        """This fit's counters: ``pca_flags`` is 1 when the pipeline
+        skipped PCA for too few rows or its components are rank deficient."""
+        pipeline = self.pipeline
+        flagged = pipeline.pca_skipped or (pipeline.pca is not None
+                                           and pipeline.pca.rank_deficient)
+        return {"pca_flags": int(flagged)}

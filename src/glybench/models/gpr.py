@@ -208,3 +208,8 @@ class WeightedGprEnsemble(GprPredictor):
             mu_m, sigma_m = core.posterior(q[idx])
             out[idx] = weighted_log_mean(mu_p[idx], sigma_p[idx], mu_m, sigma_m)
         return out
+
+    def diagnostics(self) -> dict[str, int]:
+        """The pipeline's counters and ``slot_fallbacks``, the test rows
+        predicted since the fit without a slot member."""
+        return {**super().diagnostics(), "slot_fallbacks": self.fallback_count}

@@ -219,8 +219,11 @@ def rebuild_rows(prepared: PreparedPatient, visible_records: np.ndarray) -> Desi
     """The patient's design with imputation means from a record subset.
 
     Means come from the present values of the records at
-    ``visible_records``; a patient without gaps gets an equal design.
+    ``visible_records``. A patient without mean-policy gaps gets its
+    materialized design itself: no means can change it.
     """
+    if not prepared.needs_fold_means:
+        return prepared.design
     visible = np.zeros(len(prepared.arrays), dtype=bool)
     visible[visible_records] = True
     return build_feature_rows(

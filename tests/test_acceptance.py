@@ -25,13 +25,10 @@ from glybench.ep import PREV_HYPO, SIX_OF_EIGHT, is_expert_predictable
 from glybench.evaluation import (
     METRICS,
     PenaltyTable,
+    compute_metrics,
     evaluate,
     evaluate_grid,
-    g_metric,
     improvements,
-    l1,
-    rl1,
-    rmse,
 )
 from glybench.features import IOB_KNOTS, RecordArrays, event_columns, iob_fraction
 from glybench.ingest import clean_cohort, parse_diary_csv
@@ -69,14 +66,16 @@ def test_criterion_1_metric_oracles():
     oracle_l1 = math.fsum(abs(p - a) for p, a in pairs) / n
     oracle_rl1 = math.fsum(abs(p - a) / a for p, a in pairs) / n
     oracle_rmse = math.sqrt(math.fsum((p - a) ** 2 for p, a in pairs) / n)
-    assert abs(l1(predicted, actual) - oracle_l1) <= 1e-12
-    assert abs(rl1(predicted, actual) - oracle_rl1) <= 1e-12
-    assert abs(rmse(predicted, actual) - oracle_rmse) <= 1e-12
+    unit = PenaltyTable.identity()
+    metrics = compute_metrics(predicted, actual, unit)
+    assert abs(metrics["L1"] - oracle_l1) <= 1e-12
+    assert abs(metrics["rL1"] - oracle_rl1) <= 1e-12
+    assert abs(metrics["RMSE"] - oracle_rmse) <= 1e-12
 
-    low = (np.array([5.0]), np.array([3.0]))
-    high = (np.array([10.0]), np.array([12.0]))
-    assert l1(*low) == 2.0 and l1(*high) == 2.0
-    assert rl1(*low) == 2.0 / 3.0 and rl1(*high) == 2.0 / 12.0
+    low = compute_metrics(np.array([5.0]), np.array([3.0]), unit)
+    high = compute_metrics(np.array([10.0]), np.array([12.0]), unit)
+    assert low["L1"] == 2.0 and high["L1"] == 2.0
+    assert low["rL1"] == 2.0 / 3.0 and high["rL1"] == 2.0 / 12.0
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -378,10 +377,10 @@ def test_criterion_9_identity_penalty_bitwise(library_grid):
     cells = 0
     for (vid, name), (report, _spies, _dataset) in library_grid.items():
         for pid, predicted in report.predicted.items():
-            actual = report.actual[pid]
-            assert g_metric(predicted, actual, unit, "MAD") == l1(predicted, actual)
-            assert g_metric(predicted, actual, unit, "MARD") == rl1(predicted, actual)
-            assert g_metric(predicted, actual, unit, "RMSE") == rmse(predicted, actual)
+            metrics = compute_metrics(predicted, report.actual[pid], unit)
+            assert metrics["gMAD"] == metrics["L1"]
+            assert metrics["gMARD"] == metrics["rL1"]
+            assert metrics["gRMSE"] == metrics["RMSE"]
         cells += 1
     assert cells == len(GRID_VARIANTS) * len(GRID_MODELS)
     _ok(9, f"gMAD/gMARD/gRMSE == MAD/MARD/RMSE bit-for-bit on all "

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from glybench import cli, evaluation
-from glybench.cli import main, summarize_results
+from glybench.cli import main, read_results, summarize_results
 from glybench.evaluation import METRICS, evaluate_group
 from glybench.features import RecordArrays
 from glybench.ingest import parse_diary_csv
@@ -58,6 +58,18 @@ def test_synth_same_seed_same_hash(tmp_path):
 def test_synth_missing_output_dir_exits_2(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "cohort.csv"
     assert main(["synth", "--out", str(target)]) == 2
+
+
+@pytest.mark.parametrize("preset", ["high_signal", "default"])
+def test_synth_refuses_a_preset_beside_a_config(tmp_path, capsys, preset):
+    config = tmp_path / "c.json"
+    config.write_text('{"preset": "zero_signal", "patients": 1, "days": 5}')
+    out = tmp_path / "cohort.csv"
+    with pytest.raises(SystemExit) as exited:
+        main(["synth", "--preset", preset, "--config", str(config), "--out", str(out)])
+    assert exited.value.code == 2
+    assert "argument --config: not allowed with argument --preset" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_config_file(tmp_path):
@@ -856,7 +868,7 @@ def test_summarize_results_hand_fixture():
             "ridge,D_e6,L1,p2,4.5",
         ]
     )
-    rows = summarize_results(long_csv)
+    rows = summarize_results(read_results(long_csv))
     assert len(rows) == 1
     row = rows[0]
     # ridge on D_a6 has cohort mean 3.0, the minimum; naive there is 4.0
@@ -906,8 +918,8 @@ def test_report_names_the_bad_line_of_the_results_file(tmp_path, capsys, row, me
 
 
 def test_report_accepts_a_zero_error():
-    [row] = summarize_results("model,variant,metric,patient,value\n"
-                              "naive,D_a6,L1,p1,0.0\nridge,D_a6,L1,p1,0.0\n")
+    [row] = summarize_results(read_results("model,variant,metric,patient,value\n"
+                                           "naive,D_a6,L1,p1,0.0\nridge,D_a6,L1,p1,0.0\n"))
     assert (row["best_model"], row["best_error"], row["percent_improvement"]) == \
         ("naive", 0.0, 0.0)
 
@@ -921,7 +933,7 @@ def test_report_without_a_naive_cell_on_the_best_variant_reads_nan(tmp_path, cap
         "ridge,D_a6,L1,p1,3.5\n"
         "ridge,D_e6,L1,p1,3.0\n"
     )
-    [row] = summarize_results((results / "results_long.csv").read_text())
+    [row] = summarize_results(read_results((results / "results_long.csv").read_text()))
     assert (row["best_model"], row["best_variant"], row["naive_error"]) == \
         ("ridge", "D_e6", None)
     assert math.isnan(row["percent_improvement"])
@@ -941,7 +953,7 @@ def test_summarize_naive_only_run_improves_zero():
             "naive,D_a6,L1,p2,6.0",
         ]
     )
-    rows = summarize_results(long_csv)
+    rows = summarize_results(read_results(long_csv))
     assert rows[0]["best_model"] == "naive"
     assert rows[0]["percent_improvement"] == 0.0
 

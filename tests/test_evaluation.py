@@ -23,14 +23,10 @@ from glybench.evaluation import (
     compute_metrics,
     contiguous_kfold,
     evaluate,
-    g_metric,
     improvement_csv,
     improvements,
-    l1,
     percent_improvement,
     results_long_csv,
-    rl1,
-    rmse,
     wide_csv,
 )
 from glybench.features import PCA_COMPONENTS
@@ -77,9 +73,9 @@ def test_folds_partition_all_rows(n, k):
         return
     plan = contiguous_kfold(n, k)
     seen = []
-    for j in range(k):
-        test_idx = plan.test_indices(j)
-        train_idx = plan.train_indices(j)
+    for train, test in plan.splits():
+        assert train.dtype == test.dtype == np.intp
+        train_idx, test_idx = train.tolist(), test.tolist()
         assert not set(test_idx) & set(train_idx)
         assert sorted(test_idx + train_idx) == list(range(n))
         assert test_idx == list(range(test_idx[0], test_idx[-1] + 1))  # contiguous
@@ -92,6 +88,25 @@ def test_folds_partition_all_rows(n, k):
 # ---------------------------------------------------------------------------
 # plain metrics
 # ---------------------------------------------------------------------------
+
+UNIT = PenaltyTable.identity()
+
+
+def l1(predicted, actual):
+    return compute_metrics(predicted, actual, UNIT)["L1"]
+
+
+def rl1(predicted, actual):
+    return compute_metrics(predicted, actual, UNIT)["rL1"]
+
+
+def rmse(predicted, actual):
+    return compute_metrics(predicted, actual, UNIT)["RMSE"]
+
+
+def g_metric(predicted, actual, penalty, base):
+    return compute_metrics(predicted, actual, penalty)[f"g{base}"]
+
 
 def test_relative_loss_rationale_pairs():
     low = (np.array([5.0]), np.array([3.0]))
@@ -122,12 +137,9 @@ def test_metrics_match_per_pair_summation_oracle():
 
 def test_metrics_refuse_empty_input():
     empty = np.array([])
-    for fn in (l1, rl1, rmse):
-        with pytest.raises(ValueError):
-            fn(empty, empty)
-    for base in ("MAD", "MARD", "RMSE"):
-        with pytest.raises(ValueError):
-            g_metric(empty, empty, PenaltyTable(), base)
+    for penalty in (UNIT, PenaltyTable()):
+        with pytest.raises(ValueError, match="at least one prediction"):
+            compute_metrics(empty, empty, penalty)
 
 
 @given(
@@ -259,14 +271,18 @@ def test_zone_weights_are_at_least_one_and_a_unit_table_is_the_plain_metric(pred
     assert g_metric(predicted, actual, unit, "MARD") == rl1(predicted, actual)
     assert g_metric(predicted, actual, unit, "RMSE") == rmse(predicted, actual)
 
-    # compute_metrics shares one set of zone weights among its g-metrics
+    # compute_metrics weights each error by its own point's zone weight,
+    # with the plain metrics' expressions
+    err = predicted - actual
     for penalty in (table, unit):
         metrics = compute_metrics(predicted, actual, penalty)
         assert list(metrics) == list(METRICS)
-        assert [metrics[m] for m in ("L1", "rL1", "RMSE")] == [
-            l1(predicted, actual), rl1(predicted, actual), rmse(predicted, actual)]
-        for base in ("MAD", "MARD", "RMSE"):
-            assert metrics[f"g{base}"] == g_metric(predicted, actual, penalty, base)
+        weights = penalty.weight(actual, predicted)
+        for names, weight in ((METRICS[:3], 1.0), (METRICS[3:], weights)):
+            assert [metrics[m] for m in names] == [
+                float(np.mean(weight * np.abs(err))),
+                float(np.mean(weight * np.abs(err) / actual)),
+                math.sqrt(np.mean((weight * err) ** 2))]
 
 
 def test_penalty_table_validation():

@@ -126,6 +126,9 @@ def test_compare_runs_finds_one_source_tree_identical_to_itself(tmp_path):
     assert "summary.csv: identical" in files
     assert "report stdout: identical" in files
     assert all(line.endswith(": identical") for line in files), done.stdout
+    demos = lines.index("== demos: parent -> change")
+    assert lines[demos + 1:demos + 1 + len(DEMOS)] == \
+        [f"{demo.name}: identical" for demo in DEMOS]
     assert lines[-1] == "== tiny, change: --jobs 1 -> --jobs 2: identical"
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glybench.features import DowMode, RecordArrays, Vectorizer
+from glybench.features import DowMode, RecordArrays, Vectorizer, build_feature_rows
 from glybench.ingest import MissingPolicy, clean_cohort
 from glybench.synth import default_config, generate
 from glybench.records import DiaryRecord, MealSlot, PatientHistory
@@ -315,9 +315,9 @@ def test_rebuild_equals_the_record_by_record_oracle(steps, visible, spec_id):
 @settings(max_examples=200, deadline=None)
 @given(history_steps, st.lists(st.integers(0, 59), max_size=60), st.booleans())
 def test_a_design_without_mean_policy_gaps_equals_every_rebuild(steps, visible, clear_gaps):
-    # evaluation rebuilds a patient's design per fold only when
-    # needs_fold_means holds: for any other patient, no set of visible
-    # records may change the design
+    # rebuild_rows returns the materialized design of a patient without
+    # needs_fold_means: for such a patient, no set of visible records may
+    # change the design that build_feature_rows makes
     a = RecordArrays.of(timed_history(steps))
     if clear_gaps:  # a gap reads 0, so this is the same diary without gaps
         a = dataclasses.replace(a, cho_gap=np.zeros_like(a.cho_gap),
@@ -327,9 +327,13 @@ def test_a_design_without_mean_policy_gaps_equals_every_rebuild(steps, visible, 
         assert not (clear_gaps and prep.needs_fold_means)
         if prep.needs_fold_means:
             continue
-        got = rebuild_rows(prep, sorted(i for i in set(visible) if i < len(prep.arrays)))
+        shown = np.zeros(len(prep.arrays), dtype=bool)
+        shown[sorted(i for i in set(visible) if i < len(prep.arrays))] = True
+        built = build_feature_rows(prep.arrays, prep.cfg, _gap_fills(prep.arrays, shown),
+                                   prep.row_starts)
+        assert rebuild_rows(prep, np.flatnonzero(shown)) is prep.design
         for name in ("x", "target_bg", "index", "log_target"):
-            mine, want = getattr(got, name), getattr(prep.design, name)
+            mine, want = getattr(built, name), getattr(prep.design, name)
             assert mine.shape == want.shape and mine.tobytes() == want.tobytes(), \
                 (spec.id, name)
 

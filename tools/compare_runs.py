@@ -1,11 +1,14 @@
-"""Compare the outputs of `glybench run` between two source trees.
+"""Compare the outputs of `glybench run` and of the demos between two source trees.
 
     python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC [--cohorts acceptance,grid,long_diary]
         [--change-env NAME=VALUE ...]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the
-``glybench`` package (a checkout's ``src/``). For each cohort, each side
-synthesizes the cohort, runs the grid with ``--jobs 1`` and
+``glybench`` package (a checkout's ``src/``). First each side runs the
+demos of its checkout (``SRC/../demos/*.py``), each in a fresh process
+inside an empty temporary directory, and the tool prints per demo
+``identical`` or the printed lines that differ. Then, for each cohort,
+each side synthesizes the cohort, runs the grid with ``--jobs 1`` and
 ``--jobs 2`` and runs ``report --out summary.csv`` on each results
 directory, each command in a fresh process. For every output file
 (``summary.csv`` among them) the tool prints ``identical``, or the
@@ -93,16 +96,17 @@ class CommandFailed(Exception):
     pass
 
 
-def spawn(src: Path, what: str, *args: str,
-          extra_env: dict[str, str] | None = None) -> tuple[str, float]:
-    """Run Python on ``args`` with ``src`` first on the import path and
-    ``extra_env`` added to the environment: its stdout and its peak RSS in
-    MB. A failure is reported as ``what`` failing."""
+def spawn(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = None,
+          cwd: Path | None = None) -> tuple[str, float]:
+    """Run Python on ``args`` in ``cwd`` with ``src`` first on the import
+    path and ``extra_env`` added to the environment: its stdout and its
+    peak RSS in MB. A failure is reported as ``what`` failing."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=out, stderr=err)
+        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=out, stderr=err,
+                                cwd=cwd)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
@@ -114,8 +118,9 @@ def spawn(src: Path, what: str, *args: str,
     return stdout, usage.ru_maxrss / 1024.0
 
 
-def python(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = None) -> str:
-    return spawn(src, what, *args, extra_env=extra_env)[0]
+def python(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = None,
+           cwd: Path | None = None) -> str:
+    return spawn(src, what, *args, extra_env=extra_env, cwd=cwd)[0]
 
 
 def glybench(src: Path, *args: str, extra_env: dict[str, str] | None = None) -> str:
@@ -170,6 +175,20 @@ def run_side(src: Path, cohort: Cohort, work: Path, extra_env: dict[str, str] | 
                            "--out", str(outs[jobs] / "summary.csv"), extra_env=extra_env)
         _printed_report(outs[jobs]).write_text(printed)
     return csv_path, outs, peaks
+
+
+def run_demos(src: Path, work: Path, extra_env: dict[str, str] | None = None
+              ) -> dict[str, str]:
+    """What each demo of ``src``'s checkout (``src/../demos/*.py``) prints,
+    by file name; each runs in a fresh process inside an empty directory
+    of its own under ``work``."""
+    printed = {}
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        cwd = work / demo.stem
+        cwd.mkdir(parents=True)
+        printed[demo.name] = python(src, f"demo {demo.name}", str(demo),
+                                    extra_env=extra_env, cwd=cwd)
+    return printed
 
 
 def peak_line(name: str, jobs: int, parent_mb: float, change_mb: float) -> str:
@@ -306,9 +325,20 @@ def diff_dirs(a: Path, b: Path) -> tuple[bool, list[str]]:
     return all(line.endswith(": identical") for line in lines), lines
 
 
+def diff_demos(a: dict[str, str], b: dict[str, str]) -> tuple[bool, list[str]]:
+    """Each demo's printed output, parent then change; a demo that one
+    side lacks printed nothing there."""
+    lines = [line for name in sorted(a.keys() | b.keys())
+             for line in diff_printed(name, a.get(name, ""), b.get(name, ""))]
+    return all(line.endswith(": identical") for line in lines), lines
+
+
 def compare(parent: Path, change: Path, cohorts: list[str], work: Path,
             change_env: dict[str, str] | None = None) -> bool:
-    same = True
+    same, lines = diff_demos(run_demos(parent, work / "demos" / "parent"),
+                             run_demos(change, work / "demos" / "change", change_env))
+    print("== demos: parent -> change")
+    print("\n".join(lines))
     for name in cohorts:
         cohort = COHORTS[name]
         parent_csv, parent_out, parent_peak = run_side(parent, cohort, work / name / "parent")
