@@ -300,7 +300,8 @@ def evaluate_group(
     the training rows touch, and each model refits its own
     standardization/PCA on the training rows, so no test-fold
     information reaches the fit (``rebuild_rows`` returns the
-    materialized design of a patient whose means cannot change it).
+    materialized design of a patient whose means cannot change it, and
+    that design gets its stacked column once).
     Patients with fewer than k rows are excluded and reported. Each
     fold's train and test designs are built once and handed to every
     entry, and each fitted model's ``diagnostics()`` counters, if it
@@ -348,12 +349,17 @@ def evaluate_group(
         actual[pid] = prep.design.target_bg  # a fold rebuild keeps the targets
         for report in reports:
             report.predicted[pid] = np.empty(len(prep))
+        whole = None  # prep.design with its stacked column, attached once
         for j, (train_idx, test_idx) in enumerate(plan.splits()):
             # the records the training rows read: each row's own and its target's
             train_starts = starts[train_idx]
             design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))
-            if stacker is not None:
+            if stacker is not None and design is not prep.design:
                 design = attach_stacked(stacker, design)
+            elif stacker is not None:  # no fold mean changes this design
+                if whole is None:
+                    whole = attach_stacked(stacker, design)
+                design = whole
             # every entry gets these two designs, so fitted parts cached on
             # train.shared are shared within the fold
             train, test = design[train_idx], design[test_idx]
@@ -377,7 +383,7 @@ def evaluate_group(
                 report.predicted[pid][test_idx] = fold
                 # a model without diagnostics() reports no counters
                 for key, count in getattr(model, "diagnostics", dict)().items():
-                    report.metadata[key] = report.metadata.get(key, 0) + count
+                    report.metadata[key] += count
 
         for report in reports:
             report.per_patient[pid] = compute_metrics(report.predicted[pid], actual[pid],

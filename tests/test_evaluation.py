@@ -32,6 +32,7 @@ from glybench.evaluation import (
 from glybench.features import PCA_COMPONENTS
 from glybench.ingest import clean, clean_cohort
 from glybench.models import builtin_registry, lapack
+from glybench.models.stacking import attach_stacked
 from glybench.records import MGDL_PER_MMOLL, MealSlot
 from glybench.synth import default_config, generate
 from glybench.variants import materialize, prepare_patient, rebuild_rows, spec_by_id
@@ -386,6 +387,23 @@ def test_evaluate_rejects_a_prediction_count_unequal_to_the_test_rows(dataset):
         evaluate(dataset, entry, k=5, seed=0)
 
 
+def test_evaluate_refuses_a_counter_the_report_does_not_hold(dataset):
+    class Misspelled:
+        def fit(self, train):
+            pass
+
+        def predict(self, test):
+            return np.full(len(test), 6.0)
+
+        def diagnostics(self):
+            return {"pca_flag": 1}
+
+    entry = dataclasses.replace(builtin_registry()["naive"],
+                                factory=lambda cfg, with_stacked, seed: Misspelled())
+    with pytest.raises(KeyError, match="pca_flag"):
+        evaluate(dataset, entry, k=5, seed=0)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
 def test_evaluate_rejects_non_finite_or_non_positive_predictions(dataset, value):
     class Broken:
@@ -464,6 +482,25 @@ def test_fold_rebuild_sees_only_the_records_of_training_rows(variant, monkeypatc
         assert not set(visible) & test_only
         test_only_records += len(test_only)
     assert test_only_records > 0
+
+
+def test_a_stacking_group_attaches_a_materialized_design_once_per_patient(monkeypatch):
+    # throwout leaves no gaps, so no fold's means can change a design and
+    # every fold reuses one stacked design per patient
+    cleaned, _ = clean_cohort(generate(default_config(patients=3, days=25, seed=31)))
+    ds = materialize(cleaned, spec_by_id("D_a2"), min_records=20)
+    assert len(ds.per_patient) == 3
+    assert not any(p.needs_fold_means for p in ds.per_patient.values())
+    attached = []
+
+    def spy(stacker, design):
+        attached.append(design)
+        return attach_stacked(stacker, design)
+
+    monkeypatch.setattr(evaluation, "attach_stacked", spy)
+    evaluate(ds, builtin_registry()["gpr_be_AllPat_AllMeals"], k=5, seed=3)
+    assert [id(design) for design in attached] \
+        == [id(ds.per_patient[pid].design) for pid in sorted(ds.per_patient)]
 
 
 def test_evaluate_excludes_patients_below_k():
