@@ -23,7 +23,6 @@ metrics exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +30,15 @@ from functools import cached_property, partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+# CPython's own SHA-256: importing hashlib maps OpenSSL's libcrypto
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 from .models import attach_stacked, fit_stacker
 from .models.registry import ModelRegistryEntry, builtin_registry
@@ -253,8 +261,10 @@ class EvalReport:
 
 
 def derive_seed(root_seed: int, *parts: object) -> int:
-    """Stable sub-seed from the root seed and any hashable labels."""
-    digest = hashlib.sha256(
+    """Stable sub-seed from the root seed and any labels: the first 8
+    bytes, big-endian, of the SHA-256 of ``"|".join(map(str, (root_seed,
+    *parts)))`` in UTF-8."""
+    digest = sha256(
         ("|".join([str(root_seed)] + [str(p) for p in parts])).encode()
     ).digest()
     return int.from_bytes(digest[:8], "big")
@@ -353,7 +363,7 @@ def evaluate_group(
         for j, (train_idx, test_idx) in enumerate(plan.splits()):
             # the records the training rows read: each row's own and its target's
             train_starts = starts[train_idx]
-            design = rebuild_rows(prep, np.union1d(train_starts, train_starts + 1))
+            design = rebuild_rows(prep, np.concatenate((train_starts, train_starts + 1)))
             if stacker is not None and design is not prep.design:
                 design = attach_stacked(stacker, design)
             elif stacker is not None:  # no fold mean changes this design
@@ -413,6 +423,10 @@ def evaluate_grid(
         done = [task(*t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # a serial grid needs no pool
+        # numpy.random (the forest's generator) imports secrets -> hmac ->
+        # OpenSSL; imported before the fork, its pages are shared by the
+        # workers instead of mapped by each one that draws
+        import numpy.random  # noqa: F401
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = list(pool.map(task, *zip(*tasks)))
     cells = {(r.variant, r.model): r for reports in done for r in reports}

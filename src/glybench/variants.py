@@ -219,8 +219,9 @@ def rebuild_rows(prepared: PreparedPatient, visible_records: np.ndarray) -> Desi
     """The patient's design with imputation means from a record subset.
 
     Means come from the present values of the records at
-    ``visible_records``. A patient without mean-policy gaps gets its
-    materialized design itself: no means can change it.
+    ``visible_records``, indices that may repeat and come in any order.
+    A patient without mean-policy gaps gets its materialized design
+    itself: no means can change it.
     """
     if not prepared.needs_fold_means:
         return prepared.design

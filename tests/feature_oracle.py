@@ -239,10 +239,12 @@ def fill_mean_gaps(
     """Fill remaining missing carbs/bolus with per-slot means.
 
     Means use present values of the records at ``visible`` indices (all
-    records when omitted), falling back to the patient-wide mean, then 0.
+    records when omitted; an index may repeat and they may come in any
+    order, each record counts once), falling back to the patient-wide
+    mean, then 0.
     """
     records = base.records
-    source = records if visible is None else [records[i] for i in visible]
+    source = records if visible is None else [records[i] for i in sorted(set(visible))]
     cho = slot_fills(source, "cho")
     bolus = slot_fills(source, "bolus")
     filled = tuple(

@@ -21,7 +21,8 @@ from glybench.models import (
     fit_stacker,
     registry_csv,
 )
-from glybench.records import MealSlot
+from glybench.records import MealSlot, encode_diary_csv
+from glybench.synth import default_config, generate
 
 import feature_oracle
 from feature_oracle import FeatureRow
@@ -330,16 +331,12 @@ import glybench
 from glybench.cli import main
 from glybench.ep import ep_counts
 from glybench.ingest import clean_cohort, parse_diary_csv
-from glybench.records import encode_diary_csv
-from glybench.synth import default_config, generate
 from glybench.variants import materialize, spec_by_id
 
-text = encode_diary_csv(generate(default_config(patients=2, days=10, seed=1)))
-cleaned, _ = clean_cohort(parse_diary_csv(text))
+with open(sys.argv[1]) as f:
+    cleaned, _ = clean_cohort(parse_diary_csv(f.read()))
 for vid in ("D_a6", "D_e12"):
     materialize(cleaned, spec_by_id(vid), min_records=1)
-with open(sys.argv[1], "w") as f:
-    f.write(text)
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(["inspect", "--input", sys.argv[1]])
 print(json.dumps({"ep_counts": [ep_counts(cleaned[pid]) for pid in sorted(cleaned)],
@@ -352,16 +349,21 @@ import io
 import json
 import sys
 from glybench.cli import main
-from glybench.records import encode_diary_csv
-from glybench.synth import default_config, generate
 
-with open(sys.argv[1], "w") as f:
-    f.write(encode_diary_csv(generate(default_config(patients=2, days=20, seed=4))))
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(["run", "--input", sys.argv[1], "--out", sys.argv[2], "--variants", "D_a6",
                    "--models", "ridge,gpr_be", "--k", "5", "--min-records", "20"])
 print(json.dumps({"run": status, "modules": sorted(sys.modules)}))
 """
+
+
+def cohort_csv(tmp_path: Path, patients: int, days: int, seed: int) -> str:
+    """A synthetic cohort written here, so that the child under test never
+    runs ``synth`` (whose generator loads OpenSSL through numpy.random)."""
+    path = tmp_path / "cohort.csv"
+    path.write_text(encode_diary_csv(generate(default_config(patients=patients, days=days,
+                                                             seed=seed))))
+    return str(path)
 
 
 def python_json(code: str, *args: str) -> dict:
@@ -377,15 +379,21 @@ def python_json(code: str, *args: str) -> dict:
 
 def test_the_set_up_path_does_not_load_scipy_linalg(tmp_path):
     # neither the set-up path nor `inspect` factorizes, so neither loads LAPACK
-    loaded = python_json(_SETUP_PATH, str(tmp_path / "cohort.csv"))
+    loaded = python_json(_SETUP_PATH, cohort_csv(tmp_path, patients=2, days=10, seed=1))
     assert len(loaded["ep_counts"]) == 2
     assert loaded["inspect"] == 0
     assert "scipy.linalg" not in loaded["modules"]
     assert "scipy.linalg._flapack" not in loaded["modules"]
+    # derive_seed hashes with CPython's own SHA-256, so OpenSSL stays unmapped
+    assert "_hashlib" not in loaded["modules"]
 
 
 def test_a_run_loads_scipy_lapack_without_the_scipy_linalg_package(tmp_path):
-    loaded = python_json(_RUN, str(tmp_path / "cohort.csv"), str(tmp_path / "out"))
+    loaded = python_json(_RUN, cohort_csv(tmp_path, patients=2, days=20, seed=4),
+                         str(tmp_path / "out"))
     assert loaded["run"] == 0
     assert "scipy.linalg._flapack" in loaded["modules"]
     assert "scipy.linalg" not in loaded["modules"]
+    # no model of this run draws random numbers, so numpy.random, which
+    # loads OpenSSL through secrets -> hmac, stays unimported
+    assert "_hashlib" not in loaded["modules"]

@@ -183,13 +183,15 @@ def test_compare_runs_rejects_a_repeated_cohort(tmp_path):
 
 def test_compare_runs_reads_the_peak_rss_of_a_command():
     tool = _compare_runs_module()
-    stdout, peak_mb = tool.spawn(ROOT / "src", "python", "-c",
-                                 "b = b'x' * (32 << 20); print(len(b))")
+    stdout, peak_mb, minor_faults = tool.spawn(ROOT / "src", "python", "-c",
+                                               "b = b'x' * (32 << 20); print(len(b))")
     assert stdout == f"{32 << 20}\n"
     assert peak_mb >= 32.0
-    assert tool.peak_line("grid", 2, 71.29, 66.66) == \
-        "== grid, --jobs 2: run peak RSS 71.3 MB -> 66.7 MB" \
-        " (one run per side, not compared; bench/run.py measures it)"
+    assert minor_faults >= 16  # 32 MB touched: at least one fault per 2 MB huge page
+    assert tool.peak_line("grid", 2, (71.29, 1070123), (66.66, 1472000)) == \
+        "== grid, --jobs 2: run peak RSS 71.3 MB -> 66.7 MB," \
+        " minor faults 1,070,123 -> 1,472,000" \
+        " (one run per side, not compared; bench/run.py measures the peak)"
     with pytest.raises(tool.CommandFailed, match="exited 3: boom"):
         tool.spawn(ROOT / "src", "python", "-c",
                    "import sys; sys.stderr.write('boom'); sys.exit(3)")

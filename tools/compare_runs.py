@@ -24,10 +24,11 @@ changed one also shows its absolute difference in percentage points.
 ``report``'s printed table is compared line by line. Next comes each
 side's peak resident memory of ``run`` per jobs count, as ``os.wait4``
 reports it (the largest of the process and its reaped workers, as
-``bench/run.py`` reads it). That is one run per side, so it is shown,
-not compared; ``bench/run.py`` measures it over rounds. A last line per
-cohort compares the change's ``--jobs 2`` outputs with its ``--jobs 1``
-ones.
+``bench/run.py`` reads it), and beside it the minor page faults that
+the same call reports (the process's and its reaped workers'). That is
+one run per side, so both are shown, not compared; ``bench/run.py``
+measures the peak over rounds. A last line per cohort compares the
+change's ``--jobs 2`` outputs with its ``--jobs 1`` ones.
 
 ``--change-env NAME=VALUE`` (repeatable) sets an environment variable
 for the change side's commands only, and the first line of output names
@@ -97,10 +98,11 @@ class CommandFailed(Exception):
 
 
 def spawn(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = None,
-          cwd: Path | None = None) -> tuple[str, float]:
+          cwd: Path | None = None) -> tuple[str, float, int]:
     """Run Python on ``args`` in ``cwd`` with ``src`` first on the import
-    path and ``extra_env`` added to the environment: its stdout and its
-    peak RSS in MB. A failure is reported as ``what`` failing."""
+    path and ``extra_env`` added to the environment: its stdout, its
+    peak RSS in MB and its minor page faults. A failure is reported as
+    ``what`` failing."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -115,7 +117,7 @@ def spawn(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = N
     if proc.returncode != 0:
         tail = " | ".join(stderr.strip().splitlines()[-3:])
         raise CommandFailed(f"{what} ({src}) exited {proc.returncode}: {tail}")
-    return stdout, usage.ru_maxrss / 1024.0
+    return stdout, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def python(src: Path, what: str, *args: str, extra_env: dict[str, str] | None = None,
@@ -154,27 +156,27 @@ def cohort_commands(cohort: Cohort, csv_path: Path, models: Sequence[str]
 
 
 def run_side(src: Path, cohort: Cohort, work: Path, extra_env: dict[str, str] | None = None
-             ) -> tuple[Path, dict[int, Path], dict[int, float]]:
+             ) -> tuple[Path, dict[int, Path], dict[int, tuple[float, int]]]:
     """Synthesize the cohort, run it once per jobs count and report on
     each run: the cohort CSV, and the output directories and ``run``'s
-    peak RSS in MB by jobs count. ``report`` writes ``summary.csv`` into
-    the run's directory, and its printed table goes to
-    ``<directory>-report.txt`` beside it."""
+    peak RSS in MB and minor page faults by jobs count. ``report``
+    writes ``summary.csv`` into the run's directory, and its printed
+    table goes to ``<directory>-report.txt`` beside it."""
     work.mkdir(parents=True)
     csv_path = work / "cohort.csv"
     synth, run = cohort_commands(cohort, csv_path,
                                  cohort.models or registry_models(src, extra_env))
     glybench(src, *synth, extra_env=extra_env)
-    outs, peaks = {}, {}
+    outs, usage = {}, {}
     for jobs in JOBS:
         outs[jobs] = work / f"jobs{jobs}"
-        _, peaks[jobs] = spawn(src, "glybench run", "-m", "glybench.cli", *run,
-                               "--out", str(outs[jobs]), "--jobs", str(jobs),
-                               extra_env=extra_env)
+        usage[jobs] = spawn(src, "glybench run", "-m", "glybench.cli", *run,
+                            "--out", str(outs[jobs]), "--jobs", str(jobs),
+                            extra_env=extra_env)[1:]
         printed = glybench(src, "report", str(outs[jobs]),
                            "--out", str(outs[jobs] / "summary.csv"), extra_env=extra_env)
         _printed_report(outs[jobs]).write_text(printed)
-    return csv_path, outs, peaks
+    return csv_path, outs, usage
 
 
 def run_demos(src: Path, work: Path, extra_env: dict[str, str] | None = None
@@ -191,9 +193,13 @@ def run_demos(src: Path, work: Path, extra_env: dict[str, str] | None = None
     return printed
 
 
-def peak_line(name: str, jobs: int, parent_mb: float, change_mb: float) -> str:
-    return (f"== {name}, --jobs {jobs}: run peak RSS {parent_mb:.1f} MB -> {change_mb:.1f} MB"
-            " (one run per side, not compared; bench/run.py measures it)")
+def peak_line(name: str, jobs: int, parent: tuple[float, int], change: tuple[float, int]
+              ) -> str:
+    """One line of ``run``'s (peak RSS in MB, minor page faults), parent
+    then change."""
+    return (f"== {name}, --jobs {jobs}: run peak RSS {parent[0]:.1f} MB -> {change[0]:.1f} MB,"
+            f" minor faults {parent[1]:,} -> {change[1]:,}"
+            " (one run per side, not compared; bench/run.py measures the peak)")
 
 
 def _printed_report(out: Path) -> Path:
@@ -341,9 +347,9 @@ def compare(parent: Path, change: Path, cohorts: list[str], work: Path,
     print("\n".join(lines))
     for name in cohorts:
         cohort = COHORTS[name]
-        parent_csv, parent_out, parent_peak = run_side(parent, cohort, work / name / "parent")
-        change_csv, change_out, change_peak = run_side(change, cohort, work / name / "change",
-                                                       change_env)
+        parent_csv, parent_out, parent_usage = run_side(parent, cohort, work / name / "parent")
+        change_csv, change_out, change_usage = run_side(change, cohort, work / name / "change",
+                                                        change_env)
         lines = diff_file("cohort.csv", parent_csv.read_text(), change_csv.read_text())
         same = same and len(lines) == 1 and lines[0].endswith(": identical")
         print(f"== {name}, synth: parent -> change")
@@ -354,7 +360,7 @@ def compare(parent: Path, change: Path, cohorts: list[str], work: Path,
             print(f"== {name}, --jobs {jobs}: parent -> change")
             print("\n".join(lines))
         for jobs in JOBS:
-            print(peak_line(name, jobs, parent_peak[jobs], change_peak[jobs]))
+            print(peak_line(name, jobs, parent_usage[jobs], change_usage[jobs]))
         ok, lines = diff_dirs(change_out[JOBS[0]], change_out[JOBS[-1]])
         same = same and ok
         print(f"== {name}, change: --jobs {JOBS[0]} -> --jobs {JOBS[-1]}: "
