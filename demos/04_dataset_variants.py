@@ -44,7 +44,7 @@ ds_all = materialize(cleaned, spec_by_id("D_a6"), min_records=20)
 ds_ep = materialize(cleaned, spec_by_id("D_e6"), min_records=20)
 pid = sorted(ds_ep.per_patient)[0]
 ep, full = ds_ep.per_patient[pid], ds_all.per_patient[pid]
-subset = (ep.design.x == full.design.x[list(ep.row_starts)]).all()
+subset = (ep.design.x == full.design.x[ep.row_starts]).all()
 print(f"{pid}: every D_e6 row appears in D_a6 -> {subset}")
 names = Vectorizer(ds_ep.feature_config).column_names()
 for name in ("meal", "bg", "iob", "horizon_dt"):

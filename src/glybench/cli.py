@@ -220,7 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{len(cleaned)} patient(s) were excluded there, so those cells "
             f"would be empty"
         )
-    static = [d.spec.id for d in datasets if d.spec.include_static
+    static = [d.spec.id for d in datasets if d.feature_config.include_static
               and all(prep.arrays.static is None for prep in d.per_patient.values())]
     if static:
         raise CliError(

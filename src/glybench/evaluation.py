@@ -319,7 +319,8 @@ def evaluate_group(
     entries must agree on ``stacking``; a stacking group fits one ridge
     stacker per patient. The reports hold only what each cell measured:
     the baseline is the ``naive`` entry's own cell (see
-    :func:`improvements`).
+    :func:`improvements`). A prediction that is not finite and > 0, or
+    a metric that is not finite, raises ``ValueError`` naming its cell.
     """
     if len({entry.stacking for entry in entries}) != 1:
         raise ValueError("evaluate_group needs one or more entries that agree on stacking")
@@ -347,7 +348,6 @@ def evaluate_group(
             continue
         prep = dataset.per_patient[pid]
         plan = folds[pid] = contiguous_kfold(len(prep), k)
-        starts = np.array(prep.row_starts, dtype=np.intp)
 
         stacker = None
         if stacking:
@@ -362,7 +362,7 @@ def evaluate_group(
         whole = None  # prep.design with its stacked column, attached once
         for j, (train_idx, test_idx) in enumerate(plan.splits()):
             # the records the training rows read: each row's own and its target's
-            train_starts = starts[train_idx]
+            train_starts = prep.row_starts[train_idx]
             design = rebuild_rows(prep, np.concatenate((train_starts, train_starts + 1)))
             if stacker is not None and design is not prep.design:
                 design = attach_stacked(stacker, design)
@@ -396,8 +396,14 @@ def evaluate_group(
                     report.metadata[key] += count
 
         for report in reports:
-            report.per_patient[pid] = compute_metrics(report.predicted[pid], actual[pid],
-                                                      penalty)
+            scores = compute_metrics(report.predicted[pid], actual[pid], penalty)
+            for metric, value in scores.items():
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{report.model} scored {metric} = {value!r} on variant "
+                        f"{dataset.spec.id}, patient {pid}: metrics must be finite"
+                    )
+            report.per_patient[pid] = scores
     return reports
 
 

@@ -202,7 +202,12 @@ def to_log_target(bg: float) -> float:
 
 
 def from_log(pred: float) -> float:
-    return math.exp(pred)
+    """``exp(pred)``, or ``inf`` past the float range, where ``math.exp``
+    would raise."""
+    try:
+        return math.exp(pred)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -303,7 +308,7 @@ class RecordArrays:
             iob_window=_iob_window(t_us),
             meal=np.array([r.meal.value for r in records], dtype=np.intp),
             day=np.array(day, dtype=np.int64),
-            ev=column(4 if r.ev is None else r.ev.numeric_value for r in records),
+            ev=column(4 if r.ev is None else r.ev.value for r in records),
             pv=column(r.pv for r in records),
             basal=column(0.0 if r.basal is None else r.basal for r in records),
             cho=column(0.0 if r.cho is None else r.cho for r in records),
@@ -326,7 +331,7 @@ def build_feature_rows(
     a: RecordArrays,
     cfg: FeatureConfig,
     fills: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    row_starts: Optional[Sequence[int]] = None,
+    row_starts: Optional[np.ndarray] = None,
     log_target: Optional[np.ndarray] = None,
 ) -> Design:
     """The design of a history's consecutive record pairs.
@@ -342,24 +347,21 @@ def build_feature_rows(
     change features, never targets.
     """
     n = len(a)
-    if row_starts is None:
-        row_starts = range(max(n - 1, 0))
-    starts = np.array(row_starts, dtype=np.intp)
+    starts = np.arange(max(n - 1, 0)) if row_starts is None else row_starts
     cho, bolus = a.cho, a.bolus
     if fills is not None:
         cho = np.where(a.cho_gap, fills[0][a.meal], cho)
         bolus = np.where(a.bolus_gap, fills[1][a.meal], bolus)
     dow = (a.day + 6) % 7  # date.weekday(): ordinal 1 is a Monday
+    static = static_tuple(a.static, cfg.static_defaults)
+    # every optional column: the Vectorizer keeps the ones cfg selects
     columns = {
         "meal": a.meal, "dow": dow, "ev": a.ev, "pv": a.pv, "basal": a.basal,
         "bg": a.bg, **event_columns(a, cho, bolus),
         "horizon_dt": _minutes(np.diff(a.t_us)),
+        **{f"dow_{d}": dow == d for d in range(7)},
+        **{name: np.full(n, v) for name, v in zip(STATIC_COLUMNS, static)},
     }
-    if cfg.dow_mode is DowMode.OneHot:
-        columns.update((f"dow_{d}", dow == d) for d in range(7))
-    if cfg.include_static:
-        static = static_tuple(a.static, cfg.static_defaults)
-        columns.update((name, np.full(n, v)) for name, v in zip(STATIC_COLUMNS, static))
     return Design(
         Vectorizer(cfg).matrix(starts, columns),
         a.bg[starts + 1],

@@ -37,23 +37,14 @@ class MealSlot(Enum):
     BeforeBed = 6
     DuringNight = 7
 
-    def __lt__(self, other: "MealSlot") -> bool:
-        if not isinstance(other, MealSlot):
-            return NotImplemented
-        return self.value < other.value
-
 
 class ExerciseLevel(Enum):
-    """Anticipated exercise, with its numeric encoding for learners."""
+    """Anticipated exercise; its value is the numeric encoding learners see."""
 
     LessThanNormal = 2
     Normal = 4
     Active = 7
     VeryActive = 10
-
-    @property
-    def numeric_value(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Dataset variants: named preprocessing recipes over a cleaned cohort.
 
 Each variant combines a missing-carbs policy, a missing-bolus policy,
-day-of-week / basal / patient-specific feature switches, an optional
-4-component PCA reduction, and optionally the expert-predictable filter.
+the expert-predictable filter or none, and a ``FeatureConfig``: the
+day-of-week / basal / patient-specific feature switches and an optional
+4-component PCA reduction.
 Variant ids prefixed ``D_e`` apply the EP filter; the matching ``D_a``
 ids run on all records.
 
@@ -45,34 +46,21 @@ DEFAULT_MIN_RECORDS = 100
 class VariantSpec:
     id: str
     ep_rules: bool
-    dow_mode: DowMode = DowMode.Integer
-    include_basal: bool = True
-    include_static: bool = False
-    pca: bool = False
+    features: FeatureConfig = FeatureConfig()
     cho: MissingPolicy = MissingPolicy.ImputeMean
     bolus: MissingPolicy = MissingPolicy.ImputeMean
 
-    def feature_config(
-        self, static_defaults: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    ) -> FeatureConfig:
-        return FeatureConfig(
-            dow_mode=self.dow_mode,
-            include_basal=self.include_basal,
-            include_static=self.include_static,
-            pca=self.pca,
-            static_defaults=static_defaults,
-        )
-
     def csv_row(self) -> str:
-        dow = {DowMode.Omit: 0, DowMode.Integer: 1, DowMode.OneHot: 7}[self.dow_mode]
+        f = self.features
+        dow = {DowMode.Omit: 0, DowMode.Integer: 1, DowMode.OneHot: 7}[f.dow_mode]
         return ",".join(
             [
                 self.id,
                 str(int(self.ep_rules)),
                 str(dow),
-                str(int(self.include_basal)),
-                str(int(self.include_static)),
-                str(int(self.pca)),
+                str(int(f.include_basal)),
+                str(int(f.include_static)),
+                str(int(f.pca)),
                 self.cho.value,
                 self.bolus.value,
             ]
@@ -92,18 +80,19 @@ def _half(ep: bool) -> list[VariantSpec]:
         MissingPolicy.ImputeZero,
         MissingPolicy.Throwout,
     )
+    onehot, omit = DowMode.OneHot, DowMode.Omit
     rows = [
         VariantSpec(f"{prefix}1", ep, cho=out, bolus=mean),
         VariantSpec(f"{prefix}2", ep, cho=out, bolus=out),
         VariantSpec(f"{prefix}3", ep, cho=mean, bolus=zero),
         VariantSpec(f"{prefix}4", ep, cho=zero, bolus=mean),
-        VariantSpec(f"{prefix}5", ep, dow_mode=DowMode.OneHot, include_static=True),
+        VariantSpec(f"{prefix}5", ep, FeatureConfig(onehot, include_static=True)),
         VariantSpec(f"{prefix}6", ep),
-        VariantSpec(f"{prefix}7", ep, dow_mode=DowMode.OneHot),
-        VariantSpec(f"{prefix}8", ep, dow_mode=DowMode.Omit, include_basal=False),
+        VariantSpec(f"{prefix}7", ep, FeatureConfig(onehot)),
+        VariantSpec(f"{prefix}8", ep, FeatureConfig(omit, include_basal=False)),
         VariantSpec(f"{prefix}10", ep, cho=zero, bolus=zero),
         VariantSpec(f"{prefix}11", ep, cho=mean, bolus=out),
-        VariantSpec(f"{prefix}12", ep, dow_mode=DowMode.Omit, include_basal=False, pca=True),
+        VariantSpec(f"{prefix}12", ep, FeatureConfig(omit, include_basal=False, pca=True)),
     ]
     return rows
 
@@ -129,22 +118,22 @@ def variant_table_csv() -> str:
 # Materialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedPatient:
     """A patient's design and what lets a fold rebuild it with its own
     imputation means.
 
     ``arrays`` holds the cleaned records that the throwout policies keep,
     with the gap masks of the mean-imputed fields only (a zero-filled gap
-    reads 0, which is no event). ``row_starts[t]`` is the index into
-    ``arrays`` of the record whose state feeds row ``t``. ``design``
-    fills the gaps with means over all of ``arrays``.
+    reads 0, which is no event). ``row_starts[t]``, an intp array, is the
+    index into ``arrays`` of the record whose state feeds row ``t``.
+    ``design`` fills the gaps with means over all of ``arrays``.
     """
 
-    row_starts: tuple[int, ...]
+    row_starts: np.ndarray
     cfg: FeatureConfig
-    arrays: RecordArrays = field(compare=False, repr=False)
-    design: Design = field(compare=False, repr=False)
+    arrays: RecordArrays = field(repr=False)
+    design: Design = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.row_starts)
@@ -203,9 +192,9 @@ def prepare_patient(
     if spec.ep_rules:
         # row t feeds the glucose at record t + 1
         masks = failed_rules(arrays.meal, arrays.day, arrays.bg)
-        row_starts = tuple(np.flatnonzero(predictable(masks)[1:]).tolist())
+        row_starts = np.flatnonzero(predictable(masks)[1:])
     else:
-        row_starts = tuple(range(max(len(arrays) - 1, 0)))
+        row_starts = np.arange(max(len(arrays) - 1, 0))
     everything = np.ones(len(arrays), dtype=bool)
     return PreparedPatient(
         row_starts=row_starts,
@@ -246,7 +235,7 @@ def materialize(
     identical cohort and spec give identical output.
     """
     statics = cohort_static_defaults([cohort[pid] for pid in sorted(cohort)])
-    cfg = spec.feature_config(static_defaults=statics)
+    cfg = replace(spec.features, static_defaults=statics)
     per_patient: dict[str, PreparedPatient] = {}
     excluded: list[str] = []
     for pid in sorted(cohort):

@@ -140,7 +140,7 @@ def build_feature_rows(h: PatientHistory, cfg: FeatureConfig) -> list[FeatureRow
             FeatureRow(
                 meal=r.meal,
                 dow=r.date.weekday(),
-                ev=float(r.ev.numeric_value if r.ev is not None else 4),
+                ev=float(r.ev.value if r.ev is not None else 4),
                 pv=float(r.pv),
                 basal=float(r.basal if r.basal is not None else 0.0),
                 bg=float(r.bg),

@@ -10,10 +10,13 @@ import platform
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glybench import cli, evaluation
 from glybench.cli import main, read_results, summarize_results
@@ -827,6 +830,100 @@ def test_run_with_a_bad_prediction_leaves_no_output_directory(tmp_path, capsys, 
     assert code == 2
     assert "ridge predicted nan mmol/L" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_overflowing_prediction_exits_2_naming_its_cell(cohort_csv, tmp_path, capsys):
+    # ridge extrapolates to a log glucose past exp's range: the prediction
+    # reads inf, and no exception escapes
+    bad = _edited(cohort_csv, tmp_path, "bg", "1e5")
+    patient = bad.read_text().splitlines()[7].split(",")[0]
+    out = tmp_path / "results"
+    capsys.readouterr()
+    assert main(["run", "--input", str(bad), "--out", str(out), "--variants", "D_a6",
+                 "--models", "ridge", "--k", "5", "--min-records", "20"]) == 2
+    err = capsys.readouterr().err
+    assert f"ridge predicted inf mmol/L on variant D_a6, patient {patient}, fold " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["glucose", "penalty"])
+def test_a_non_finite_metric_exits_2_naming_its_cell(cohort_csv, tmp_path, capsys, source):
+    cohort, flags, metric = cohort_csv, [], "gRMSE"
+    if source == "glucose":  # the naive prediction's error overflows when squared
+        cohort, metric = _edited(cohort_csv, tmp_path, "bg", "1e200"), "RMSE"
+    else:  # a weighted error overflows when squared
+        table = tmp_path / "penalty.json"
+        table.write_text('{"A": 1, "B": 1e200, "C": 1e200, "D": 1e200, "E": 1e200}')
+        flags = ["--penalty-table", str(table)]
+    out = tmp_path / "results"
+    capsys.readouterr()
+    assert main(["run", "--input", str(cohort), "--out", str(out), "--variants", "D_a6",
+                 "--models", "naive", "--k", "5", "--min-records", "20", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"naive scored {metric} = inf on variant D_a6, patient P" in err
+    assert "metrics must be finite" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_cohort_lines(tmp_path_factory):
+    synth = tmp_path_factory.mktemp("fuzz") / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 2, "days": 10}')
+    cohort = synth.with_name("cohort.csv")
+    assert main(["synth", "--config", str(synth), "--seed", "3", "--out", str(cohort)]) == 0
+    return cohort.read_text().splitlines()
+
+
+NUMERIC_COLUMNS = ("bg", "cho", "bolus", "basal", "pv")
+ODD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e400", "1e5", "1e9", "1e200",
+                               "1.7e308", "-1e300"])
+
+
+@st.composite
+def cohort_edits(draw, lines):
+    """One edit of a diary CSV's data lines: an odd number in a numeric
+    field, a bad date or time, a field dropped or added, a line
+    duplicated or deleted."""
+    header = lines[0].split(",")
+    n = draw(st.integers(1, len(lines) - 1))
+    fields = lines[n].split(",")
+    kind = draw(st.sampled_from(["number", "date", "time", "drop", "add", "dup", "del"]))
+    if kind == "number":
+        column = header.index(draw(st.sampled_from(NUMERIC_COLUMNS)))
+        if column < len(fields):  # an earlier edit may have dropped fields
+            fields[column] = draw(ODD_NUMBERS)
+    elif kind == "date":
+        fields[2] = draw(st.sampled_from(["2016-02-30", "16-03-07", "", "tomorrow"]))
+    elif kind == "time":
+        fields[3] = draw(st.sampled_from(["24:00:00", "9:61", "noon", "08:00:00.5"]))
+    elif kind == "drop":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif kind == "add":
+        fields.append(draw(st.sampled_from(["", "1", "x"])))
+    if kind == "dup":
+        return lines[:n + 1] + lines[n:]
+    if kind == "del":
+        return lines[:n] + lines[n + 1:]
+    return lines[:n] + [",".join(fields)] + lines[n + 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_inspect_and_run_exit_0_or_2_on_a_mutated_cohort(small_cohort_lines, data):
+    lines = small_cohort_lines
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = data.draw(cohort_edits(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        cohort, out = Path(tmp) / "cohort.csv", Path(tmp) / "results"
+        cohort.write_text("\n".join(lines) + "\n")
+        assert main(["inspect", "--input", str(cohort)]) in (0, 2)
+        status = main(["run", "--input", str(cohort), "--out", str(out), "--variants",
+                       "D_a6", "--models", "naive,ridge", "--k", "5", "--min-records", "20"])
+        assert status in (0, 2)
+        # a run that fails writes nothing; one that succeeds can be reported
+        assert out.exists() is (status == 0)
+        if status == 0:
+            assert main(["report", str(out)]) == 0
 
 
 def test_synth_with_out_at_a_directory_exits_2(tmp_path, capsys):

@@ -610,7 +610,7 @@ def test_evaluate_counts_slot_fallbacks_of_a_slot_seen_in_one_fold_only(dataset,
                                          bolus_gap=np.zeros_like(a.bolus_gap))
         changed = prepare_patient(arrays, dataset.spec, dataset.feature_config)
         assert changed.needs_fold_means is gaps
-        assert changed.row_starts == prep.row_starts
+        assert np.array_equal(changed.row_starts, prep.row_starts)
         assert np.all(changed.design.meal[test_idx] == MealSlot.DuringNight.value)
         ds = dataclasses.replace(dataset, per_patient={pid: changed})
         report = evaluate(ds, _forwarded(entry) if wrap else entry, k=k, seed=0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 import os
 import subprocess
 import sys
@@ -328,6 +329,11 @@ def test_log_target_rejects_below_one():
 @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
 def test_from_log_always_positive(r):
     assert from_log(r) > 0.0
+
+
+def test_from_log_past_the_float_range_is_inf():
+    assert from_log(709.0) == math.exp(709.0)
+    assert from_log(710.0) == from_log(1e300) == math.inf
 
 
 # ---------------------------------------------------------------------------

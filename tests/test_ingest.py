@@ -96,7 +96,7 @@ def test_parse_accepts_or_rejects_any_numeric_text_with_location(column, text):
         return
     value = getattr(cohort["a"].records[0], column)
     if isinstance(value, ExerciseLevel):
-        value = value.numeric_value
+        value = value.value
     assert value is None or math.isfinite(value)
 
 
@@ -157,7 +157,7 @@ def _bolus_history():
 
 def _impute(h, bolus=MissingPolicy.ImputeMean, visible=None):
     spec = VariantSpec("test", ep_rules=False, bolus=bolus)
-    cfg = spec.feature_config()
+    cfg = spec.features
     prep = prepare_patient(RecordArrays.of(h), spec, cfg)
     base = feature_oracle.base_records(h, spec)
     # the policies as masks over the kept records equal the copied records

@@ -1,16 +1,23 @@
 """Leakage checked through the data rather than through row indices.
 
 Criterion 6 sees which rows a model fits and predicts on; it cannot see a
-model that reads the test targets its test design carries. Here the
-fold loop runs as ``run`` runs it, once as it is and once with one test
+model that reads the test targets its test design carries, nor a fitted
+part that one patient's cell leaves behind for another's. Here the fold
+loop runs as ``run`` runs it, once as it is and once with one test
 fold's ``target_bg`` and ``log_target`` replaced by random values: no
-prediction of any registry model may move.
+prediction of any registry model may move. And ``run`` runs twice, once
+with the first patient's glucose perturbed: no other patient's result
+may move, except through the stacked column.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from glybench import evaluation
+from glybench.cli import main
 from glybench.evaluation import contiguous_kfold, evaluate_grid
 from glybench.ingest import clean_cohort
 from glybench.models import builtin_registry
@@ -86,3 +94,53 @@ def test_test_fold_targets_cannot_move_a_prediction(cells, data):
     for model, predicted in got.items():
         for patient, values in predicted.items():
             assert (values == want[model][patient]).all(), (variant, model, patient, fold)
+
+
+def test_one_patients_glucose_cannot_move_another_patients_non_stacking_cell(tmp_path):
+    synth = tmp_path / "synth.json"
+    synth.write_text('{"preset": "default", "patients": 3, "days": 20}')
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", "--config", str(synth), "--seed", "11", "--out", str(cohort)]) == 0
+    lines = cohort.read_text().splitlines()
+    bg = lines[0].split(",").index("bg")
+    # the first patient in evaluation order: a cache leaks forward
+    first = min(line.split(",")[0] for line in lines[1:])
+    perturbed = lines[:1]
+    for line in lines[1:]:
+        fields = line.split(",")
+        if fields[0] == first and fields[bg]:
+            fields[bg] = repr(float(fields[bg]) + 0.5)
+        perturbed.append(",".join(fields))
+    (tmp_path / "perturbed.csv").write_text("\n".join(perturbed) + "\n")
+
+    # each run in a fresh process, so nothing one leaves in memory reaches the other
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    results = []
+    for name in ("cohort", "perturbed"):
+        out = tmp_path / f"results_{name}"
+        done = subprocess.run(
+            [sys.executable, "-m", "glybench.cli", "run", "--input",
+             str(tmp_path / f"{name}.csv"), "--out", str(out), "--variants", "D_a6,D_e12",
+             "--models", ",".join(builtin_registry()), "--k", str(K), "--seed", str(SEED),
+             "--min-records", "20"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        results.append((out / "results_long.csv").read_text().splitlines()[1:])
+    stacking = {name for name, entry in builtin_registry().items() if entry.stacking}
+    kept, moved = results
+    assert len(kept) == len(moved) > 0
+    stacked_moved = set()
+    for want, got in zip(kept, moved):
+        model, variant, metric, patient, _ = want.split(",")
+        assert got.split(",")[:4] == [model, variant, metric, patient]
+        if patient == first:
+            continue
+        if model in stacking:
+            if got != want:
+                stacked_moved.add(model)
+        else:
+            assert got == want, (model, variant, metric, patient)
+    # the stacked column carries the first patient's data to the others
+    assert stacked_moved == stacking

@@ -24,11 +24,10 @@ def test_meal_slots_are_eight_and_ordered():
     assert slots[0] is MealSlot.BeforeBreakfast
     assert slots[-1] is MealSlot.DuringNight
     assert sorted(slots, key=lambda s: s.value) == slots
-    assert MealSlot.BeforeLunch < MealSlot.AfterSupper
 
 
 def test_exercise_levels_bijection():
-    assert [e.numeric_value for e in ExerciseLevel] == [2, 4, 7, 10]
+    assert [e.value for e in ExerciseLevel] == [2, 4, 7, 10]
     assert ExerciseLevel(7) is ExerciseLevel.Active
 
 

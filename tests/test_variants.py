@@ -52,18 +52,18 @@ def test_spec_flags_match_known_rows():
 
     da8 = spec_by_id("D_a8")
     assert not da8.ep_rules
-    assert da8.dow_mode is DowMode.Omit
-    assert not da8.include_basal
+    assert da8.features.dow_mode is DowMode.Omit
+    assert not da8.features.include_basal
     assert da8.cho is MissingPolicy.ImputeMean
     assert da8.bolus is MissingPolicy.ImputeMean
 
     de12 = spec_by_id("D_e12")
-    assert de12.pca is True
+    assert de12.features.pca is True
     assert de12.cho is MissingPolicy.ImputeMean
     assert de12.bolus is MissingPolicy.ImputeMean
 
     de5 = spec_by_id("D_e5")
-    assert de5.dow_mode is DowMode.OneHot and de5.include_static
+    assert de5.features.dow_mode is DowMode.OneHot and de5.features.include_static
 
 
 def test_unknown_variant_raises():
@@ -102,9 +102,10 @@ def test_min_records_excludes_small_patients(cohort):
 def test_materialize_is_deterministic(cohort):
     a = materialize(cohort, spec_by_id("D_e1"), min_records=5)
     b = materialize(cohort, spec_by_id("D_e1"), min_records=5)
-    assert a.per_patient == b.per_patient
+    assert a.per_patient.keys() == b.per_patient.keys()
     for pid, prep in a.per_patient.items():
         other = b.per_patient[pid]
+        assert np.array_equal(prep.row_starts, other.row_starts) and prep.cfg == other.cfg
         assert prep.design.x.tobytes() == other.design.x.tobytes()
         assert prep.design.target_bg.tobytes() == other.design.target_bg.tobytes()
         _assert_same_columns(prep.arrays, other.arrays)
@@ -198,7 +199,7 @@ def test_rebuild_rows_uses_only_visible_records():
         )
     h = PatientHistory("p", tuple(records))
     spec = spec_by_id("D_a6")
-    cfg = spec.feature_config()
+    cfg = spec.features
     prep = prepare_patient(RecordArrays.of(h), spec, cfg)
     assert prep.needs_fold_means
 
@@ -268,10 +269,10 @@ REBUILD_CASES = {
 def _rebuild_and_oracle(steps, visible, spec_id):
     h = timed_history(steps)
     spec = spec_by_id(spec_id)
-    cfg = spec.feature_config()
+    cfg = spec.features
     prep = prepare_patient(RecordArrays.of(h), spec, cfg)
     base = feature_oracle.base_records(h, spec)
-    assert prep.row_starts == tuple(feature_oracle.row_starts(base, spec))
+    assert prep.row_starts.tolist() == feature_oracle.row_starts(base, spec)
     n = len(base)
     # throwout and zero fills as masks over one RecordArrays equal the
     # arrays of the oracle's copied records, column for column
@@ -298,7 +299,7 @@ def test_rebuild_equals_the_oracle_on_fixed_cases(case):
     if case == "zero_mean_slot":
         # the filled zero is no event: the rows after record 16 still see
         # record 15's carbs, as when nothing is filled
-        cho_prev = Vectorizer(spec_by_id(spec_id).feature_config()).column_names().index("cho_prev")
+        cho_prev = Vectorizer(spec_by_id(spec_id).features).column_names().index("cho_prev")
         assert got.x[17, cho_prev] == 25.0
     if case == "nothing_visible":
         # gaps fill with 0.0: the design differs from the all-records means
@@ -323,7 +324,7 @@ def test_a_design_without_mean_policy_gaps_equals_every_rebuild(steps, visible, 
         a = dataclasses.replace(a, cho_gap=np.zeros_like(a.cho_gap),
                                 bolus_gap=np.zeros_like(a.bolus_gap))
     for spec in builtin_specs():
-        prep = prepare_patient(a, spec, spec.feature_config())
+        prep = prepare_patient(a, spec, spec.features)
         assert not (clear_gaps and prep.needs_fold_means)
         if prep.needs_fold_means:
             continue
